@@ -13,7 +13,6 @@ the business of :mod:`repro.replication.server`.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -702,7 +701,8 @@ class StorageEngine:
 
     # ------------------------------------------------------------ snapshot
     def snapshot(self) -> dict:
-        """A deep copy of all data — the slave initial-sync payload.
+        """A clone of all data — the slave initial-sync payload; later
+        writes to this engine never show in it.
 
         ``databases`` is a *sorted list*, not a set: the payload must
         serialize identically across runs (and across hosts with
@@ -711,14 +711,17 @@ class StorageEngine:
         return {
             "databases": sorted(self.databases),
             "default_database": self.default_database,
-            "tables": copy.deepcopy(self.tables),
+            "tables": {name: table.clone()
+                       for name, table in self.tables.items()},
         }
 
     def restore(self, snapshot: dict) -> None:
-        """Load a snapshot previously produced by :meth:`snapshot`."""
+        """Load a snapshot previously produced by :meth:`snapshot`,
+        cloning again: one snapshot can seed many independent replicas."""
         self.databases = set(snapshot["databases"])
         self.default_database = snapshot["default_database"]
-        self.tables = copy.deepcopy(snapshot["tables"])
+        self.tables = {name: table.clone()
+                       for name, table in snapshot["tables"].items()}
         self.transaction = None
 
     def checksum(self) -> tuple:

@@ -69,6 +69,14 @@ class Index:
         for pk, row in rows:
             self.add(row, pk)
 
+    def clone(self) -> "Index":
+        """An independent index with the same contents."""
+        twin = Index(self.name, self.columns, self.unique)
+        twin._buckets = {key: set(bucket)
+                         for key, bucket in self._buckets.items()}
+        twin._sorted_keys = list(self._sorted_keys)
+        return twin
+
     # -- lookups ---------------------------------------------------------------
     def lookup(self, key: tuple) -> frozenset:
         """Primary keys whose rows match ``key`` exactly."""

@@ -16,6 +16,9 @@ class Table:
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
+        #: Row dicts are replace-on-write: every mutation stores a *new*
+        #: dict and none is ever edited in place, so clones (snapshots,
+        #: replicas, the cached dataset image) may share them.
         self.rows: dict[Any, dict[str, Any]] = {}
         self.indexes: dict[str, Index] = {}
         self._next_auto_increment = 1
@@ -30,6 +33,19 @@ class Table:
     @property
     def primary_key_column(self) -> str:
         return self.schema.primary_key.name
+
+    def clone(self) -> "Table":
+        """An independent table with the same contents.
+
+        Own row map, own indexes; the row dicts (see :attr:`rows`) and
+        the schema (never altered after CREATE TABLE) are shared.
+        """
+        twin = Table(self.schema)
+        twin.rows = dict(self.rows)
+        twin.indexes = {name: index.clone()
+                        for name, index in self.indexes.items()}
+        twin._next_auto_increment = self._next_auto_increment
+        return twin
 
     # -- indexes ---------------------------------------------------------------
     def create_index(self, name: str, columns: tuple[str, ...],

@@ -122,7 +122,6 @@ def promote(manager: ReplicationManager,
         default_database=manager.default_database,
         semi_sync=manager.semi_sync,
         binlog_format=manager.binlog_format)
-    new_master.engine.binlog_format = manager.binlog_format
     new_master.engine = candidate.engine
     new_master.engine.commit_listener = new_master._on_commit
     new_master.engine.binlog_format = manager.binlog_format

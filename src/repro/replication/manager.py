@@ -7,9 +7,11 @@ manager owns the full lifecycle:
 
 * launch a master on a small instance (saturation observed early, as
   in the paper's setup) and start aggressive NTP on it;
-* add a slave: launch the VM, take a master snapshot + binlog position
-  (the paper's "pre-loaded, fully-synchronized database"), restore it,
-  and attach the slave to the master's dump thread;
+* add a slave: launch the VM, then ``_sync_and_attach`` it — clone the
+  master's tables at the current binlog position (the paper's
+  "pre-loaded, fully-synchronized database") and attach the slave to
+  the master's dump thread; crash recovery and failover re-sync
+  through the same helper;
 * remove a slave, detach and terminate;
 * verify convergence: wait until every slave applied the binlog head,
   then compare table checksums (the heartbeat table is excluded — its
@@ -38,6 +40,20 @@ from .slave import SlaveServer
 __all__ = ["ReplicationManager", "resync_slave_from"]
 
 
+def _sync_and_attach(master: MasterServer, slave: SlaveServer,
+                     network) -> None:
+    """Give ``slave`` the master's data as of the binlog head and
+    stream from there.  All three positions start at the head: failover
+    ranks candidates and measures lost commits by ``received_position``,
+    and a freshly synced slave *has* received everything up to it."""
+    slave.engine.restore(master.engine.snapshot())
+    position = master.binlog.head_position
+    slave.start_position = position
+    slave.applied_position = position
+    slave.received_position = position
+    master.attach_slave(slave, network)
+
+
 def resync_slave_from(sim: Simulator, master: MasterServer,
                       slave: SlaveServer, network) -> None:
     """Snapshot-resync ``slave`` from ``master`` and re-attach it.
@@ -52,13 +68,7 @@ def resync_slave_from(sim: Simulator, master: MasterServer,
     """
     slave.stop_replication()
     slave.relay_log = Store(sim)
-    slave.engine.restore(master.engine.snapshot())
-    position = master.binlog.head_position
-    slave.start_position = position
-    slave.applied_position = position
-    slave.received_position = position
-    slave._sql_thread_process = None
-    master.attach_slave(slave, network)
+    _sync_and_attach(master, slave, network)
 
 
 class ReplicationManager:
@@ -127,10 +137,7 @@ class ReplicationManager:
         slave = SlaveServer(self.sim, instance, cost_model=self.cost_model,
                             default_database=self.default_database,
                             plan_cache=self.plan_cache)
-        slave.engine.restore(self.master.engine.snapshot())
-        slave.start_position = self.master.binlog.head_position
-        slave.applied_position = slave.start_position
-        self.master.attach_slave(slave, self.cloud.network)
+        _sync_and_attach(self.master, slave, self.cloud.network)
         self.slaves.append(slave)
         return slave
 

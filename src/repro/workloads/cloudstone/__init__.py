@@ -5,8 +5,7 @@ from .loader import load_initial_data
 from .mix import MIX_50_50, MIX_80_20, OperationMix
 from .operations import (Operation, READ_OPERATIONS, WRITE_OPERATIONS,
                          operation_by_name)
-from .schema import (CLOUDSTONE_DATABASE, SCHEMA_STATEMENTS, TAG_COUNT,
-                     create_schema)
+from .schema import CLOUDSTONE_DATABASE, SCHEMA_STATEMENTS, TAG_COUNT
 from .state import WorkloadState
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "WRITE_OPERATIONS",
     "operation_by_name",
     "WorkloadState",
-    "create_schema",
     "CLOUDSTONE_DATABASE",
     "SCHEMA_STATEMENTS",
     "TAG_COUNT",

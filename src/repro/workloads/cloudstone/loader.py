@@ -4,34 +4,52 @@ The paper fixes the initial data size at **300** (50/50 experiments)
 and **600** (80/20 experiments); we interpret the data size as the
 number of pre-loaded *events*, with a matching user population, the
 fixed tag vocabulary, and realistic per-event attendee/comment/tag
-fan-out.  Loading uses the admin path (instantaneous, the paper's runs
-start "with a pre-loaded, fully-synchronized database") on the master
-**before** slaves attach, so slaves inherit the data via snapshot.
+fan-out.  The paper's runs start "with a pre-loaded, fully-synchronized
+database": the dataset is a pure function of the data size, the binlog
+format and the generator's state, so it is built once on a private
+scratch engine and cached as an *image*; every master gets a clone of
+it **before** slaves attach, so slaves inherit the data via snapshot.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 
-from .schema import TAG_COUNT, create_schema
+from ...db.engine import StorageEngine
+from ...db.errors import SchemaError
+from ...sql.plancache import PlanCache
+from .schema import CLOUDSTONE_DATABASE, SCHEMA_STATEMENTS, TAG_COUNT
 from .state import WorkloadState
 
 __all__ = ["load_initial_data"]
 
+#: The newest few images by (data size, binlog format, generator
+#: state): ``(tables, [(statement text, what it committed)], generator
+#: end state)``.  An image must reference nothing simulator-bound, or
+#: caching it would pin a whole finished run.
+_IMAGES: dict[tuple, tuple] = {}
+_MAX_IMAGES = 4
 
-def load_initial_data(master, data_size: int,
-                      rng: np.random.Generator) -> WorkloadState:
-    """Create the schema and load ``data_size`` events; returns the
-    workload state describing what exists."""
-    if data_size < 1:
-        raise ValueError(f"data_size must be >= 1, got {data_size}")
-    create_schema(master)
-    state = WorkloadState(n_users=data_size, n_events=data_size,
-                          n_tags=TAG_COUNT)
+
+def _build_image(data_size: int, binlog_format: str,
+                 rng: np.random.Generator, time_horizon: float) -> tuple:
+    """Create the schema and load ``data_size`` events on a scratch
+    engine — one without SQL functions: a server's functions close
+    over its clock and simulator, and the loader's statements call
+    none."""
+    engine = StorageEngine(default_database=CLOUDSTONE_DATABASE,
+                           plan_cache=PlanCache())
+    engine.binlog_format = binlog_format
+    statements = []
 
     def admin(sql):
-        master.admin(sql, database="cloudstone")
+        result = engine.execute(sql, database=CLOUDSTONE_DATABASE)
+        statements.append((sql, tuple(result.committed)))
 
+    for statement in SCHEMA_STATEMENTS:
+        admin(statement)
     for tag_index in range(1, TAG_COUNT + 1):
         admin(f"INSERT INTO tags (name) VALUES ('tag{tag_index:02d}')")
     for user_id in range(1, data_size + 1):
@@ -39,7 +57,7 @@ def load_initial_data(master, data_size: int,
               f"VALUES ('user{user_id:05d}', 0.0, 1)")
     for event_id in range(1, data_size + 1):
         owner = int(rng.integers(1, data_size + 1))
-        event_date = float(rng.uniform(0.0, state.time_horizon))
+        event_date = float(rng.uniform(0.0, time_horizon))
         admin(f"INSERT INTO events (owner, title, description, created, "
               f"event_date, attendee_count) VALUES ({owner}, "
               f"'Event number {event_id}', 'Description of event "
@@ -61,4 +79,45 @@ def load_initial_data(master, data_size: int,
             admin(f"INSERT INTO comments (event_id, user_id, body, created) "
                   f"VALUES ({event_id}, {commenter}, 'A comment on event "
                   f"{event_id}', 0.0)")
+    return engine.tables, statements, rng.bit_generator.state
+
+
+def load_initial_data(master, data_size: int,
+                      rng: np.random.Generator) -> WorkloadState:
+    """Install the ``data_size``-event dataset on ``master`` (anything
+    with an ``engine``); returns the workload state describing it.
+
+    The engine, its commit listener (the master's binlog), its plan
+    cache and ``rng`` end up exactly as if every statement of the load
+    had been executed on ``master`` itself.
+    """
+    if data_size < 1:
+        raise ValueError(f"data_size must be >= 1, got {data_size}")
+    state = WorkloadState(n_users=data_size, n_events=data_size,
+                          n_tags=TAG_COUNT)
+    engine = master.engine
+    key = (data_size, engine.binlog_format,
+           pickle.dumps(rng.bit_generator.state))
+    if key not in _IMAGES:
+        if len(_IMAGES) >= _MAX_IMAGES:
+            del _IMAGES[next(iter(_IMAGES))]  # the oldest
+        _IMAGES[key] = _build_image(data_size, engine.binlog_format, rng,
+                                    state.time_horizon)
+    tables, statements, rng_state = _IMAGES[key]
+
+    for name in tables:
+        if name in engine.tables:
+            raise SchemaError(f"table {name!r} already exists")
+    engine.databases.add(CLOUDSTONE_DATABASE)
+    engine.tables.update((name, table.clone())
+                         for name, table in tables.items())
+    cache, listener = engine.plan_cache, engine.commit_listener
+    for text, committed in statements:
+        # Same content, LRU order and hit/miss counters as executing.
+        if cache is not None:
+            cache.prepare(text)
+        if listener is not None:
+            listener(list(committed))
+    engine.statements_executed += len(statements)
+    rng.bit_generator.state = rng_state
     return state

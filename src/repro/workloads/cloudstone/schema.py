@@ -8,8 +8,7 @@ tier (the web tier was removed, §III-A).
 
 from __future__ import annotations
 
-__all__ = ["CLOUDSTONE_DATABASE", "SCHEMA_STATEMENTS", "TAG_COUNT",
-           "create_schema"]
+__all__ = ["CLOUDSTONE_DATABASE", "SCHEMA_STATEMENTS", "TAG_COUNT"]
 
 CLOUDSTONE_DATABASE = "cloudstone"
 
@@ -58,13 +57,3 @@ SCHEMA_STATEMENTS = [
     " created DOUBLE)",
     "CREATE INDEX idx_comments_event ON comments (event_id)",
 ]
-
-
-def create_schema(server) -> None:
-    """Create the Cloudstone schema on ``server`` (the master).
-
-    Uses the admin path (no CPU charge) — the paper pre-loads before
-    measurement — but the DDL still replicates through the binlog.
-    """
-    for statement in SCHEMA_STATEMENTS:
-        server.admin(statement, database=CLOUDSTONE_DATABASE)

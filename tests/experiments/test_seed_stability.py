@@ -79,3 +79,58 @@ def test_same_seed_byte_identical_trace():
     assert first_trace == second_trace
     assert first_digest == second_digest
     assert first_digest == digest(run_once(seed=7))
+
+
+def test_built_and_reused_dataset_image_are_indistinguishable(tmp_path):
+    """The first run of a process builds the Cloudstone dataset image,
+    every later one installs a clone of it.  Nothing observable may
+    tell the two apart: all four trace artifacts of an observed cell
+    and the full report of an observed fault drill are compared byte
+    for byte (the drill report's ``metricsDigest`` covers the
+    ``sql.plancache.*`` counters the loader's replay must keep)."""
+    import json
+
+    from repro.chaos import DrillConfig, Fault, FaultSchedule, run_drill
+    from repro.obs import Observability
+    from repro.obs.live import default_slo_spec
+    from repro.workloads.cloudstone import loader
+
+    def observed_cell(directory):
+        observe = Observability()
+        result = run_once(seed=7, observe=observe)
+        paths = observe.write_artifacts(str(directory))
+        artifacts = {}
+        for name, path in paths.items():
+            with open(path, "rb") as handle:
+                artifacts[name] = handle.read()
+        return digest(result), artifacts
+
+    def observed_drill():
+        # Both resync paths run: crash recovery and failover.
+        schedule = FaultSchedule([
+            Fault(at=12.0, kind="slave-crash", target="slave-2",
+                  duration=8.0),
+            Fault(at=38.0, kind="repl-stall", target="slave-1",
+                  duration=15.0),
+            Fault(at=40.2, kind="master-crash"),
+        ])
+        config = DrillConfig(seed=3, n_users=8, n_slaves=2, data_size=60,
+                             think_time_mean=3.0, baseline_duration=8.0,
+                             phases=Phases(ramp_up=5.0, steady=50.0,
+                                           ramp_down=5.0),
+                             monitor_period=1.0, schedule=schedule)
+        report = run_drill(config, slo=default_slo_spec()).report
+        assert report["failover"]["promoted"]
+        return json.dumps(report, sort_keys=True).encode("utf-8")
+
+    loader._IMAGES.clear()
+    built_cell = observed_cell(tmp_path / "built")
+    built_drill = observed_drill()
+    assert len(loader._IMAGES) == 2        # one key per loader stream
+    reused_cell = observed_cell(tmp_path / "reused")
+    reused_drill = observed_drill()
+    assert len(loader._IMAGES) == 2        # ... and nothing was rebuilt
+    assert set(built_cell[1]) == {"trace.json", "spans.jsonl",
+                                  "metrics.jsonl", "profile.txt"}
+    assert reused_cell == built_cell
+    assert reused_drill == built_drill

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cloud import MASTER_PLACEMENT
 from repro.db import DatabaseError
-from repro.replication import best_candidate, fail_master, promote
+from repro.replication import (best_candidate, data_loss_window,
+                               fail_master, promote)
 from tests.replication.conftest import EU_WEST, run_process
 
 
@@ -143,6 +144,32 @@ def test_async_failover_can_lose_unreplicated_writes(sim, manager, master):
     lost = committed_on_master - surviving
     assert lost > 0
     assert dead.binlog.head_position > received
+
+
+def test_crash_right_after_add_slave_loses_nothing(sim, manager, master):
+    """Regression: add_slave left ``received_position`` at 0 until the
+    first event arrived, so a master crash before the first heartbeat
+    ranked the freshly synced slave last and reported the whole
+    pre-load as the lost-commit window."""
+    for i in range(5):
+        master.admin(f"INSERT INTO items (grp, v) VALUES (0, {i})")
+    stale = manager.add_slave(MASTER_PLACEMENT, name="a-stale")
+    master.admin("INSERT INTO items (grp, v) VALUES (1, 99)")
+    fresh = manager.add_slave(EU_WEST, name="b-fresh")
+    head = master.binlog.head_position
+    assert fresh.received_position == fresh.applied_position == head
+    assert stale.received_position == head - 1  # nothing shipped yet
+    dead = fail_master(manager)
+    assert best_candidate(manager) is fresh
+    assert data_loss_window(dead, fresh) == 0
+
+    def failover(manager):
+        return (yield from promote(manager))
+
+    new_master = run_process(sim, failover(manager))
+    assert new_master.instance is fresh.instance
+    assert new_master.admin(
+        "SELECT COUNT(*) FROM items").result.scalar() == 6
 
 
 def test_promoted_master_keeps_auto_increment_continuity(sim, manager,
