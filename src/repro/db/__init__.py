@@ -4,7 +4,8 @@ from .binlog import Binlog, BinlogEvent
 from .engine import (ExecutionProfile, ExecutionResult, ResultSet,
                      StorageEngine)
 from .errors import (ConstraintError, DatabaseError, DuplicateKeyError,
-                     SchemaError, TableNotFoundError, TransactionError)
+                     ExpressionError, SchemaError, TableNotFoundError,
+                     TransactionError)
 from .functions import standard_functions
 from .index import Index
 from .rowevents import RowOp, apply_row_ops, row_ops_size_bytes
@@ -35,5 +36,6 @@ __all__ = [
     "TableNotFoundError",
     "DuplicateKeyError",
     "ConstraintError",
+    "ExpressionError",
     "TransactionError",
 ]

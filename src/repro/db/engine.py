@@ -14,21 +14,21 @@ the business of :mod:`repro.replication.server`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
-from ..sql.ast import (BeginStatement, BinaryOp, BetweenOp, ColumnRef,
-                       CommitStatement, CreateDatabaseStatement,
-                       CreateIndexStatement, CreateTableStatement,
-                       DeleteStatement, DropTableStatement, Expression,
-                       FunctionCall, InsertStatement, Literal, ParamRef,
-                       RollbackStatement, SelectItem, SelectStatement, Star,
-                       Statement, UpdateStatement, UseStatement)
-from ..sql.expressions import EvalContext, evaluate
+from ..sql.ast import (BeginStatement, CommitStatement,
+                       CreateDatabaseStatement, CreateIndexStatement,
+                       CreateTableStatement, DeleteStatement,
+                       DropTableStatement, InsertStatement,
+                       RollbackStatement, SelectStatement, Statement,
+                       UpdateStatement, UseStatement)
+from ..sql.expressions import EvaluationError
 from ..sql.parser import parse
 from ..sql.plancache import PlanCache
 from ..sql.render import render_expression, render_statement
-from .errors import (DatabaseError, SchemaError, TableNotFoundError,
-                     TransactionError)
+from .errors import (DatabaseError, ExpressionError, SchemaError,
+                     TableNotFoundError, TransactionError)
+from .plan import Plan, plan_for
 from .schema import schema_from_ast
 from .table import Table
 from .transaction import Transaction, UndoRecord
@@ -91,7 +91,7 @@ class StorageEngine:
         self.functions = dict(functions or {})
         self.default_database = default_database
         #: Optional prepared-plan cache for SQL-text execution; safe to
-        #: share across engines (plans are frozen ASTs).
+        #: share across engines (frozen ASTs, engine-free compiled plans).
         self.plan_cache = plan_cache
         self.databases: set[str] = {default_database}
         self.tables: dict[str, Table] = {}
@@ -142,15 +142,18 @@ class StorageEngine:
                 statement, params = cache.prepare(statement, params)
         self.statements_executed += 1
         params = params or ()
-        if isinstance(statement, SelectStatement):
-            result, profile = self._execute_select(statement, params)
-            return ExecutionResult(result, profile)
-        if isinstance(statement, InsertStatement):
-            return self._write(statement, params, self._execute_insert)
-        if isinstance(statement, UpdateStatement):
-            return self._write(statement, params, self._execute_update)
-        if isinstance(statement, DeleteStatement):
-            return self._write(statement, params, self._execute_delete)
+        try:
+            if isinstance(statement, SelectStatement):
+                result, profile = self._execute_select(statement, params)
+                return ExecutionResult(result, profile)
+            if isinstance(statement, InsertStatement):
+                return self._write(statement, params, self._execute_insert)
+            if isinstance(statement, (UpdateStatement, DeleteStatement)):
+                return self._write(statement, params, self._execute_modify)
+        except (EvaluationError, TypeError) as exc:
+            # An unknown column, an unbound parameter, '1 < "a"': the
+            # statement is at fault, and callers handle DatabaseError.
+            raise ExpressionError(str(exc)) from exc
         if isinstance(statement, (CreateTableStatement,
                                   CreateIndexStatement,
                                   DropTableStatement,
@@ -220,14 +223,17 @@ class StorageEngine:
         implicit = self.transaction is None
         if implicit:
             self.transaction = Transaction()
-        undo_start = len(self.transaction.undo)
+        undo = self.transaction.undo
+        undo_start = len(undo)
         try:
             result, profile = runner(statement, params)
-        except DatabaseError:
+        except BaseException:
+            # Whatever went wrong, the statement leaves no trace: undo
+            # its own mutations and close a transaction it opened.
+            for record in reversed(undo[undo_start:]):
+                self._undo(record)
+            del undo[undo_start:]
             if implicit:
-                # Roll the implicit transaction back entirely.
-                for record in reversed(self.transaction.undo):
-                    self._undo(record)
                 self.transaction = None
             raise
         if profile.rows_affected > 0:
@@ -240,11 +246,8 @@ class StorageEngine:
                 self.transaction.record_statement(text,
                                                   self.default_database)
         if implicit:
-            committed = self.transaction.binlog_statements
-            self.transaction = None
-            if committed and self.commit_listener is not None:
-                self.commit_listener(committed)
-            return ExecutionResult(result, profile, committed=list(committed))
+            return ExecutionResult(result, profile,
+                                   committed=self._commit().committed)
         return ExecutionResult(result, profile)
 
     def _row_ops_since(self, undo_start: int) -> tuple:
@@ -315,21 +318,22 @@ class StorageEngine:
         return ExecutionResult(ResultSet(), profile, committed=committed)
 
     # ----------------------------------------------------------------- DML
+    # Expressions arrive compiled (:mod:`.plan`) to closures over ``(row,
+    # params, functions)``; a row is a tuple of stored rows, one per table.
     def _execute_insert(self, statement: InsertStatement,
                         params: Sequence[Any]
                         ) -> tuple[ResultSet, ExecutionProfile]:
         table = self.table(statement.table)
         columns = statement.columns or tuple(table.schema.column_names)
-        ctx = EvalContext(params=params, functions=self.functions)
+        functions = self.functions
         lastrowid = None
-        for row_exprs in statement.rows:
-            if len(row_exprs) != len(columns):
+        for values in plan_for(statement).rows:
+            if len(values) != len(columns):
                 raise SchemaError(
-                    f"INSERT has {len(row_exprs)} values for "
+                    f"INSERT has {len(values)} values for "
                     f"{len(columns)} columns")
-            values = {col: evaluate(expr, ctx)
-                      for col, expr in zip(columns, row_exprs)}
-            pk = table.insert(values)
+            pk = table.insert({column: value((), params, functions)
+                               for column, value in zip(columns, values)})
             self.transaction.record(UndoRecord("insert", table.name, pk))
             if isinstance(pk, int):
                 lastrowid = pk
@@ -338,56 +342,37 @@ class StorageEngine:
         result = ResultSet(rowcount=len(statement.rows), lastrowid=lastrowid)
         return result, profile
 
-    def _execute_update(self, statement: UpdateStatement,
+    def _execute_modify(self, statement: Union[UpdateStatement,
+                                               DeleteStatement],
                         params: Sequence[Any]
                         ) -> tuple[ResultSet, ExecutionProfile]:
+        """UPDATE and DELETE: the rows the WHERE selects, one by one."""
         table = self.table(statement.table)
-        pks, examined, used_index = self._plan_where(
-            table, statement.where, params)
+        plan = plan_for(statement, (table,))
+        pks, examined, used_index = self._candidates(table, plan, params)
+        functions = self.functions
+        kind = "delete" if isinstance(statement, DeleteStatement) \
+            else "update"
+        pk_column = table.primary_key_column
         affected = 0
-        for pk in list(pks):
-            row = table.rows[pk]
-            ctx = EvalContext(row=_namespace(table, None, row),
-                              params=params, functions=self.functions)
-            remaining = statement.where
-            if remaining is not None and not _truthy(evaluate(remaining, ctx)):
+        for pk in pks:
+            row = (table.rows[pk],)
+            if plan.where is not None \
+                    and not plan.where(row, params, functions):
                 continue
-            changes = {column: evaluate(expr, ctx)
-                       for column, expr in statement.assignments}
-            old_row = table.update(pk, changes)
-            pk_column = table.primary_key_column
-            new_pk = pk
-            if pk_column in changes:
-                new_pk = table.schema.primary_key.sql_type.coerce(
-                    changes[pk_column], pk_column)
+            if kind == "delete":
+                old_row = table.delete(pk)
+            else:
+                changes = {column: value(row, params, functions)
+                           for column, value in plan.assignments}
+                old_row = table.update(pk, changes)
+                if pk_column in changes:  # the undo needs the new home
+                    pk = table.schema.primary_key.sql_type.coerce(
+                        changes[pk_column], pk_column)
             self.transaction.record(
-                UndoRecord("update", table.name, new_pk, old_row))
+                UndoRecord(kind, table.name, pk, old_row))
             affected += 1
-        profile = ExecutionProfile("update", table=table.name,
-                                   rows_examined=examined,
-                                   rows_affected=affected,
-                                   used_index=used_index)
-        return ResultSet(rowcount=affected), profile
-
-    def _execute_delete(self, statement: DeleteStatement,
-                        params: Sequence[Any]
-                        ) -> tuple[ResultSet, ExecutionProfile]:
-        table = self.table(statement.table)
-        pks, examined, used_index = self._plan_where(
-            table, statement.where, params)
-        affected = 0
-        for pk in list(pks):
-            row = table.rows[pk]
-            ctx = EvalContext(row=_namespace(table, None, row),
-                              params=params, functions=self.functions)
-            if statement.where is not None \
-                    and not _truthy(evaluate(statement.where, ctx)):
-                continue
-            old_row = table.delete(pk)
-            self.transaction.record(
-                UndoRecord("delete", table.name, pk, old_row))
-            affected += 1
-        profile = ExecutionProfile("delete", table=table.name,
+        profile = ExecutionProfile(kind, table=table.name,
                                    rows_examined=examined,
                                    rows_affected=affected,
                                    used_index=used_index)
@@ -398,285 +383,120 @@ class StorageEngine:
                         params: Sequence[Any]
                         ) -> tuple[ResultSet, ExecutionProfile]:
         profile = ExecutionProfile("select")
+        functions = self.functions
         if statement.table is None:
             # Table-less select: SELECT 1, SELECT USEC_NOW(), ...
-            ctx = EvalContext(params=params, functions=self.functions)
-            row = tuple(evaluate(item.expression, ctx)
-                        for item in statement.items)
-            columns = [_item_label(item, params) for item in statement.items]
-            profile.rows_returned = 1
-            return ResultSet(columns=columns, rows=[row], rowcount=1), profile
+            rows = [()]
+            plan = plan_for(statement)
+        else:
+            table = self.table(statement.table)
+            tables = [table] + [self.table(join.table)
+                                for join in statement.joins]
+            plan = plan_for(statement, tables)
+            profile.table = table.name
+            pks, profile.rows_examined, profile.used_index = \
+                self._candidates(table, plan, params)
+            rows = [(table.rows[pk],) for pk in pks]
+            # Joins: nested loop with index lookup where possible.
+            for right, join in zip(tables[1:], plan.joins):
+                rows, examined = self._join(rows, right, join, params)
+                profile.rows_examined += examined
+                profile.joined_tables += 1
+            # WHERE residual filtering (join rows need every table).
+            if plan.where is not None:
+                where = plan.where
+                rows = [row for row in rows if where(row, params, functions)]
 
-        table = self.table(statement.table)
-        profile.table = table.name
-        base_alias = statement.alias or _short_name(table.name)
-        pks, examined, used_index = self._plan_where(
-            table, statement.where, params)
-        profile.used_index = used_index
-        namespaces: list[dict[str, Any]] = []
-        aliases: list[tuple[str, Table]] = [(base_alias, table)]
-        for pk in pks:
-            namespaces.append(_namespace(table, base_alias, table.rows[pk]))
-        profile.rows_examined = examined
-
-        # Joins: nested loop with index lookup where possible.
-        for join in statement.joins:
-            right = self.table(join.table)
-            right_alias = join.alias or _short_name(right.name)
-            aliases.append((right_alias, right))
-            namespaces, join_examined = self._join(
-                namespaces, right, right_alias, join.condition, params)
-            profile.rows_examined += join_examined
-            profile.joined_tables += 1
-
-        # WHERE residual filtering (join rows need the full namespace).
-        if statement.where is not None:
-            filtered = []
-            for namespace in namespaces:
-                ctx = EvalContext(row=namespace, params=params,
-                                  functions=self.functions)
-                if _truthy(evaluate(statement.where, ctx)):
-                    filtered.append(namespace)
-            namespaces = filtered
-
-        # Grouped / aggregate path.
-        has_aggregate = any(_contains_aggregate(item.expression)
-                            for item in statement.items) \
-            or (statement.having is not None
-                and _contains_aggregate(statement.having)) \
-            or any(_contains_aggregate(o.expression)
-                   for o in statement.order_by)
-        if statement.group_by or has_aggregate:
-            rows, columns = self._execute_grouped(statement, namespaces,
-                                                  params)
-            offset = statement.offset or 0
-            if offset:
-                rows = rows[offset:]
-            if statement.limit is not None:
-                rows = rows[:statement.limit]
-            profile.rows_returned = len(rows)
-            return ResultSet(columns=columns, rows=rows,
-                             rowcount=len(rows)), profile
-
-        # ORDER BY before projection (order keys may not be projected).
-        if statement.order_by:
-            namespaces = self._order(namespaces, statement.order_by, params)
-
-        columns, rows = self._project(statement.items, namespaces, aliases,
-                                      params)
+        if plan.grouped:  # from here on a "row" is a group of rows
+            rows = self._groups(plan, rows, params)
+        # ORDER BY before projection (keys may not be projected); stable
+        # sorts in reverse clause order give multi-key ordering with
+        # per-key ASC/DESC.
+        for key, descending in reversed(plan.order_by):
+            rows = sorted(rows, reverse=descending,
+                          key=lambda row: _sort_key(
+                              key(row, params, functions)))
+        items = plan.items
+        rows = [tuple([item(row, params, functions) for item in items])
+                for row in rows]
         if statement.distinct:
-            seen = set()
-            unique_rows = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique_rows.append(row)
-            rows = unique_rows
-        offset = statement.offset or 0
-        if offset:
-            rows = rows[offset:]
+            rows = list(dict.fromkeys(rows))
+        if statement.offset:
+            rows = rows[statement.offset:]
         if statement.limit is not None:
             rows = rows[:statement.limit]
         profile.rows_returned = len(rows)
+        columns = [label if isinstance(label, str)
+                   else render_expression(label, params).lower()
+                   for label in plan.columns]
         return ResultSet(columns=columns, rows=rows,
                          rowcount=len(rows)), profile
 
-    def _join(self, namespaces: list[dict], right: Table, right_alias: str,
-              condition: Expression, params: Sequence[Any]
-              ) -> tuple[list[dict], int]:
+    def _join(self, rows: list[tuple], right: Table, join: tuple,
+              params: Sequence[Any]) -> tuple[list[tuple], int]:
+        probes, condition = join
+        functions = self.functions
+        # Probe the right table's pk or an index on the first
+        # ``left_expr = right.col`` conjunct that allows it.
+        probe = next((candidate for candidate in probes
+                      if candidate[0] == right.primary_key_column
+                      or right.index_on(candidate[0]) is not None), None)
+        stored = right.rows
+        joined: list[tuple] = []
         examined = 0
-        # Try to use an equality condition with the right table's pk or
-        # an index:  left.col = right.col
-        probe = _join_probe(condition, right, right_alias)
-        joined: list[dict] = []
-        for namespace in namespaces:
-            if probe is not None:
-                left_expr, right_column = probe
-                ctx = EvalContext(row=namespace, params=params,
-                                  functions=self.functions)
-                value = evaluate(left_expr, ctx)
-                candidate_pks = _lookup_by_column(right, right_column, value)
-            else:
-                candidate_pks = list(right.rows)
-            for pk in candidate_pks:
+        for row in rows:
+            candidates = stored if probe is None else _lookup_by_column(
+                right, probe[0], probe[1](row, params, functions))
+            for pk in candidates:
                 examined += 1
-                combined = dict(namespace)
-                combined.update(_namespace(right, right_alias,
-                                           right.rows[pk]))
-                ctx = EvalContext(row=combined, params=params,
-                                  functions=self.functions)
-                if _truthy(evaluate(condition, ctx)):
+                combined = row + (stored[pk],)
+                if condition(combined, params, functions):
                     joined.append(combined)
         return joined, examined
 
-    def _execute_grouped(self, statement: SelectStatement,
-                         namespaces: list[dict], params: Sequence[Any]
-                         ) -> tuple[list[tuple], list[str]]:
-        """GROUP BY / aggregate execution.
+    def _groups(self, plan: Plan, rows: list[tuple],
+                params: Sequence[Any]) -> list[list[tuple]]:
+        """GROUP BY and HAVING: the surviving groups, in first-seen order.
 
         Follows MySQL's permissive (pre-ONLY_FULL_GROUP_BY) semantics:
         a non-aggregate expression in the select list evaluates against
         an arbitrary (the first) row of each group.
         """
-        if statement.group_by:
-            groups: dict[tuple, list[dict]] = {}
-            for namespace in namespaces:
-                ctx = EvalContext(row=namespace, params=params,
-                                  functions=self.functions)
-                key = tuple(_freeze(evaluate(g, ctx))
-                            for g in statement.group_by)
-                groups.setdefault(key, []).append(namespace)
-            group_rows = list(groups.values())
+        functions = self.functions
+        if plan.group_by:
+            keyed: dict[tuple, list[tuple]] = {}
+            for row in rows:
+                key = tuple(expr(row, params, functions)
+                            for expr in plan.group_by)
+                keyed.setdefault(key, []).append(row)
+            groups = list(keyed.values())
         else:
             # Implicit single group — even over an empty input
             # (COUNT(*) of an empty table is 0, not no-rows).
-            group_rows = [namespaces]
-
-        columns = [_item_label(item, params) for item in statement.items]
-        produced: list[tuple[tuple, tuple]] = []  # (order_keys, row)
-        for members in group_rows:
-            representative = members[0] if members else {}
-
-            def group_eval(expr):
-                substituted = self._substitute_aggregates(expr, members,
-                                                          params)
-                ctx = EvalContext(row=representative, params=params,
-                                  functions=self.functions)
-                return evaluate(substituted, ctx)
-
-            if statement.having is not None \
-                    and not _truthy(group_eval(statement.having)):
-                continue
-            row = tuple(group_eval(item.expression)
-                        for item in statement.items)
-            order_keys = tuple(
-                (_sort_key(group_eval(o.expression)), o.descending)
-                for o in statement.order_by)
-            produced.append((order_keys, row))
-
-        for index in reversed(range(len(statement.order_by))):
-            descending = statement.order_by[index].descending
-            produced.sort(key=lambda pair: pair[0][index][0],
-                          reverse=descending)
-        rows = [row for _keys, row in produced]
-        if statement.distinct:
-            seen: set = set()
-            rows = [r for r in rows if not (r in seen or seen.add(r))]
-        return rows, columns
-
-    def _substitute_aggregates(self, expr: Expression,
-                               members: list[dict],
-                               params: Sequence[Any]) -> Expression:
-        """Replace aggregate calls with their computed literals."""
-        if isinstance(expr, FunctionCall):
-            if expr.is_aggregate:
-                return Literal(self._compute_aggregate(expr, members,
-                                                       params))
-            args = tuple(self._substitute_aggregates(a, members, params)
-                         for a in expr.args)
-            return FunctionCall(expr.name, args, expr.distinct)
-        if isinstance(expr, BinaryOp):
-            return BinaryOp(
-                expr.op,
-                self._substitute_aggregates(expr.left, members, params),
-                self._substitute_aggregates(expr.right, members, params))
-        from ..sql.ast import UnaryOp
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, self._substitute_aggregates(
-                expr.operand, members, params))
-        return expr
-
-    def _compute_aggregate(self, call: FunctionCall, namespaces: list[dict],
-                           params: Sequence[Any]) -> Any:
-        if call.name == "COUNT" and (not call.args
-                                     or isinstance(call.args[0], Star)):
-            return len(namespaces)
-        arg = call.args[0]
-        samples = []
-        for namespace in namespaces:
-            ctx = EvalContext(row=namespace, params=params,
-                              functions=self.functions)
-            value = evaluate(arg, ctx)
-            if value is not None:
-                samples.append(value)
-        if call.distinct:
-            samples = list(dict.fromkeys(samples))
-        if call.name == "COUNT":
-            return len(samples)
-        if not samples:
-            return None
-        if call.name == "SUM":
-            return sum(samples)
-        if call.name == "AVG":
-            return sum(samples) / len(samples)
-        if call.name == "MIN":
-            return min(samples)
-        if call.name == "MAX":
-            return max(samples)
-        raise DatabaseError(f"unknown aggregate {call.name!r}")
-
-    def _order(self, namespaces: list[dict],
-               order_by, params: Sequence[Any]) -> list[dict]:
-        # Stable sorts applied in reverse clause order give multi-key
-        # ordering with per-key ASC/DESC.
-        ordered = namespaces
-        for item in reversed(order_by):
-            ordered = sorted(
-                ordered,
-                key=lambda ns, e=item.expression: _sort_key(
-                    evaluate(e, EvalContext(row=ns, params=params,
-                                            functions=self.functions))),
-                reverse=item.descending)
-        return ordered
-
-    def _project(self, items, namespaces, aliases, params
-                 ) -> tuple[list[str], list[tuple]]:
-        columns: list[str] = []
-        extractors: list[Callable[[dict], Any]] = []
-        for item in items:
-            expr = item.expression
-            if isinstance(expr, Star):
-                for alias, table in aliases:
-                    if expr.table is not None and expr.table != alias:
-                        continue
-                    for column in table.schema.column_names:
-                        columns.append(column)
-                        extractors.append(
-                            lambda ns, k=f"{alias}.{column}": ns[k])
-                continue
-            columns.append(_item_label(item, params))
-            extractors.append(
-                lambda ns, e=expr: evaluate(
-                    e, EvalContext(row=ns, params=params,
-                                   functions=self.functions)))
-        rows = [tuple(fn(ns) for fn in extractors) for ns in namespaces]
-        return columns, rows
+            groups = [rows]
+        if plan.having is not None:
+            groups = [members for members in groups
+                      if plan.having(members, params, functions)]
+        return groups
 
     # ------------------------------------------------------------ planning
-    def _plan_where(self, table: Table, where: Optional[Expression],
-                    params: Sequence[Any]
-                    ) -> tuple[Iterable[Any], int, bool]:
+    def _candidates(self, table: Table, plan: Plan, params: Sequence[Any]
+                    ) -> tuple[list, int, bool]:
         """Choose an access path; returns (pks, rows_examined, used_index).
 
-        The returned pks are *candidates*: the caller still applies the
-        full WHERE as a residual filter.
+        The plan names the probes the WHERE allows; whether the schema
+        and today's indexes serve one is decided here.  The pks are
+        *candidates*: the caller still applies the full WHERE.
         """
-        if where is None:
-            return list(table.rows), len(table), False
-        ctx = EvalContext(params=params, functions=self.functions)
-        for conjunct in _conjuncts(where):
-            probe = _equality_probe(conjunct)
-            if probe is None:
-                continue
-            column, value_expr = probe
+        functions = self.functions
+        for column, value_of in plan.probes[0]:
             if not table.schema.has_column(column):
                 continue
-            value = evaluate(value_expr, ctx)
+            value = value_of((), params, functions)
             if column == table.primary_key_column:
                 pk_value = table.schema.primary_key.sql_type.coerce(
                     value, column)
-                found = pk_value in table.rows
-                return ([pk_value] if found else []), 1, True
+                return ([pk_value] if pk_value in table.rows else []), 1, True
             index = table.index_on(column)
             if index is not None and len(index.columns) == 1:
                 # lookup() returns a frozenset; sort so unordered
@@ -684,17 +504,14 @@ class StorageEngine:
                 pks = sorted(index.lookup((value,)))
                 return pks, len(pks), True
         # Range probe on a single-column index.
-        for conjunct in _conjuncts(where):
-            probe = _range_probe(conjunct)
-            if probe is None:
-                continue
-            column, low_expr, high_expr, incl_low, incl_high = probe
+        for column, low_of, high_of, incl_low, incl_high in plan.probes[1]:
             index = table.index_on(column)
             if index is None or len(index.columns) != 1:
                 continue
-            low = (evaluate(low_expr, ctx),) if low_expr is not None else None
-            high = (evaluate(high_expr, ctx),) \
-                if high_expr is not None else None
+            low = None if low_of is None \
+                else (low_of((), params, functions),)
+            high = None if high_of is None \
+                else (high_of((), params, functions),)
             pks = list(index.range_scan(low, high, incl_low, incl_high))
             return pks, len(pks), True
         return list(table.rows), len(table), False
@@ -733,20 +550,6 @@ class StorageEngine:
 
 
 # ------------------------------------------------------------------ helpers
-def _short_name(qualified: str) -> str:
-    return qualified.rsplit(".", 1)[-1]
-
-
-def _namespace(table: Table, alias: Optional[str],
-               row: dict[str, Any]) -> dict[str, Any]:
-    prefix = alias or _short_name(table.name)
-    return {f"{prefix}.{column}": value for column, value in row.items()}
-
-
-def _truthy(value: Any) -> bool:
-    return value is not None and bool(value)
-
-
 def _sort_key(value: Any) -> tuple:
     """Total order over SQL values: NULLs first, then numbers, then text."""
     if value is None:
@@ -756,127 +559,12 @@ def _sort_key(value: Any) -> tuple:
     return (2, 0.0, str(value))
 
 
-def _item_label(item: SelectItem, params: Sequence[Any]) -> str:
-    if item.alias:
-        return item.alias
-    expr = item.expression
-    if isinstance(expr, ColumnRef):
-        return expr.name
-    return render_expression(expr, params).lower()
-
-
-def _conjuncts(expr: Expression) -> list[Expression]:
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
-
-
-def _is_constant(expr: Expression) -> bool:
-    if isinstance(expr, (Literal, ParamRef)):
-        return True
-    if isinstance(expr, BinaryOp):
-        return _is_constant(expr.left) and _is_constant(expr.right)
-    return False
-
-
-def _equality_probe(expr: Expression
-                    ) -> Optional[tuple[str, Expression]]:
-    """Match ``col = const`` / ``const = col``; return (column, value)."""
-    if not isinstance(expr, BinaryOp) or expr.op != "=":
-        return None
-    left, right = expr.left, expr.right
-    if isinstance(left, ColumnRef) and _is_constant(right):
-        return left.name, right
-    if isinstance(right, ColumnRef) and _is_constant(left):
-        return right.name, left
-    return None
-
-
-def _range_probe(expr: Expression):
-    """Match BETWEEN / single comparison on a column vs constants.
-
-    Returns (column, low, high, include_low, include_high) or None.
-    """
-    if isinstance(expr, BetweenOp) and not expr.negated \
-            and isinstance(expr.operand, ColumnRef) \
-            and _is_constant(expr.low) and _is_constant(expr.high):
-        return expr.operand.name, expr.low, expr.high, True, True
-    if isinstance(expr, BinaryOp) and expr.op in ("<", ">", "<=", ">="):
-        left, right = expr.left, expr.right
-        if isinstance(left, ColumnRef) and _is_constant(right):
-            column, value, op = left.name, right, expr.op
-        elif isinstance(right, ColumnRef) and _is_constant(left):
-            column, value = right.name, left
-            op = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}[expr.op]
-        else:
-            return None
-        if op == "<":
-            return column, None, value, True, False
-        if op == "<=":
-            return column, None, value, True, True
-        if op == ">":
-            return column, value, None, False, True
-        return column, value, None, True, True
-    return None
-
-
-def _join_probe(condition: Expression, right: Table, right_alias: str
-                ) -> Optional[tuple[Expression, str]]:
-    """Match ``left_expr = right_alias.col`` where col is pk/indexed.
-
-    Returns (left_expr, right_column) so the executor can evaluate the
-    left side per outer row and index-probe the right table.
-    """
-    for conjunct in _conjuncts(condition):
-        if not isinstance(conjunct, BinaryOp) or conjunct.op != "=":
-            continue
-        for own, other in ((conjunct.left, conjunct.right),
-                           (conjunct.right, conjunct.left)):
-            if isinstance(own, ColumnRef) and own.table == right_alias:
-                column = own.name
-                if not right.schema.has_column(column):
-                    continue
-                if _mentions_alias(other, right_alias):
-                    continue
-                if column == right.primary_key_column \
-                        or right.index_on(column) is not None:
-                    return other, column
-    return None
-
-
-def _mentions_alias(expr: Expression, alias: str) -> bool:
-    if isinstance(expr, ColumnRef):
-        return expr.table == alias
-    if isinstance(expr, BinaryOp):
-        return _mentions_alias(expr.left, alias) \
-            or _mentions_alias(expr.right, alias)
-    if isinstance(expr, FunctionCall):
-        return any(_mentions_alias(a, alias) for a in expr.args)
-    return False
-
-
 def _lookup_by_column(table: Table, column: str, value: Any) -> list:
     if column == table.primary_key_column:
         return [value] if value in table.rows else []
     index = table.index_on(column)
     if index is not None and len(index.columns) == 1:
-        return list(index.lookup((value,)))
+        # Sorted like _candidates' lookup: a bucket's set order is not
+        # the same on a replica that cloned it.
+        return sorted(index.lookup((value,)))
     return list(table.rows)
-
-
-def _freeze(value: Any):
-    """Hashable form of a group key component."""
-    if isinstance(value, (list, dict, set)):
-        return str(value)
-    return value
-
-
-def _contains_aggregate(expr: Expression) -> bool:
-    if isinstance(expr, FunctionCall):
-        if expr.is_aggregate:
-            return True
-        return any(_contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, BinaryOp):
-        return _contains_aggregate(expr.left) \
-            or _contains_aggregate(expr.right)
-    return False

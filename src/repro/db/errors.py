@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from ..sql.expressions import EvaluationError
+
 __all__ = ["DatabaseError", "SchemaError", "TableNotFoundError",
-           "DuplicateKeyError", "ConstraintError", "TransactionError"]
+           "DuplicateKeyError", "ConstraintError", "TransactionError",
+           "ExpressionError"]
 
 
 class DatabaseError(Exception):
@@ -28,3 +31,8 @@ class ConstraintError(DatabaseError):
 
 class TransactionError(DatabaseError):
     """Invalid transaction-control sequence."""
+
+
+class ExpressionError(DatabaseError, EvaluationError):
+    """A statement's expression could not be evaluated (unknown column,
+    unbound parameter, operands of types that do not compare)."""

@@ -1,7 +1,8 @@
 """SQL front end: lexer, parser, AST, expression evaluation, rendering."""
 
 from . import ast
-from .expressions import EvalContext, EvaluationError, evaluate, like_match
+from .expressions import (EvalContext, EvaluationError, compile_expression,
+                          evaluate, like_match)
 from .lexer import LexerError, tokenize
 from .parser import ParseError, parse, parse_many
 from .plancache import PlanCache, fingerprint
@@ -14,6 +15,7 @@ __all__ = [
     "parse",
     "parse_many",
     "ParseError",
+    "compile_expression",
     "evaluate",
     "EvalContext",
     "EvaluationError",

@@ -7,11 +7,11 @@ proxy keys its routing on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Iterator, Optional
 
 __all__ = [
-    "Expression", "Literal", "ColumnRef", "ParamRef", "BinaryOp", "UnaryOp",
+    "Expression", "walk", "Literal", "ColumnRef", "ParamRef", "BinaryOp", "UnaryOp",
     "FunctionCall", "InList", "BetweenOp", "LikeOp", "IsNull", "Star",
     "ColumnDef", "OrderItem", "JoinClause", "SelectItem",
     "Statement", "SelectStatement", "InsertStatement", "UpdateStatement",
@@ -109,6 +109,16 @@ class Star(Expression):
     table: Optional[str] = None
 
 
+def walk(expr: Expression) -> Iterator[Expression]:
+    """Yield ``expr`` and every expression nested inside it."""
+    yield expr
+    for spec in fields(expr):
+        child = getattr(expr, spec.name)
+        for nested in child if isinstance(child, tuple) else (child,):
+            if isinstance(nested, Expression):
+                yield from walk(nested)
+
+
 # ------------------------------------------------------------------ clauses
 @dataclass(frozen=True, slots=True)
 class ColumnDef:
@@ -142,9 +152,12 @@ class SelectItem:
 
 # --------------------------------------------------------------- statements
 class Statement:
-    """Base class for statement nodes."""
+    """Base class for statement nodes.  ``plan`` is a cache slot, not a
+    field: the executor parks what it compiled from the statement there
+    (``object.__setattr__``; the fields stay frozen), so a plan lives as
+    long as its AST and is shared by everyone who shares the AST."""
 
-    __slots__ = ()
+    __slots__ = ("plan",)
     is_write = False
     is_transaction_control = False
 

@@ -1,195 +1,294 @@
-"""Expression evaluation.
+"""Expression compilation.
 
-Expressions are evaluated against an :class:`EvalContext` that provides
-the current row's column values, the bound parameter list and the
-server's scalar-function registry (functions need server state — the
-microsecond-``now`` UDF reads the instance's local clock).
+An expression is compiled once, against a column *layout*, into a
+closure ``fn(row, params, functions)`` that is then called per row.  A
+row is a tuple of stored row mappings, one per table of the statement
+in FROM/JOIN order; the layout gives each position's alias and columns,
+so a column reference is resolved to one ``row[position][column]`` at
+compile time.  The bound parameters and the server's scalar functions
+(which read server state: ``USEC_NOW()`` is the instance's clock) are
+call arguments, never captured — a compiled expression can be cached
+and shared without pinning a server.
+
+SQL three-valued logic throughout.  An unknown or ambiguous column, an
+unbound parameter, an unknown function or a misplaced aggregate raises
+:class:`EvaluationError` only when that sub-expression is evaluated:
+``FALSE AND nosuch`` is ``FALSE``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .ast import (BetweenOp, BinaryOp, ColumnRef, Expression, FunctionCall,
-                  InList, IsNull, LikeOp, Literal, ParamRef, Star, UnaryOp)
+                  InList, IsNull, LikeOp, Literal, ParamRef, Star, UnaryOp,
+                  walk)
 
-__all__ = ["EvalContext", "EvaluationError", "evaluate", "like_match"]
+__all__ = ["Compiled", "EvalContext", "EvaluationError", "Layout",
+           "compile_expression", "evaluate", "has_aggregate", "like_match"]
+
+#: ``(alias, column names)`` per row position.
+Layout = Sequence[tuple[Optional[str], Sequence[str]]]
+Compiled = Callable[[Sequence[Mapping[str, Any]], Sequence[Any],
+                     Mapping[str, Callable]], Any]
 
 
 class EvaluationError(ValueError):
     """Raised when an expression cannot be evaluated."""
 
 
+@dataclass(slots=True)
 class EvalContext:
-    """Everything an expression needs to evaluate."""
+    """The arguments of a one-off :func:`evaluate`: a flat row mapping
+    (keys are the spellings references may use, ``t.a`` or ``a``), the
+    bound parameters and the scalar functions."""
 
-    __slots__ = ("row", "params", "functions")
-
-    def __init__(self,
-                 row: Optional[Mapping[str, Any]] = None,
-                 params: Optional[Sequence[Any]] = None,
-                 functions: Optional[Mapping[str, Callable]] = None):
-        self.row = row or {}
-        self.params = params or ()
-        self.functions = functions or {}
-
-    def column(self, ref: ColumnRef) -> Any:
-        key = ref.qualified
-        if key in self.row:
-            return self.row[key]
-        if ref.table is None:
-            # Try any qualified match (unambiguous unqualified access).
-            matches = [v for k, v in self.row.items()
-                       if k.endswith("." + ref.name)]
-            if len(matches) == 1:
-                return matches[0]
-            if len(matches) > 1:
-                raise EvaluationError(f"ambiguous column {ref.name!r}")
-        raise EvaluationError(f"unknown column {ref.qualified!r}")
-
-    def param(self, index: int) -> Any:
-        try:
-            return self.params[index]
-        except IndexError:
-            raise EvaluationError(
-                f"statement references parameter {index} but only "
-                f"{len(self.params)} were bound") from None
-
-    def call(self, name: str, args: list[Any]) -> Any:
-        fn = self.functions.get(name)
-        if fn is None:
-            raise EvaluationError(f"unknown function {name!r}")
-        return fn(*args)
+    row: Mapping[str, Any] = field(default_factory=dict)
+    params: Sequence[Any] = ()
+    functions: Mapping[str, Callable] = field(default_factory=dict)
 
 
 def evaluate(expr: Expression, ctx: EvalContext) -> Any:
-    """Evaluate ``expr`` in ``ctx`` (SQL three-valued logic for NULLs)."""
+    """Compile ``expr`` against ``ctx.row``'s keys and call it once."""
+    return compile_expression(expr, ((None, tuple(ctx.row)),))(
+        (ctx.row,), ctx.params, ctx.functions)
+
+
+def has_aggregate(expr: Expression) -> bool:
+    return any(isinstance(node, FunctionCall) and node.is_aggregate
+               for node in walk(expr))
+
+
+def compile_expression(expr: Expression, layout: Layout = (),
+                       grouped: bool = False) -> Compiled:
+    """Compile ``expr`` for rows shaped like ``layout``.
+
+    With ``grouped`` the closure takes a *group* — the list of member
+    rows — where a row goes: aggregate calls fold over the members and
+    everything else reads the group's first row (MySQL's permissive
+    pre-ONLY_FULL_GROUP_BY semantics).
+    """
+    names = {f"{alias}.{column}" if alias else column: (position, column)
+             for position, (alias, columns) in enumerate(layout)
+             for column in columns}
+    return _compile(expr, names, grouped)
+
+
+def _compile(expr: Expression, names: dict, grouped: bool) -> Compiled:
+    if grouped and not has_aggregate(expr):
+        per_row = _compile(expr, names, False)
+        return lambda members, params, functions: per_row(
+            members[0] if members else (), params, functions)
+
+    def sub(child: Expression) -> Compiled:
+        return _compile(child, names, grouped)
+
     if isinstance(expr, Literal):
-        return expr.value
+        value = expr.value
+        return lambda row, params, functions: value
     if isinstance(expr, ColumnRef):
-        return ctx.column(expr)
+        return _column(expr, names)
     if isinstance(expr, ParamRef):
-        return ctx.param(expr.index)
+        return _param(expr.index)
     if isinstance(expr, BinaryOp):
-        return _binary(expr, ctx)
+        return _binary(expr.op, sub(expr.left), sub(expr.right))
     if isinstance(expr, UnaryOp):
-        return _unary(expr, ctx)
+        return _unary(expr.op, sub(expr.operand))
     if isinstance(expr, FunctionCall):
-        if expr.is_aggregate:
-            raise EvaluationError(
-                f"aggregate {expr.name} outside a select list")
-        args = [evaluate(a, ctx) for a in expr.args]
-        return ctx.call(expr.name, args)
+        if not expr.is_aggregate:
+            return _call(expr.name, [sub(arg) for arg in expr.args])
+        if grouped:
+            return _aggregate(expr, names)
+        return _fails(f"aggregate {expr.name} outside a select list")
     if isinstance(expr, InList):
-        value = evaluate(expr.operand, ctx)
-        if value is None:
-            return None
-        found = any(evaluate(option, ctx) == value
-                    for option in expr.options)
-        return (not found) if expr.negated else found
+        return _in_list(sub(expr.operand), [sub(o) for o in expr.options],
+                        expr.negated)
     if isinstance(expr, BetweenOp):
-        value = evaluate(expr.operand, ctx)
-        low = evaluate(expr.low, ctx)
-        high = evaluate(expr.high, ctx)
-        if value is None or low is None or high is None:
-            return None
-        result = low <= value <= high
-        return (not result) if expr.negated else result
+        return _between(sub(expr.operand), sub(expr.low), sub(expr.high),
+                        expr.negated)
     if isinstance(expr, LikeOp):
-        value = evaluate(expr.operand, ctx)
-        pattern = evaluate(expr.pattern, ctx)
-        if value is None or pattern is None:
-            return None
-        result = like_match(str(value), str(pattern))
-        return (not result) if expr.negated else result
+        return _like(sub(expr.operand), sub(expr.pattern), expr.negated)
     if isinstance(expr, IsNull):
-        value = evaluate(expr.operand, ctx)
-        is_null = value is None
-        return (not is_null) if expr.negated else is_null
+        operand, negated = sub(expr.operand), expr.negated
+        return lambda row, params, functions: \
+            (operand(row, params, functions) is None) != negated
     if isinstance(expr, Star):
-        raise EvaluationError("'*' is only valid in a select list")
-    raise EvaluationError(f"cannot evaluate {type(expr).__name__}")
+        return _fails("'*' is only valid in a select list")
+    return _fails(f"cannot evaluate {type(expr).__name__}")
 
 
-def _binary(expr: BinaryOp, ctx: EvalContext) -> Any:
-    op = expr.op
+def _fails(message: str) -> Compiled:
+    def fail(row, params, functions):
+        raise EvaluationError(message)
+    return fail
+
+
+def _column(ref: ColumnRef, names: dict) -> Compiled:
+    slot = names.get(ref.qualified)
+    if slot is None and ref.table is None:
+        # Unqualified access: fine while exactly one table has it.
+        matches = [found for name, found in names.items()
+                   if name.endswith("." + ref.name)]
+        if len(matches) > 1:
+            return _fails(f"ambiguous column {ref.name!r}")
+        slot = matches[0] if matches else None
+    message = f"unknown column {ref.qualified!r}"
+    if slot is None:
+        return _fails(message)
+    position, column = slot
+
+    def read(row, params, functions):
+        try:
+            return row[position][column]
+        except LookupError:  # the first row of an empty group
+            raise EvaluationError(message) from None
+    return read
+
+
+def _param(index: int) -> Compiled:
+    def param(row, params, functions):
+        try:
+            return params[index]
+        except IndexError:
+            raise EvaluationError(
+                f"statement references parameter {index} but only "
+                f"{len(params)} were bound") from None
+    return param
+
+
+#: Applied to non-NULL operands; MySQL semantics: division (and
+#: modulo) by zero yields NULL.
+_OPERATORS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt, ">": operator.gt,
+    "<=": operator.le, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda a, b: None if b == 0 else a / b,
+    "%": lambda a, b: None if b == 0 else a % b,
+}
+_NOT_TRUE = (None, False, 0)
+
+
+def _binary(op: str, left: Compiled, right: Compiled) -> Compiled:
     if op == "AND":
-        left = evaluate(expr.left, ctx)
-        if left is False or (left is not None and not left):
-            return False
-        right = evaluate(expr.right, ctx)
-        if right is False or (right is not None and not right):
-            return False
-        if left is None or right is None:
-            return None
-        return True
+        def conjunction(row, params, functions):
+            a = left(row, params, functions)
+            if a is not None and not a:
+                return False
+            b = right(row, params, functions)
+            if b is not None and not b:
+                return False
+            return None if a is None or b is None else True
+        return conjunction
     if op == "OR":
-        left = evaluate(expr.left, ctx)
-        if left not in (None, False, 0):
-            return True
-        right = evaluate(expr.right, ctx)
-        if right not in (None, False, 0):
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    left = evaluate(expr.left, ctx)
-    right = evaluate(expr.right, ctx)
-    if left is None or right is None:
-        return None
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == ">":
-        return left > right
-    if op == "<=":
-        return left <= right
-    if op == ">=":
-        return left >= right
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            return None  # MySQL semantics: division by zero yields NULL
-        return left / right
-    if op == "%":
-        if right == 0:
-            return None
-        return left % right
-    raise EvaluationError(f"unknown operator {op!r}")
+        def disjunction(row, params, functions):
+            a = left(row, params, functions)
+            if a not in _NOT_TRUE:
+                return True
+            b = right(row, params, functions)
+            if b not in _NOT_TRUE:
+                return True
+            return None if a is None or b is None else False
+        return disjunction
+    if op not in _OPERATORS:
+        return _fails(f"unknown operator {op!r}")
+    apply = _OPERATORS[op]
+
+    def binary(row, params, functions):
+        a = left(row, params, functions)
+        b = right(row, params, functions)
+        return None if a is None or b is None else apply(a, b)
+    return binary
 
 
-def _unary(expr: UnaryOp, ctx: EvalContext) -> Any:
-    value = evaluate(expr.operand, ctx)
-    if expr.op == "NOT":
+def _unary(op: str, operand: Compiled) -> Compiled:
+    if op not in ("NOT", "-"):
+        return _fails(f"unknown unary operator {op!r}")
+    apply = operator.not_ if op == "NOT" else operator.neg
+
+    def unary(row, params, functions):
+        value = operand(row, params, functions)
+        return None if value is None else apply(value)
+    return unary
+
+
+def _call(name: str, args: list[Compiled]) -> Compiled:
+    def call(row, params, functions):
+        values = [arg(row, params, functions) for arg in args]
+        fn = functions.get(name)
+        if fn is None:
+            raise EvaluationError(f"unknown function {name!r}")
+        return fn(*values)
+    return call
+
+
+_FOLDS = {"COUNT": len, "SUM": sum, "MIN": min, "MAX": max,
+          "AVG": lambda samples: sum(samples) / len(samples)}
+
+
+def _aggregate(call: FunctionCall, names: dict) -> Compiled:
+    if call.name == "COUNT" and (not call.args
+                                 or isinstance(call.args[0], Star)):
+        return lambda members, params, functions: len(members)
+    arg = _compile(call.args[0], names, False)
+    fold, distinct = _FOLDS[call.name], call.distinct
+
+    def aggregate(members, params, functions):
+        samples = [value for row in members
+                   if (value := arg(row, params, functions)) is not None]
+        if distinct:
+            samples = list(dict.fromkeys(samples))
+        return fold(samples) if samples or fold is len else None
+    return aggregate
+
+
+def _in_list(operand: Compiled, options: list[Compiled],
+             negated: bool) -> Compiled:
+    def in_list(row, params, functions):
+        value = operand(row, params, functions)
         if value is None:
             return None
-        return not value
-    if expr.op == "-":
-        if value is None:
+        for option in options:
+            if option(row, params, functions) == value:
+                return not negated
+        return negated
+    return in_list
+
+
+def _between(operand: Compiled, low: Compiled, high: Compiled,
+             negated: bool) -> Compiled:
+    def between(row, params, functions):
+        value = operand(row, params, functions)
+        lower = low(row, params, functions)
+        upper = high(row, params, functions)
+        if value is None or lower is None or upper is None:
             return None
-        return -value
-    raise EvaluationError(f"unknown unary operator {expr.op!r}")
+        return (lower <= value <= upper) != negated
+    return between
+
+
+def _like(operand: Compiled, pattern: Compiled, negated: bool) -> Compiled:
+    def like(row, params, functions):
+        value = operand(row, params, functions)
+        wanted = pattern(row, params, functions)
+        if value is None or wanted is None:
+            return None
+        return like_match(str(value), str(wanted)) != negated
+    return like
+
+
+@lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> "re.Pattern[str]":
+    # Once per pattern, not per row; patterns are mostly bound params.
+    parts = {"%": ".*", "_": "."}
+    return re.compile("".join(parts.get(ch) or re.escape(ch)
+                              for ch in pattern),
+                      flags=re.DOTALL | re.IGNORECASE)
 
 
 def like_match(value: str, pattern: str) -> bool:
     """SQL LIKE: ``%`` matches any run, ``_`` matches one character."""
-    parts = []
-    for ch in pattern:
-        if ch == "%":
-            parts.append(".*")
-        elif ch == "_":
-            parts.append(".")
-        else:
-            parts.append(re.escape(ch))
-    regex = "".join(parts)
-    return re.fullmatch(regex, value, flags=re.DOTALL | re.IGNORECASE) \
-        is not None
+    return _like_regex(pattern).fullmatch(value) is not None

@@ -27,9 +27,10 @@ anyway.
 
 The cache is pure text-in / frozen-AST-out: same statement sequence ->
 same hits, misses and plans, so cached runs stay byte-deterministic
-per seed.  AST nodes are immutable, which is what makes one cache
-shareable by a whole replication cluster (master, every slave's apply
-thread, and the routing proxy).  Hit/miss/eviction counters can be
+per seed.  AST nodes are immutable (what the executor compiles from a
+statement rides on its ``plan`` slot and is evicted with it), which is
+what makes one cache shareable by a whole replication cluster (master,
+every slave's apply thread, and the routing proxy).  Hit/miss/eviction counters can be
 published through a metrics registry via :meth:`attach_metrics`; the
 registry is duck-typed so this module keeps the sql layer free of obs
 imports.

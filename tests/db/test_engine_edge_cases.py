@@ -161,3 +161,61 @@ def test_insert_explicit_null_into_nullable(engine):
     engine.execute("INSERT INTO t (name, score) VALUES (NULL, NULL)")
     assert engine.execute(
         "SELECT COUNT(*) FROM t WHERE name IS NULL").result.scalar() == 2
+
+
+def test_join_probing_an_index_returns_rows_in_pk_order(engine):
+    # An index bucket is a set: its iteration order is hash order, and
+    # a replica's cloned bucket need not repeat it.  Unordered joins
+    # must not show it.
+    engine.execute("CREATE TABLE c (id INTEGER PRIMARY KEY, t_id INTEGER)")
+    engine.execute("CREATE INDEX c_t ON c (t_id)")
+    engine.execute("INSERT INTO c VALUES (16, 1), (8, 1), (3, 1), (1, 1), "
+                   "(24, 1), (5, 2)")
+    twin = StorageEngine(default_database="app")
+    twin.restore(engine.snapshot())
+    sql = "SELECT c.id FROM t JOIN c ON c.t_id = t.id WHERE t.id = 1"
+    for replica in (engine, twin):
+        outcome = replica.execute(sql)
+        assert outcome.result.rows == [(1,), (3,), (8,), (16,), (24,)]
+        assert outcome.profile.used_index
+        assert outcome.profile.rows_examined == 6  # 1 + the bucket's 5
+
+
+def test_ddl_after_a_plan_was_compiled_changes_the_access_path():
+    # The plan hangs on the cached statement; the index choice does not.
+    from repro.sql.plancache import PlanCache
+
+    def fresh(*ddl):
+        eng = StorageEngine(default_database="app", plan_cache=PlanCache())
+        eng.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
+        eng.execute("INSERT INTO t VALUES (1, 7), (2, 8), (3, 7), (4, 9)")
+        for statement in ddl:
+            eng.execute(statement)
+        return eng
+
+    def run(eng, sql):
+        outcome = eng.execute(sql)
+        return outcome.result, outcome.profile
+
+    index = "CREATE INDEX t_k ON t (k)"
+    queries = ["SELECT id FROM t WHERE k = 7",
+               "SELECT id FROM t WHERE k >= 8 ORDER BY id",
+               "SELECT a.id, b.id FROM t a JOIN t b ON b.k = a.k "
+               "WHERE a.id = 1",
+               "UPDATE t SET k = k + 0 WHERE k = 9"]
+    engine = fresh()
+    for sql in queries:
+        assert run(engine, sql) == run(fresh(), sql)
+        assert not run(engine, sql)[1].used_index or "JOIN" in sql
+    plans = [engine.plan_cache.prepare(sql)[0].plan for sql in queries]
+    engine.execute(index)
+    for sql, plan in zip(queries, plans):
+        assert run(engine, sql) == run(fresh(index), sql)
+        assert run(engine, sql)[1].used_index
+        assert engine.plan_cache.prepare(sql)[0].plan is plan  # not rebuilt
+    # A table re-created with other columns invalidates the plan instead.
+    engine.execute("DROP TABLE t")
+    engine.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, id INTEGER)")
+    engine.execute("INSERT INTO t VALUES (7, 70)")
+    assert engine.execute(queries[0]).result.rows == [(70,)]
+    assert engine.execute(queries[0]).profile.rows_examined == 1

@@ -131,3 +131,17 @@ def test_group_key_with_null(engine):
     got = rows(engine, "SELECT region, COUNT(*) FROM sales "
                "GROUP BY region ORDER BY region")
     assert (None, 2) in got  # NULLs group together (MySQL semantics)
+
+@pytest.mark.parametrize("sql, expected", [
+    # Aggregates under every node type, not only binary operators.
+    ("SELECT region FROM sales GROUP BY region "
+     "HAVING COUNT(*) BETWEEN 2 AND 5 ORDER BY region", [("eu",), ("us",)]),
+    ("SELECT -COUNT(*) FROM sales", [(-6,)]),
+    ("SELECT COUNT(*) IS NULL FROM sales", [(False,)]),
+    ("SELECT region FROM sales GROUP BY region HAVING COUNT(*) IN (3)",
+     [("us",)]),
+    ("SELECT region FROM sales GROUP BY region "
+     "HAVING region LIKE 'u%' AND NOT MAX(amount) < 50", [("us",)]),
+])
+def test_aggregates_nest_under_any_operator(engine, sql, expected):
+    assert rows(engine, sql) == expected

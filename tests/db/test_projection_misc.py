@@ -78,3 +78,16 @@ def test_table_alias_changes_namespace(engine):
     from repro.sql import EvaluationError
     with pytest.raises(EvaluationError):
         engine.execute("SELECT users.name FROM users u WHERE u.id = 1")
+
+
+def test_where_on_the_joined_table_does_not_probe_the_base_table(engine):
+    # ``u.id = 2`` names the *joined* table; probing the base table's
+    # own ``id`` with it used to look for event 2 and find nothing.
+    outcome = engine.execute(
+        "SELECT e.id, u.name FROM events e JOIN users u ON u.id = e.owner "
+        "WHERE u.id = 2")
+    assert outcome.result.rows == [(11, "bob")]
+    assert not outcome.profile.used_index
+    assert engine.execute("SELECT e.id FROM events e JOIN users u "
+                          "ON u.id = e.owner WHERE e.id = 10 AND u.id = 1"
+                          ).profile.used_index

@@ -163,15 +163,19 @@ def test_warm_hit_rate_exceeds_ninety_percent():
 
 
 def test_cached_engine_execution_equals_uncached():
-    # Same statement stream through two engines — one per-statement
-    # parsed, one behind a shared plan cache: identical result rows,
-    # profiles and committed binlog text.
-    corpus = statement_corpus(seed=3, n_operations=40)
+    for seed in (0, 3):
+        _check_cached_engine_execution_equals_uncached(seed)
+
+
+def _check_cached_engine_execution_equals_uncached(seed):
+    # Same statement stream through two engines — one parsing and
+    # compiling every statement afresh, one behind a shared plan cache
+    # whose templates carry their compiled plans: identical results,
+    # profiles and committed binlog text, cold and warm.
+    corpus = statement_corpus(seed=seed, n_operations=60)
     plain = StorageEngine(default_database="cloudstone")
     cached = StorageEngine(default_database="cloudstone",
                            plan_cache=PlanCache())
-    for engine in (plain, cached):
-        engine.execute("CREATE DATABASE IF NOT EXISTS cloudstone")
     from repro.sim import RandomStreams
     from repro.workloads.cloudstone import load_initial_data
 
@@ -179,19 +183,23 @@ def test_cached_engine_execution_equals_uncached():
         def __init__(self, engine):
             self.engine = engine
 
-        def admin(self, sql, database=None):
-            return self.engine.execute(sql, database=database)
-
-    load_initial_data(_Shim(plain), 40, RandomStreams(3).stream("x"))
-    load_initial_data(_Shim(cached), 40, RandomStreams(3).stream("x"))
-    for text in corpus:
-        a = plain.execute(text, database="cloudstone")
-        b = cached.execute(text, database="cloudstone")
-        assert a.result.rows == b.result.rows
-        assert a.result.columns == b.result.columns
-        assert a.profile == b.profile
-        assert a.committed == b.committed
+    load_initial_data(_Shim(plain), 40, RandomStreams(seed).stream("x"))
+    load_initial_data(_Shim(cached), 40, RandomStreams(seed).stream("x"))
+    plans = []
+    for _round in ("cold", "warm"):
+        for text in corpus:
+            a = plain.execute(text, database="cloudstone")
+            b = cached.execute(text, database="cloudstone")
+            assert a.result == b.result
+            assert a.profile == b.profile
+            assert a.committed == b.committed
+        # One plan per template, built once and kept.
+        plans.append([getattr(template, "plan", None) for template
+                      in cached.plan_cache._templates.values()])
+    assert sum(plan is not None for plan in plans[0]) > 10
+    assert all(a is b for a, b in zip(*plans, strict=True))
     assert cached.plan_cache.hits > 0
+    assert plain.checksum() == cached.checksum()
 
 
 # -- metrics ---------------------------------------------------------------

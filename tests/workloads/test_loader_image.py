@@ -135,10 +135,20 @@ def test_slaves_synced_from_an_installed_master_are_independent():
 
 def test_image_pins_no_finished_run(monkeypatch):
     master, built = load(150, 0, "statement")
+    # Compiled plans outlive a run on the shared plan cache: one that
+    # called a server function (a closure over clock -> instance ->
+    # simulator) must have taken it as an argument, not captured it.
+    plans = master.engine.plan_cache
+    stamp = "UPDATE events SET created = USEC_NOW() + 1 WHERE id = 3"
+    for _sighting in ("templated", "verbatim"):
+        assert master.admin(stamp).profile.rows_affected == 1
+    assert master.admin("SELECT id FROM events WHERE id = 3 "
+                        "AND created > USEC_NOW()").result.scalar() == 3
     simulator = weakref.ref(master.sim)
     instance = weakref.ref(master.instance)
     del master
     gc.collect()
+    assert plans.prepare(stamp)[0].plan.assignments  # compiled, and kept
     assert simulator() is None and instance() is None
     assert len(loader._IMAGES) == 1
     # Still cached: the next install does not build.
