@@ -19,28 +19,29 @@ hold everywhere in ``src/repro/``:
   committed on *every* path, exception edges included.
 * **Yield-point atomicity** (RACE rules, :mod:`repro.analysis.race`):
   interprocedural proofs that no process acts on shared state it read
-  before a preemption point — ``python -m repro racecheck``.
+  before a preemption point.
 * **Determinism taint** (TNT rules, :mod:`repro.analysis.taint`):
   interprocedural source→sink proofs that no nondeterministic value
   (wall clock, entropy, environment, ``id()``, set iteration order)
-  reaches event scheduling, telemetry, or artifacts —
-  ``python -m repro taintcheck``; purity summaries feed back into the
-  FLW/RACE rules under ``python -m repro check``.
+  reaches event scheduling, telemetry, or artifacts; its purity
+  summaries are the oracle the FLW/RACE rules consult about callees.
 
 Nothing in the runtime enforces these invariants, so refactors could
-silently break reproducibility; ``python -m repro lint`` (and the
-``tests/analysis/test_lint_clean.py`` gate) make them checkable.
+silently break reproducibility.  One gate makes them checkable:
+``python -m repro check`` — :func:`check_paths`, every rule in one
+pass over one project model — which the ``repo_check`` fixture in
+``tests/analysis/conftest.py`` runs over the repo.
+:func:`lint_source` is the single-source API the per-rule fixture
+tests use.
 """
 
 from .baseline import (filter_new, fingerprint, load_baseline,
                        render_baseline, write_baseline)
 from .config import DEFAULT_CONFIG, LintConfig, load_config
 from .findings import Finding
-from .runner import (LintStats, SourceCache, check_paths,
-                     format_findings_json, format_findings_text,
-                     lint_file, lint_paths, lint_source,
-                     racecheck_paths, taintcheck_paths)
-from .sarif import format_findings_sarif, format_merged_sarif
+from .runner import (LintStats, check_paths, format_findings_text,
+                     lint_source)
+from .sarif import format_merged_sarif
 from .visitor import LintContext, Rule, all_rules
 
 __all__ = [
@@ -51,17 +52,10 @@ __all__ = [
     "Rule",
     "LintContext",
     "LintStats",
-    "SourceCache",
     "all_rules",
     "lint_source",
-    "lint_file",
-    "lint_paths",
-    "racecheck_paths",
-    "taintcheck_paths",
     "check_paths",
     "format_findings_text",
-    "format_findings_json",
-    "format_findings_sarif",
     "format_merged_sarif",
     "fingerprint",
     "render_baseline",

@@ -3,7 +3,7 @@
 Recognized keys (all optional)::
 
     [tool.simlint]
-    paths = ["src/repro"]          # what `repro lint` checks by default
+    paths = ["src/repro"]          # what `repro check` analyses by default
     select = ["DET", "SIM"]        # only these rules / families
     ignore = ["SQL003"]            # drop these rules / families
     sql-exclude = ["src/repro/sql"]  # paths exempt from SQL rules

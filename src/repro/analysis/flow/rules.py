@@ -28,14 +28,14 @@ pool.acquire()``, ``v = resource.request()``):
 A claim still live on any edge into ``<exit>`` — normal or exception —
 is a leak: FLW001/FLW002 report it at the acquire site.
 
-When a *purity oracle* is wired in (``repro check`` passes the taint
+When a *purity oracle* is wired in (``check_paths`` passes the taint
 plane's :class:`~..taint.purity.PuritySummaries` verdicts), passing
 ``v`` to a call **proven pure and yield-free** neither settles nor
 escapes the claim — ``validate(v)`` can no longer silently discharge
 a leak proof.  Constructor-like calls keep transferring ownership
 regardless (allocation is pure, but the new object owns the handle).
-Standalone ``repro lint`` runs without the oracle and keeps the
-conservative any-call-settles behaviour.
+Without one (``lint_source`` on a bare source: every callee unknown)
+any call settles, as it does for a callee the oracle cannot resolve.
 """
 
 from __future__ import annotations
@@ -44,16 +44,14 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..visitor import (LintContext, Rule, is_generator, iter_functions,
-                       own_nodes, qualified_name)
+from ..visitor import LintContext, Rule, own_nodes, qualified_name
 from .cfg import (CFGNode, ControlFlowGraph, build_cfg, FunctionNode,
                   node_expressions)
 from .dataflow import DataflowProblem, solve_forward
 
 __all__ = ["PoolAcquireLeakRule", "ResourceRequestLeakRule",
            "TransactionLeakRule", "UnreachableYieldRule",
-           "HandleEscapeRule", "SpanLeakRule", "RULES", "cached_cfg",
-           "function_cfg"]
+           "HandleEscapeRule", "SpanLeakRule", "RULES", "function_cfg"]
 
 
 @dataclass(frozen=True)
@@ -66,34 +64,15 @@ class Claim:
     desc: str
 
 
-#: Process-wide CFG memo shared by every rule family (FLW and RACE),
-#: so ``repro lint`` + ``repro racecheck`` build each function's CFG
-#: once per parse.  Keyed by ``id(function)`` with the function node
-#: pinned in the value: the parsed trees live in the runner's source
-#: cache, so ids stay valid; the identity check guards against id
-#: reuse after a tree is dropped, and the size cap bounds memory on
-#: huge one-shot runs.
-_CFG_CACHE: dict[int, tuple] = {}
-_CFG_CACHE_MAX = 8192
-
-
-def cached_cfg(function: FunctionNode) -> ControlFlowGraph:
-    """The (memoized) control-flow graph of ``function``."""
-    entry = _CFG_CACHE.get(id(function))
-    if entry is not None and entry[0] is function:
-        return entry[1]
-    if len(_CFG_CACHE) >= _CFG_CACHE_MAX:
-        _CFG_CACHE.clear()
-    cfg = build_cfg(function)
-    _CFG_CACHE[id(function)] = (function, cfg)
-    return cfg
-
-
 def function_cfg(context: LintContext,
                  function: FunctionNode) -> ControlFlowGraph:
-    """The FLW rules' accessor, kept for API compatibility; the memo
-    is now process-wide (see :data:`_CFG_CACHE`)."""
-    return cached_cfg(function)
+    """The control-flow graph of ``function``, built once per file
+    pass and shared by every rule family (FLW, OBS001, RACE, TNT)."""
+    cfgs = context.memo("cfgs", dict)
+    cfg = cfgs.get(function)
+    if cfg is None:
+        cfg = cfgs[function] = build_cfg(function)
+    return cfg
 
 
 # ------------------------------------------------------- AST matchers
@@ -231,8 +210,8 @@ def _settled_vars(expr: ast.AST, live: set[str],
 
 class _FlowRule(Rule):
     """Base for the FLW/OBS flow rules: optionally carries the purity
-    oracle ``repro check`` wires in (``None`` for standalone lint —
-    the conservative mode)."""
+    oracle ``check_paths`` wires in (``None``: every callee is
+    unknown, the conservative mode)."""
 
     def __init__(self, call_oracle=None):
         self.call_oracle = call_oracle
@@ -260,7 +239,7 @@ class _PairingRule(_FlowRule):
         problem = self.problem_factory(self.match_acquire,
                                        call_oracle=self.call_oracle,
                                        path=context.path)
-        for function in iter_functions(context.tree):
+        for function in context.functions():
             if not self._has_acquire_site(function):
                 continue
             cfg = function_cfg(context, function)
@@ -417,7 +396,7 @@ class TransactionLeakRule(_FlowRule):
 
     def check(self, context: LintContext) -> None:
         problem = _TransactionProblem()
-        for function in iter_functions(context.tree):
+        for function in context.functions():
             if not self._has_begin(function):
                 continue
             cfg = function_cfg(context, function)
@@ -447,8 +426,9 @@ class UnreachableYieldRule(_FlowRule):
     hint = "delete the dead yield, or restore the path that reaches it"
 
     def check(self, context: LintContext) -> None:
-        for function in iter_functions(context.tree):
-            if not is_generator(function):
+        generators = context.generators()
+        for function in context.functions():
+            if function not in generators:
                 continue
             cfg = function_cfg(context, function)
             reachable = cfg.reachable()
@@ -481,7 +461,7 @@ class HandleEscapeRule(_FlowRule):
     SANCTIONED = frozenset(("release",))
 
     def check(self, context: LintContext) -> None:
-        for function in iter_functions(context.tree):
+        for function in context.functions():
             handles = self._acquired_vars(function)
             if not handles:
                 continue

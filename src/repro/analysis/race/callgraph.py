@@ -120,7 +120,7 @@ def _collect_functions(module: ModuleInfo) -> None:
 class ProjectModel:
     """The resolved project: functions, call edges, yield summaries.
 
-    Built once per racecheck run by :func:`build_project_model`; the
+    Built once per ``check_paths`` run by :func:`build_project_model`; the
     RACE rules and the shared-state inventory are its clients.
     """
 
@@ -337,8 +337,10 @@ def build_project_model(paths: Iterable[str],
                         loader=None) -> ProjectModel:
     """Parse ``paths`` (files) and build the resolved project model.
 
-    ``loader(path) -> (source, tree or None)`` lets the runner share
-    its parse cache; the default reads and parses each file.  Files
+    ``loader(path) -> (source, tree or None)`` lets the runner hand in
+    the trees it already parsed (the rule pass must visit the *same*
+    node objects the model indexed); the default reads and parses each
+    file.  Files
     that do not parse are skipped here — the per-file lint pass still
     reports them as PARSE findings.
     """

@@ -38,11 +38,11 @@ import ast
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from ..visitor import LintContext, Rule, is_generator, qualified_name
+from ..visitor import LintContext, Rule, qualified_name
 from ..flow.cfg import CFGNode, node_expressions
 from ..flow.dataflow import DataflowProblem, solve_forward
 from ..flow.rules import (_assigned_value, _single_name_target,
-                          _TransactionProblem, cached_cfg)
+                          _TransactionProblem, function_cfg)
 from .callgraph import _COLLECTION_MUTATORS, ProjectModel
 from .shared import SharedStateInventory
 
@@ -65,23 +65,6 @@ def _walk_own(node: ast.AST) -> Iterator[ast.AST]:
         if sub is not root and isinstance(sub, _OPAQUE):
             continue
         stack.extend(ast.iter_child_nodes(sub))
-
-
-def _functions_with_classes(tree: ast.Module):
-    """Every function in the module with its enclosing class name."""
-
-    def visit(node: ast.AST, cls: Optional[str]):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                yield child, cls
-                yield from visit(child, None)
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, child.name)
-            else:
-                yield from visit(child, cls)
-
-    yield from visit(tree, None)
 
 
 class _FunctionView:
@@ -267,12 +250,14 @@ class _RaceRule(Rule):
     def check(self, context: LintContext) -> None:
         if self.model is None or self.inventory is None:
             return  # not wired to a project: nothing to prove
-        for function, cls in _functions_with_classes(context.tree):
-            if not is_generator(function):
-                continue
-            view = _FunctionView(function, cls, self.model,
-                                 self.inventory)
-            self.check_function(context, view)
+        module = self.model.module_for(context.path)
+        if module is None:
+            return  # not a file of the project the model was built on
+        generators = context.generators()
+        for info in module.all_functions:
+            if info.node in generators:
+                self.check_function(context, _FunctionView(
+                    info.node, info.cls, self.model, self.inventory))
 
     def check_function(self, context: LintContext,
                        view: _FunctionView) -> None:
@@ -303,7 +288,7 @@ class StaleWriteBackRule(_RaceRule):
     def check_function(self, context, view) -> None:
         if not any(True for _ in view.shared_loads(view.function)):
             return
-        cfg = cached_cfg(view.function)
+        cfg = function_cfg(context, view.function)
         result = solve_forward(cfg, _StaleReadProblem(view))
         seen = set()
         for node in cfg.nodes:
@@ -352,7 +337,7 @@ class CheckThenActRule(_RaceRule):
             return
         if not any(True for _ in view.shared_loads(view.function)):
             return
-        cfg = cached_cfg(view.function)
+        cfg = function_cfg(context, view.function)
         result = solve_forward(cfg, _CheckProblem(view))
         seen = set()
         for node in cfg.nodes:
@@ -501,7 +486,7 @@ class AtomicRegionYieldRule(_RaceRule):
                    node.func.attr == "begin"
                    for node in _walk_own(view.function)):
             return
-        cfg = cached_cfg(view.function)
+        cfg = function_cfg(context, view.function)
         result = solve_forward(cfg, _TransactionProblem())
         best: dict = {}
         for node in cfg.nodes:

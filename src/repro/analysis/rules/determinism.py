@@ -54,11 +54,17 @@ class ImportResolver:
         return f"{mapped}.{rest}" if rest else mapped
 
 
+def import_resolver(context: LintContext) -> ImportResolver:
+    """The file's import table, built once for all DET/SIM rules."""
+    return context.memo("imports",
+                        lambda: ImportResolver(context.tree))
+
+
 class _CallRule(Rule):
     """Base for rules that ban calls to specific dotted names."""
 
     def check(self, context: LintContext) -> None:
-        resolver = ImportResolver(context.tree)
+        resolver = import_resolver(context)
         for node in ast.walk(context.tree):
             if isinstance(node, ast.Call):
                 resolved = resolver.resolve(node.func)

@@ -13,9 +13,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from ..visitor import (LintContext, Rule, iter_functions, own_nodes,
-                       qualified_name)
-from .determinism import ImportResolver
+from ..visitor import LintContext, Rule, own_nodes, qualified_name
+from .determinism import ImportResolver, import_resolver
 
 __all__ = ["is_sim_process", "RealSleepRule", "RealIoRule",
            "NonEventYieldRule", "DoubleTriggerRule", "RULES"]
@@ -68,18 +67,19 @@ def is_sim_process(function: ast.AST) -> bool:
     return False
 
 
-def sim_processes(tree: ast.Module) -> Iterator[ast.FunctionDef]:
-    for function in iter_functions(tree):
-        if is_sim_process(function):
-            yield function
+def sim_processes(context: LintContext) -> list:
+    """The file's sim processes, classified once for all SIM rules."""
+    return context.memo("sim_processes", lambda: [
+        function for function in context.functions()
+        if is_sim_process(function)])
 
 
 class _SimProcessRule(Rule):
     """Base for rules that inspect the body of each sim process."""
 
     def check(self, context: LintContext) -> None:
-        resolver = ImportResolver(context.tree)
-        for function in sim_processes(context.tree):
+        resolver = import_resolver(context)
+        for function in sim_processes(context):
             self.check_process(context, function, resolver)
 
     def check_process(self, context: LintContext,
@@ -182,7 +182,7 @@ class DoubleTriggerRule(Rule):
     TRIGGERS = frozenset(("succeed", "fail"))
 
     def check(self, context: LintContext) -> None:
-        for function in iter_functions(context.tree):
+        for function in context.functions():
             self._scan_block(context, function.body)
 
     def _trigger_target(self, stmt: ast.stmt) -> Optional[str]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -14,34 +13,26 @@ from .config import DEFAULT_CONFIG, LintConfig
 from .findings import Finding
 from .visitor import LintContext, Rule, all_rules
 
-__all__ = ["LintStats", "SourceCache", "lint_source", "lint_file",
-           "lint_paths", "racecheck_paths", "taintcheck_paths",
-           "check_paths", "format_findings_text",
-           "format_findings_json"]
+__all__ = ["LintStats", "lint_source", "check_paths",
+           "format_findings_text"]
 
 
 @dataclass
 class LintStats:
     """Per-run accounting: what each rule found and what it cost.
 
-    ``python -m repro lint --stats`` prints this so lint cost stays
-    visible in CI logs — a rule whose wall-time balloons gets caught
-    in review, not six months later.
+    ``python -m repro check --stats`` prints this so analysis cost
+    stays visible in CI logs — a rule whose wall-time balloons gets
+    caught in review, not six months later.
     """
 
     files: int = 0
     findings_per_rule: Counter = field(default_factory=Counter)
     seconds_per_rule: dict = field(default_factory=dict)
     total_seconds: float = 0.0
-    #: parse-cache accounting: files parsed fresh vs trees reused.
-    #: Lint and racecheck share one :class:`SourceCache`, so running
-    #: both in one process parses each file exactly once.
-    parses: int = 0
-    parse_reuses: int = 0
-    #: purity-oracle accounting (``repro check`` only): call sites the
-    #: FLW/RACE analyzers asked about, split into resolved (a definite
-    #: pure/impure verdict — previously every one was conservative)
-    #: vs still-conservative (unknown callee).
+    #: purity-oracle accounting: call sites the FLW/RACE analyzers
+    #: asked about, split into resolved (a definite pure/impure
+    #: verdict) vs still-conservative (unknown callee).
     calls_resolved: int = 0
     calls_conservative: int = 0
 
@@ -55,8 +46,6 @@ class LintStats:
         lines = [f"simlint stats: {self.files} file"
                  f"{'s' if self.files != 1 else ''}, "
                  f"{self.total_seconds * 1000:.0f} ms total"]
-        lines.append(f"  parse cache: {self.parses} parsed, "
-                     f"{self.parse_reuses} reused")
         consulted = self.calls_resolved + self.calls_conservative
         if consulted:
             share = 100.0 * self.calls_resolved / consulted
@@ -72,70 +61,15 @@ class LintStats:
         return "\n".join(lines)
 
 
-class SourceCache:
-    """Parsed sources shared across rule families.
-
-    Lint, flow and racecheck all need the same files' ASTs; racecheck
-    additionally needs its project model's trees to be *the same
-    objects* linting later visits (its node lookups are by identity).
-    The cache keys on path and validates with a stat signature, so a
-    file edited between runs re-parses while everything else reuses
-    the tree from the first pass.
-    """
-
-    def __init__(self):
-        self._entries: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def _signature(path: str):
-        status = os.stat(path)
-        return status.st_mtime_ns, status.st_size
-
-    def load(self, path: str):
-        """``(source, tree | None, error | None)`` for ``path``; the
-        ``error`` is a ready-to-emit PARSE :class:`Finding`."""
-        try:
-            signature = self._signature(path)
-        except OSError:
-            signature = None
-        entry = self._entries.get(path)
-        if entry is not None and entry[0] == signature \
-                and signature is not None:
-            self.hits += 1
-            return entry[1], entry[2], entry[3]
-        self.misses += 1
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        tree, error = None, None
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            error = Finding(path, exc.lineno or 1, exc.offset or 0,
-                            "PARSE",
-                            f"file does not parse: {exc.msg}")
-        self._entries[path] = (signature, source, tree, error)
-        return source, tree, error
-
-    def loader(self, path: str):
-        """Adapter matching ``build_project_model``'s loader hook."""
-        source, tree, _error = self.load(path)
-        return source, tree
-
-
-#: The process-wide cache every entry point shares.
-_SOURCE_CACHE = SourceCache()
-
-
-def _enabled_rules(config: LintConfig, rules: Optional[Sequence[Rule]],
-                   path: Optional[str] = None) -> list[Rule]:
-    candidates = rules if rules is not None else all_rules()
-    if path is None:
-        return [rule for rule in candidates
-                if config.rule_enabled(rule.rule_id)]
-    return [rule for rule in candidates
-            if config.rule_enabled_at(rule.rule_id, path)]
+def _parse(source: str, path: str):
+    """``(tree, None)``, or ``(None, finding)`` with a ready-to-emit
+    PARSE :class:`Finding` when ``source`` is not valid Python."""
+    try:
+        return ast.parse(source, filename=path), None
+    except SyntaxError as error:
+        return None, Finding(path, error.lineno or 1, error.offset or 0,
+                             "PARSE",
+                             f"file does not parse: {error.msg}")
 
 
 def lint_source(source: str, path: str = "<string>",
@@ -143,22 +77,23 @@ def lint_source(source: str, path: str = "<string>",
                 rules: Optional[Sequence[Rule]] = None,
                 stats: Optional[LintStats] = None,
                 tree: Optional[ast.Module] = None) -> list[Finding]:
-    """Lint one file's text; ``path`` is used in findings, for the
-    per-path ignores and for the SQL-exclusion patterns.  Pass a
-    pre-parsed ``tree`` to skip the parse (the cache does)."""
+    """Run ``rules`` (default: :func:`all_rules`, the project-free
+    ones with no purity oracle — every callee unknown) over one file's
+    text; ``path`` is used in findings, for the per-path ignores and
+    for the SQL-exclusion patterns.  :func:`check_paths` passes the
+    project model's ``tree`` so node identities line up."""
     if tree is None:
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as error:
-            return [Finding(path, error.lineno or 1, error.offset or 0,
-                            "PARSE",
-                            f"file does not parse: {error.msg}")]
-        if stats is not None:
-            stats.parses += 1
+        tree, error = _parse(source, path)
+        if error is not None:
+            return [error]
+    if rules is None:
+        rules = all_rules()
     context = LintContext(path, source, tree, config)
     if stats is not None:
         stats.files += 1
-    for rule in _enabled_rules(config, rules, path=path):
+    for rule in rules:
+        if not config.rule_enabled_at(rule.rule_id, path):
+            continue
         before = len(context.findings)
         # Wall-clock here measures the linter itself, not simulation
         # behaviour; the determinism rule does not apply to it.
@@ -170,29 +105,13 @@ def lint_source(source: str, path: str = "<string>",
     return sorted(context.findings)
 
 
-def lint_file(path: str, config: LintConfig = DEFAULT_CONFIG,
-              rules: Optional[Sequence[Rule]] = None,
-              stats: Optional[LintStats] = None) -> list[Finding]:
-    hits_before = _SOURCE_CACHE.hits
-    source, tree, error = _SOURCE_CACHE.load(path)
-    if stats is not None:
-        if _SOURCE_CACHE.hits > hits_before:
-            stats.parse_reuses += 1
-        elif error is None:
-            stats.parses += 1
-    if error is not None:
-        return [error]
-    return lint_source(source, path=path, config=config,
-                       rules=rules, stats=stats, tree=tree)
-
-
 def _python_files(path: str) -> Iterable[str]:
     if os.path.isfile(path):
         yield path
         return
     if not os.path.isdir(path):
         # A missing path must not pass silently: in CI a renamed
-        # directory would otherwise turn the lint step into a no-op.
+        # directory would otherwise turn the gate into a no-op.
         raise FileNotFoundError(f"lint path does not exist: {path}")
     for dirpath, dirnames, filenames in os.walk(path):
         dirnames.sort()
@@ -201,155 +120,68 @@ def _python_files(path: str) -> Iterable[str]:
                 yield os.path.join(dirpath, filename)
 
 
-def lint_paths(paths: Optional[Iterable[str]] = None,
-               config: LintConfig = DEFAULT_CONFIG,
-               rules: Optional[Sequence[Rule]] = None,
-               stats: Optional[LintStats] = None) -> list[Finding]:
-    """Lint every ``*.py`` file under ``paths`` (default: the config's
-    paths), findings sorted by location."""
-    findings: list[Finding] = []
-    started = time.perf_counter()  # simlint: disable=DET001  # simtaint: blessed=analyzer-wall-time
-    resolved_rules = list(rules) if rules is not None else all_rules()
-    for path in (paths if paths is not None else config.paths):
-        for filename in _python_files(path):
-            findings.extend(lint_file(filename, config=config,
-                                      rules=resolved_rules,
-                                      stats=stats))
-    if stats is not None:
-        stats.total_seconds = \
-            time.perf_counter() - started  # simlint: disable=DET001  # simtaint: blessed=analyzer-wall-time
-    return sorted(findings)
-
-
-def racecheck_paths(paths: Optional[Iterable[str]] = None,
-                    config: LintConfig = DEFAULT_CONFIG,
-                    stats: Optional[LintStats] = None) -> list[Finding]:
-    """Run the interprocedural RACE rules over ``paths``.
-
-    Builds one project-wide model (call graph, yield summaries,
-    shared-state inventory) across every file, then checks each file
-    with the RACE001–RACE005 rules.  Parses are shared with
-    :func:`lint_paths` through the process-wide :class:`SourceCache`,
-    so ``lint`` + ``racecheck`` in one process is a single parse pass.
-    """
-    from .race import build_project_model, race_rules
-
-    started = time.perf_counter()  # simlint: disable=DET001  # simtaint: blessed=analyzer-wall-time
-    filenames = _project_files(paths, config)
-    misses_before = _SOURCE_CACHE.misses
-    model = build_project_model(filenames,
-                                loader=_SOURCE_CACHE.loader)
-    if stats is not None:
-        stats.parses += _SOURCE_CACHE.misses - misses_before
-    findings = _lint_model_files(filenames, race_rules(model),
-                                 config, stats)
-    if stats is not None:
-        stats.total_seconds = \
-            time.perf_counter() - started  # simlint: disable=DET001  # simtaint: blessed=analyzer-wall-time
-    return findings
-
-
-def _project_files(paths: Optional[Iterable[str]],
-                   config: LintConfig) -> list:
-    return [filename
-            for path in (paths if paths is not None else config.paths)
-            for filename in _python_files(path)]
-
-
-def _lint_model_files(filenames, rules, config, stats) -> list:
-    """Per-file pass shared by racecheck/taintcheck/check: lint each
-    file with ``rules`` over the cached trees."""
-    findings: list[Finding] = []
-    for filename in filenames:
-        hits_before = _SOURCE_CACHE.hits
-        source, tree, error = _SOURCE_CACHE.load(filename)
-        if stats is not None:
-            if _SOURCE_CACHE.hits > hits_before:
-                stats.parse_reuses += 1
-            elif error is None:
-                stats.parses += 1
-        if error is not None:
-            findings.append(error)
-            continue
-        findings.extend(lint_source(source, path=filename,
-                                    config=config, rules=rules,
-                                    stats=stats, tree=tree))
-    return sorted(findings)
-
-
-def taintcheck_paths(paths: Optional[Iterable[str]] = None,
-                     config: LintConfig = DEFAULT_CONFIG,
-                     stats: Optional[LintStats] = None) -> list[Finding]:
-    """Run the interprocedural TNT taint rules over ``paths``.
-
-    Builds one project model, computes the taint summaries fixpoint,
-    then checks each file with the TNT001–TNT005 rules.  Shares the
-    process-wide parse cache with :func:`lint_paths` and
-    :func:`racecheck_paths`.
-    """
-    from .race import build_project_model
-    from .taint import taint_rules
-
-    started = time.perf_counter()  # simlint: disable=DET001  # simtaint: blessed=analyzer-wall-time
-    filenames = _project_files(paths, config)
-    misses_before = _SOURCE_CACHE.misses
-    model = build_project_model(filenames,
-                                loader=_SOURCE_CACHE.loader)
-    if stats is not None:
-        stats.parses += _SOURCE_CACHE.misses - misses_before
-    findings = _lint_model_files(filenames, taint_rules(model),
-                                 config, stats)
-    if stats is not None:
-        stats.total_seconds = \
-            time.perf_counter() - started  # simlint: disable=DET001  # simtaint: blessed=analyzer-wall-time
-    return findings
+def _section(rule_id: str) -> str:
+    """The ``repro check`` section a finding is reported under
+    (everything that is not RACE/TNT, PARSE included, is simlint's)."""
+    if rule_id.startswith("RACE"):
+        return "simrace"
+    if rule_id.startswith("TNT"):
+        return "simtaint"
+    return "simlint"
 
 
 def check_paths(paths: Optional[Iterable[str]] = None,
                 config: LintConfig = DEFAULT_CONFIG,
                 stats: Optional[LintStats] = None) -> dict:
-    """The ``repro check`` umbrella: lint + flow + race + taint in one
-    pass over one shared parse cache and one project model.
+    """The one way to analyse paths: every rule in one pass.
+
+    Parses each ``*.py`` file under ``paths`` (default: the config's
+    paths) once, builds one project model, the purity oracle and the
+    taint summaries over those trees, then runs every enabled rule —
+    DET/SIM/SQL/OBS, FLW with the oracle wired in, RACE, TNT — over
+    one :class:`LintContext` per file, so whatever one rule memoizes
+    on ``context.cache`` the next one finds.  ``config.select`` /
+    ``ignore`` narrow the rules, never the model.
 
     Returns ``{"simlint": [...], "simrace": [...], "simtaint": [...]}``
-    (each sorted).  Unlike the standalone subcommands, the FLW pairing
-    rules and RACE002 run with the purity oracle wired in: calls
-    proven pure-and-yield-free stop being conservative settle/act
-    points, and the resolved/conservative fraction lands in
-    ``stats``.
+    (each sorted), split by rule-id family.
     """
-    from .flow import rules as flowrules
     from .race import build_project_model, race_rules
-    from .rules import determinism, obsnames, simsafety, sqlcheck
     from .taint import build_purity, taint_rules
 
     started = time.perf_counter()  # simlint: disable=DET001  # simtaint: blessed=analyzer-wall-time
-    filenames = _project_files(paths, config)
-    misses_before = _SOURCE_CACHE.misses
-    model = build_project_model(filenames,
-                                loader=_SOURCE_CACHE.loader)
-    if stats is not None:
-        stats.parses += _SOURCE_CACHE.misses - misses_before
+    filenames = [filename
+                 for path in (paths if paths is not None
+                              else config.paths)
+                 for filename in _python_files(path)]
+    parsed: dict = {}
+    for filename in filenames:
+        if filename not in parsed:
+            with open(filename, "r", encoding="utf-8") as handle:
+                source = handle.read()
+            parsed[filename] = (source, *_parse(source, filename))
+    model = build_project_model(
+        filenames, loader=lambda path: parsed[path][:2])
     purity = build_purity(model)
 
     def oracle(call, path):
         return purity.call_verdict(
             call, resolver=purity.resolver_for(path))
 
-    lint_rules: list = []
-    for module in (determinism, simsafety, sqlcheck, obsnames):
-        lint_rules.extend(cls() for cls in module.RULES)
-    lint_rules.extend(cls(call_oracle=oracle)
-                      for cls in flowrules.RULES)
-    results = {
-        "simlint": _lint_model_files(filenames, lint_rules, config,
-                                     stats),
-        "simrace": _lint_model_files(
-            filenames, race_rules(model, purity=purity), config,
-            stats),
-        "simtaint": _lint_model_files(filenames, taint_rules(model),
-                                      config, stats),
-    }
+    rules = all_rules(call_oracle=oracle) \
+        + race_rules(model, purity=purity) + taint_rules(model)
+    findings: list[Finding] = []
+    for filename in filenames:
+        source, tree, error = parsed[filename]
+        if error is not None:
+            findings.append(error)
+        else:
+            findings.extend(lint_source(source, path=filename,
+                                        config=config, rules=rules,
+                                        stats=stats, tree=tree))
+    results: dict = {"simlint": [], "simrace": [], "simtaint": []}
+    for finding in sorted(findings):
+        results[_section(finding.rule_id)].append(finding)
     if stats is not None:
         stats.calls_resolved += purity.stats.resolved
         stats.calls_conservative += purity.stats.conservative
@@ -366,10 +198,3 @@ def format_findings_text(findings: Sequence[Finding],
     lines.append(f"{tool}: {len(findings)} finding"
                  f"{'s' if len(findings) != 1 else ''}")
     return "\n".join(lines)
-
-
-def format_findings_json(findings: Sequence[Finding]) -> str:
-    return json.dumps({
-        "count": len(findings),
-        "findings": [finding.as_dict() for finding in findings],
-    }, indent=2)

@@ -1,11 +1,12 @@
-"""SARIF 2.1.0 output for simlint findings.
+"""SARIF 2.1.0 output for ``repro check`` findings.
 
 The Static Analysis Results Interchange Format is what GitHub code
 scanning consumes (``github/codeql-action/upload-sarif``): uploading a
 run makes every finding annotate the PR diff at its file/line.  Only
-the schema subset GitHub reads is emitted — one ``run`` with a tool
-descriptor (every known rule, so rule metadata renders even for rules
-with zero findings this run) and one ``result`` per finding.
+the schema subset GitHub reads is emitted — one ``run`` per analyzer
+with a tool descriptor (every known rule, so rule metadata renders
+even for rules with zero findings this run) and one ``result`` per
+finding.
 
 Columns: simlint stores 0-based columns (as ``ast`` reports them);
 SARIF regions are 1-based, so ``startColumn = column + 1``.
@@ -14,13 +15,13 @@ SARIF regions are 1-based, so ``startColumn = column + 1``.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .findings import Finding
 from .visitor import Rule
 
-__all__ = ["SARIF_VERSION", "SARIF_SCHEMA_URI", "format_findings_sarif",
-           "format_merged_sarif", "sarif_run"]
+__all__ = ["SARIF_VERSION", "SARIF_SCHEMA_URI", "format_merged_sarif",
+           "sarif_run"]
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
@@ -107,33 +108,18 @@ def sarif_run(tool_name: str, findings: Sequence[Finding],
     }
 
 
-def _document(runs: Sequence[dict]) -> str:
-    return json.dumps({
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": list(runs),
-    }, indent=2)
-
-
-def format_findings_sarif(findings: Sequence[Finding],
-                          rules: Optional[Sequence[Rule]] = None,
-                          tool_version: str = "1.0.0",
-                          tool_name: str = "simlint") -> str:
-    """One SARIF 2.1.0 document (a JSON string) for a lint run."""
-    if rules is None:
-        from .visitor import all_rules
-        rules = all_rules()
-    return _document([sarif_run(tool_name, findings, rules,
-                                tool_version)])
-
-
 def format_merged_sarif(runs: Sequence[tuple],
                         tool_version: str = "1.0.0") -> str:
-    """One document with one ``run`` per tool — what ``repro check``
-    emits so a single code-scanning upload carries every analyzer.
+    """One SARIF 2.1.0 document (a JSON string) with one ``run`` per
+    tool — what ``repro check`` emits so a single code-scanning upload
+    carries every analyzer.
 
     ``runs`` is ``[(tool_name, findings, rules), ...]``; run order is
     preserved (lint, race, taint).
     """
-    return _document([sarif_run(name, findings, rules, tool_version)
-                      for name, findings, rules in runs])
+    return json.dumps({
+        "$schema": SARIF_SCHEMA_URI,
+        "version": SARIF_VERSION,
+        "runs": [sarif_run(name, findings, rules, tool_version)
+                 for name, findings, rules in runs],
+    }, indent=2)

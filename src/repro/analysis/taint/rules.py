@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 from ..visitor import LintContext, Rule, qualified_name
 from ..flow.cfg import node_expressions
 from ..flow.dataflow import solve_forward
-from ..flow.rules import cached_cfg
+from ..flow.rules import function_cfg
 from ..race.callgraph import ProjectModel
 from .engine import (NONDET_KINDS, SINK_ARTIFACT, SINK_SCHEDULE,
                      SINK_TELEMETRY, TaintProblem, TaintSummaries,
@@ -165,7 +165,7 @@ class _FileAnalysis:
     # -- per function -------------------------------------------------
     def _check_function(self, info) -> None:
         ctx = self.summaries.context_for(info)
-        cfg = cached_cfg(info.node)
+        cfg = function_cfg(self.context, info.node)
         result = solve_forward(cfg, TaintProblem(ctx))
         for node in cfg.nodes:
             if node.stmt is None:
@@ -302,11 +302,8 @@ class _TaintRule(Rule):
     def check(self, context: LintContext) -> None:
         if self.model is None or self.summaries is None:
             return  # not wired to a project: nothing to prove
-        analysis = context.cache.get("simtaint")
-        if analysis is None:
-            analysis = _FileAnalysis(context, self.model,
-                                     self.summaries)
-            context.cache["simtaint"] = analysis
+        analysis = context.memo("simtaint", lambda: _FileAnalysis(
+            context, self.model, self.summaries))
         for hit in analysis.hits:
             if hit.rule_id != self.rule_id:
                 continue

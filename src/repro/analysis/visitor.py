@@ -29,14 +29,36 @@ class LintContext:
         self.tree = tree
         self.config = config
         self.findings: list[Finding] = []
-        #: Scratch space rules share within one file (e.g. the flow
-        #: rules memoize each function's CFG here).
+        #: Per-file facts shared by every rule of the pass (function
+        #: list, generator set, CFGs, the TNT analysis): see
+        #: :meth:`memo`.
         self.cache: dict = {}
         self._suppressions = _parse_suppressions(source)
         #: module-level ``NAME = "literal"`` assignments, used by the
         #: SQL rules to resolve f-string placeholders like
         #: ``{HEARTBEAT_TABLE}`` to their actual text.
         self.module_constants = _module_string_constants(tree)
+
+    def memo(self, key: str, build):
+        """``build()``, computed once for this file and shared by
+        every rule that asks under ``key``."""
+        try:
+            return self.cache[key]
+        except KeyError:
+            value = self.cache[key] = build()
+            return value
+
+    def functions(self) -> list:
+        """Every (sync or async) function definition in the file."""
+        return self.memo("functions",
+                         lambda: list(iter_functions(self.tree)))
+
+    def generators(self) -> frozenset:
+        """The :meth:`functions` that are generators (for membership
+        tests; nodes hash by identity)."""
+        return self.memo("generators", lambda: frozenset(
+            function for function in self.functions()
+            if is_generator(function)))
 
     def report(self, node: ast.AST, rule_id: str, message: str,
                hint: str = "", related: tuple = ()) -> None:
@@ -73,14 +95,19 @@ class Rule:
         context.report(node, self.rule_id, message, hint=self.hint)
 
 
-def all_rules() -> list[Rule]:
-    """One instance of every known rule, DET/SIM/SQL/OBS then FLW."""
+def all_rules(call_oracle=None) -> list[Rule]:
+    """One instance of every project-free rule, DET/SIM/SQL/OBS then
+    FLW (the RACE and TNT rules need a project model: see
+    ``race_rules`` / ``taint_rules``).  ``call_oracle`` is the purity
+    oracle :func:`check_paths` hands the FLW rules; without one every
+    callee is unknown."""
     from .flow import rules as flowrules
     from .rules import determinism, obsnames, simsafety, sqlcheck
     rules: list[Rule] = []
-    for module in (determinism, simsafety, sqlcheck, obsnames,
-                   flowrules):
+    for module in (determinism, simsafety, sqlcheck, obsnames):
         rules.extend(cls() for cls in module.RULES)
+    rules.extend(cls(call_oracle=call_oracle)
+                 for cls in flowrules.RULES)
     return rules
 
 

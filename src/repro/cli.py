@@ -274,71 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "the compare report when --compare)")
     bench.set_defaults(handler=_run_bench)
 
-    lint = sub.add_parser(
-        "lint", help="simlint: determinism / sim-safety / SQL / "
-                     "flow-pairing checks")
-    lint.add_argument("paths", nargs="*",
-                      help="files or directories (default: the "
-                           "[tool.simlint] paths)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text",
-                      help="sarif emits a SARIF 2.1.0 document for "
-                           "GitHub code scanning")
-    lint.add_argument("--select", action="append", default=None,
-                      metavar="RULES",
-                      help="only these rule ids/families "
-                           "(comma-separated, repeatable)")
-    lint.add_argument("--ignore", action="append", default=None,
-                      metavar="RULES",
-                      help="drop these rule ids/families "
-                           "(comma-separated, repeatable)")
-    lint.add_argument("--stats", action="store_true",
-                      help="print per-rule finding counts and "
-                           "wall-time (to stderr for json/sarif)")
-    _add_baseline_flags(lint)
-    lint.set_defaults(handler=_run_lint)
-
-    racecheck = sub.add_parser(
-        "racecheck", help="simrace: interprocedural yield-point "
-                          "atomicity analysis (RACE001-RACE005)")
-    racecheck.add_argument("paths", nargs="*",
-                           help="files or directories (default: the "
-                                "[tool.simlint] paths)")
-    racecheck.add_argument("--format",
-                           choices=("text", "json", "sarif"),
-                           default="text",
-                           help="sarif carries both race locations "
-                                "as relatedLocations")
-    racecheck.add_argument("--stats", action="store_true",
-                           help="print per-rule finding counts, "
-                                "wall-time and parse-cache reuse "
-                                "(to stderr for json/sarif)")
-    _add_baseline_flags(racecheck)
-    racecheck.set_defaults(handler=_run_racecheck)
-
-    taintcheck = sub.add_parser(
-        "taintcheck", help="simtaint: interprocedural determinism-"
-                           "taint analysis (TNT001-TNT005)")
-    taintcheck.add_argument("paths", nargs="*",
-                            help="files or directories (default: the "
-                                 "[tool.simlint] paths)")
-    taintcheck.add_argument("--format",
-                            choices=("text", "json", "sarif"),
-                            default="text",
-                            help="sarif carries the taint path "
-                                 "(source, hops, callee sink) as "
-                                 "relatedLocations")
-    taintcheck.add_argument("--stats", action="store_true",
-                            help="print per-rule finding counts, "
-                                 "wall-time and parse-cache reuse "
-                                 "(to stderr for json/sarif)")
-    _add_baseline_flags(taintcheck)
-    taintcheck.set_defaults(handler=_run_taintcheck)
-
     check = sub.add_parser(
-        "check", help="umbrella: lint + flow + race + taint over one "
-                      "shared parse cache and call graph, with the "
-                      "purity oracle wired into the FLW/RACE rules")
+        "check", help="the static-analysis gate: determinism / "
+                      "sim-safety / SQL / flow-pairing (simlint), "
+                      "yield-point atomicity (simrace) and determinism "
+                      "taint (simtaint) in one pass over one project "
+                      "model and purity oracle")
     check.add_argument("paths", nargs="*",
                        help="files or directories (default: the "
                             "[tool.simlint] paths)")
@@ -347,27 +288,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sarif emits one merged document with "
                             "one run per tool "
                             "(simlint/simrace/simtaint)")
+    check.add_argument("--select", action="append", default=None,
+                       metavar="RULES",
+                       help="only these rule ids/families "
+                            "(comma-separated, repeatable)")
+    check.add_argument("--ignore", action="append", default=None,
+                       metavar="RULES",
+                       help="drop these rule ids/families "
+                            "(comma-separated, repeatable)")
     check.add_argument("--stats", action="store_true",
-                       help="print per-rule finding counts, parse-"
-                            "cache reuse and the purity oracle's "
+                       help="print per-rule finding counts and "
+                            "wall-time and the purity oracle's "
                             "resolved/conservative call-site split "
                             "(to stderr for json/sarif)")
-    _add_baseline_flags(check)
+    check.add_argument("--baseline", default=None, metavar="FILE",
+                       help="only report findings not present in "
+                            "this baseline snapshot; exit 1 only "
+                            "on new ones")
+    check.add_argument("--write-baseline", default=None,
+                       metavar="FILE",
+                       help="snapshot the current findings to FILE "
+                            "(canonical JSON, byte-stable) and "
+                            "exit 0")
     check.set_defaults(handler=_run_check)
 
     return parser
-
-
-def _add_baseline_flags(command: argparse.ArgumentParser) -> None:
-    command.add_argument("--baseline", default=None, metavar="FILE",
-                         help="only report findings not present in "
-                              "this baseline snapshot; exit 1 only "
-                              "on new ones")
-    command.add_argument("--write-baseline", default=None,
-                         metavar="FILE",
-                         help="snapshot the current findings to FILE "
-                              "(canonical JSON, byte-stable) and "
-                              "exit 0")
 
 
 def _run_grid_command(args) -> str:
@@ -804,149 +749,33 @@ def _split_rule_lists(values: Optional[Sequence[str]]) -> list[str]:
     return rules
 
 
-def _apply_baseline(args, findings, tool: str):
-    """Honor ``--write-baseline`` / ``--baseline`` for one run.
-
-    Returns ``(findings_to_report, early_exit)`` where ``early_exit``
-    is a ``(text, code)`` pair that short-circuits the handler (after
-    writing a snapshot, or on an unreadable baseline file).
-    """
-    from .analysis import filter_new, load_baseline, write_baseline
-    if args.write_baseline is not None:
-        write_baseline(args.write_baseline, findings, tool)
-        count = len(findings)
-        return findings, (
-            f"{tool}: wrote baseline of {count} finding"
-            f"{'s' if count != 1 else ''} to {args.write_baseline}", 0)
-    if args.baseline is not None:
-        try:
-            allowed = load_baseline(args.baseline)
-        except (OSError, ValueError) as error:
-            return findings, (f"{tool}: error: {error}", 2)
-        return filter_new(findings, allowed), None
-    return findings, None
-
-
-def _run_lint(args) -> tuple[str, int]:
+def _run_check(args) -> tuple[str, int]:
+    import json
     import sys
 
-    from .analysis import (LintStats, all_rules, format_findings_json,
-                           format_findings_sarif, format_findings_text,
-                           lint_paths, load_config)
+    from .analysis import (LintStats, all_rules, check_paths, filter_new,
+                           format_findings_text, format_merged_sarif,
+                           load_baseline, load_config, write_baseline)
+    from .analysis.race import RACE_RULES
+    from .analysis.taint import TAINT_RULES
+    rules_by_tool = {
+        "simlint": all_rules(),
+        "simrace": [cls() for cls in RACE_RULES],
+        "simtaint": [cls() for cls in TAINT_RULES],
+    }
     select = _split_rule_lists(args.select)
     ignore = _split_rule_lists(args.ignore)
     # A typo'd rule id would silently disable checks (exit 0), so an
     # unknown --select/--ignore entry is a usage error, not a no-op.
-    known = sorted({rule.rule_id for rule in all_rules()} | {"PARSE"})
+    known = sorted({rule.rule_id for rules in rules_by_tool.values()
+                    for rule in rules} | {"PARSE"})
     unknown = [pattern for pattern in select + ignore
                if not any(rule_id.startswith(pattern)
                           for rule_id in known)]
     if unknown:
-        return ("simlint: error: unknown rule or family: "
+        return ("simcheck: error: unknown rule or family: "
                 f"{', '.join(unknown)} (known: {', '.join(known)})", 2)
     config = load_config(".").narrowed(select=select, ignore=ignore)
-    stats = LintStats() if args.stats else None
-    try:
-        findings = lint_paths(args.paths or None, config=config,
-                              stats=stats)
-    except FileNotFoundError as error:
-        return f"simlint: error: {error}", 2
-    findings, early = _apply_baseline(args, findings, "simlint")
-    if early is not None:
-        return early
-    if args.format == "json":
-        text = format_findings_json(findings)
-    elif args.format == "sarif":
-        text = format_findings_sarif(findings)
-    else:
-        text = format_findings_text(findings)
-    if stats is not None:
-        if args.format == "text":
-            text = f"{text}\n{stats.render()}"
-        else:
-            # Keep stdout a valid JSON/SARIF document.
-            print(stats.render(), file=sys.stderr)
-    return text, (1 if findings else 0)
-
-
-def _run_racecheck(args) -> tuple[str, int]:
-    import sys
-
-    from .analysis import (LintStats, format_findings_json,
-                           format_findings_sarif, format_findings_text,
-                           load_config, racecheck_paths)
-    from .analysis.race.rules import RACE_RULES
-    config = load_config(".")
-    stats = LintStats() if args.stats else None
-    try:
-        findings = racecheck_paths(args.paths or None, config=config,
-                                   stats=stats)
-    except FileNotFoundError as error:
-        return f"simrace: error: {error}", 2
-    findings, early = _apply_baseline(args, findings, "simrace")
-    if early is not None:
-        return early
-    if args.format == "json":
-        text = format_findings_json(findings)
-    elif args.format == "sarif":
-        text = format_findings_sarif(
-            findings, rules=[cls() for cls in RACE_RULES])
-    else:
-        text = format_findings_text(findings, tool="simrace")
-    if stats is not None:
-        if args.format == "text":
-            text = f"{text}\n{stats.render()}"
-        else:
-            print(stats.render(), file=sys.stderr)
-    return text, (1 if findings else 0)
-
-
-def _run_taintcheck(args) -> tuple[str, int]:
-    import sys
-
-    from .analysis import (LintStats, format_findings_json,
-                           format_findings_sarif, format_findings_text,
-                           load_config, taintcheck_paths)
-    from .analysis.taint.rules import TAINT_RULES
-    config = load_config(".")
-    stats = LintStats() if args.stats else None
-    try:
-        findings = taintcheck_paths(args.paths or None, config=config,
-                                    stats=stats)
-    except FileNotFoundError as error:
-        return f"simtaint: error: {error}", 2
-    findings, early = _apply_baseline(args, findings, "simtaint")
-    if early is not None:
-        return early
-    if args.format == "json":
-        text = format_findings_json(findings)
-    elif args.format == "sarif":
-        text = format_findings_sarif(
-            findings, rules=[cls() for cls in TAINT_RULES],
-            tool_name="simtaint")
-    else:
-        text = format_findings_text(findings, tool="simtaint")
-    if stats is not None:
-        if args.format == "text":
-            text = f"{text}\n{stats.render()}"
-        else:
-            print(stats.render(), file=sys.stderr)
-    return text, (1 if findings else 0)
-
-
-_CHECK_TOOLS = ("simlint", "simrace", "simtaint")
-
-
-def _run_check(args) -> tuple[str, int]:
-    import json as json_module
-    import sys
-
-    from .analysis import (LintStats, all_rules, check_paths,
-                           format_findings_text, format_merged_sarif,
-                           load_config)
-    from .analysis.race.rules import RACE_RULES
-    from .analysis.taint.rules import TAINT_RULES
-    config = load_config(".")
     stats = LintStats() if args.stats else None
     try:
         results = check_paths(args.paths or None, config=config,
@@ -954,12 +783,13 @@ def _run_check(args) -> tuple[str, int]:
     except FileNotFoundError as error:
         return f"simcheck: error: {error}", 2
     if args.write_baseline is not None:
-        combined = [finding for tool in _CHECK_TOOLS
+        combined = [finding for tool in rules_by_tool
                     for finding in results[tool]]
-        _, early = _apply_baseline(args, combined, "simcheck")
-        return early
+        write_baseline(args.write_baseline, combined, "simcheck")
+        return (f"simcheck: wrote baseline of {len(combined)} finding"
+                f"{'s' if len(combined) != 1 else ''} to "
+                f"{args.write_baseline}", 0)
     if args.baseline is not None:
-        from .analysis import filter_new, load_baseline
         try:
             allowed = load_baseline(args.baseline)
         except (OSError, ValueError) as error:
@@ -967,37 +797,33 @@ def _run_check(args) -> tuple[str, int]:
         # Rule ids are disjoint across the three tools, so filtering
         # each run against the shared snapshot is exact.
         results = {tool: filter_new(results[tool], allowed)
-                   for tool in _CHECK_TOOLS}
-    total = sum(len(results[tool]) for tool in _CHECK_TOOLS)
-    rules_by_tool = {
-        "simlint": all_rules(),
-        "simrace": [cls() for cls in RACE_RULES],
-        "simtaint": [cls() for cls in TAINT_RULES],
-    }
+                   for tool in rules_by_tool}
+    total = sum(len(results[tool]) for tool in rules_by_tool)
     if args.format == "json":
-        text = json_module.dumps({
+        text = json.dumps({
             "count": total,
             "tools": {tool: {
                 "count": len(results[tool]),
                 "findings": [finding.as_dict()
                              for finding in results[tool]],
-            } for tool in _CHECK_TOOLS},
+            } for tool in rules_by_tool},
         }, indent=2)
     elif args.format == "sarif":
         text = format_merged_sarif(
-            [(tool, results[tool], rules_by_tool[tool])
-             for tool in _CHECK_TOOLS])
+            [(tool, results[tool], rules)
+             for tool, rules in rules_by_tool.items()])
     else:
         sections = [format_findings_text(results[tool], tool=tool)
-                    for tool in _CHECK_TOOLS]
+                    for tool in rules_by_tool]
         sections.append(f"simcheck: {total} finding"
                         f"{'s' if total != 1 else ''} across "
-                        f"{len(_CHECK_TOOLS)} analyzers")
+                        f"{len(rules_by_tool)} analyzers")
         text = "\n".join(sections)
     if stats is not None:
         if args.format == "text":
             text = f"{text}\n{stats.render()}"
         else:
+            # Keep stdout a valid JSON/SARIF document.
             print(stats.render(), file=sys.stderr)
     return text, (1 if total else 0)
 

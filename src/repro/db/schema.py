@@ -32,6 +32,7 @@ class TableSchema:
     name: str
     columns: list[Column]
     _by_name: dict[str, Column] = field(init=False, repr=False)
+    _primary_key: Column = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._by_name = {}
@@ -43,6 +44,7 @@ class TableSchema:
             self._by_name[column.name] = column
             if column.primary_key:
                 pk_count += 1
+                self._primary_key = column
                 if column.auto_increment \
                         and column.sql_type.python_type is not int:
                     raise SchemaError("AUTO_INCREMENT requires an integer "
@@ -53,10 +55,7 @@ class TableSchema:
 
     @property
     def primary_key(self) -> Column:
-        for column in self.columns:
-            if column.primary_key:
-                return column
-        raise SchemaError("unreachable: schema has no primary key")
+        return self._primary_key
 
     @property
     def column_names(self) -> list[str]:

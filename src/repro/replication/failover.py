@@ -91,7 +91,13 @@ def promote(manager: ReplicationManager,
         raise DatabaseError(f"{candidate.name!r} is not in this cluster")
 
     # 1. Drain: apply everything already received into the relay log.
-    while candidate.relay_backlog > 0:
+    # An empty relay log is not enough: the SQL thread pops an event
+    # *before* it queues for a core, so with reads ahead of it the
+    # last received commit can still be waiting to execute — stopping
+    # replication then would drop it and report zero loss.  (Not
+    # "applied < received": that would also wait out the CPU hold of
+    # an apply whose job already ran, i.e. whose data is in place.)
+    while candidate.relay_backlog > 0 or candidate.apply_pending:
         yield manager.sim.timeout(drain_poll)
         if not candidate.online or not candidate.instance.running:
             raise DatabaseError(

@@ -42,6 +42,12 @@ class SlaveServer(DatabaseServer):
         self.start_position = 0
         self.applied_position = 0
         self.received_position = 0
+        #: True while the SQL thread holds an event it popped off the
+        #: relay log whose apply has not started (it is queued for a
+        #: core behind client reads): ``relay_backlog`` no longer
+        #: counts that event, yet stopping replication now would drop
+        #: it.  ``promote`` drains on both.
+        self.apply_pending = False
         self.events_applied = 0
         self.events_dropped = 0
         self.bytes_received = 0
@@ -67,6 +73,9 @@ class SlaveServer(DatabaseServer):
                 and self._sql_thread_process.is_alive:
             self._sql_thread_process.interrupt("stopped")
         self._sql_thread_process = None
+        # Whatever the thread held is gone with it; a stale flag
+        # would make a later promotion of this slave drain forever.
+        self.apply_pending = False
 
     # -- observability ------------------------------------------------------
     def note_shipped(self, position: int, span) -> None:
@@ -112,11 +121,13 @@ class SlaveServer(DatabaseServer):
         try:
             while True:
                 event: BinlogEvent = yield self.relay_log.get()
+                self.apply_pending = True
 
                 def apply_job(event=event):
                     # Runs when the SQL thread reaches a core: read
                     # queries queued ahead of it still see the
                     # pre-apply state (replication staleness).
+                    self.apply_pending = False
                     if event.row_ops is not None:
                         affected = apply_row_ops(self.engine,
                                                  event.row_ops)

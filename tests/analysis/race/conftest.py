@@ -1,6 +1,6 @@
 """Shared plumbing for the race-analysis tests: write fixture sources
 to a temp directory, build the project model over them, and run the
-RACE rules the way ``racecheck_paths`` does."""
+RACE rules the way ``check_paths`` does."""
 
 import textwrap
 

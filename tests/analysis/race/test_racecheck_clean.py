@@ -3,22 +3,15 @@
 The static prong's enforcement point — a change that reintroduces a
 read→yield→write-back, an unguarded check-then-act, or a live shared
 iteration across a preemption fails CI here (and via
-``python -m repro racecheck``).  The deliberately raced specimens
+``python -m repro check``).  The deliberately raced specimens
 under ``tests/analysis/race/fixtures`` are excused by the
 ``per-path-ignore`` entry in ``pyproject.toml``.
 """
 
-import os
-
-from repro.analysis import format_findings_text, load_config
-from repro.analysis.runner import racecheck_paths
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.dirname(os.path.abspath(__file__)))))
+from repro.analysis import format_findings_text
 
 
-def test_repo_is_racecheck_clean():
-    config = load_config(REPO_ROOT)
-    paths = [os.path.join(REPO_ROOT, path) for path in config.paths]
-    findings = racecheck_paths(paths, config=config)
-    assert not findings, "\n" + format_findings_text(findings)
+def test_repo_is_racecheck_clean(repo_check):
+    findings = repo_check["simrace"]
+    assert not findings, "\n" + format_findings_text(
+        findings, tool="simrace")

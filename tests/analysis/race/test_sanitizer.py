@@ -3,9 +3,9 @@ acceptance test over the deliberately raced pool fixture."""
 
 import os
 
+from repro.analysis import check_paths
 from repro.analysis.config import LintConfig
 from repro.analysis.race import RaceSanitizer
-from repro.analysis.runner import racecheck_paths
 from repro.sim.kernel import Simulator
 
 from tests.analysis.race.fixtures.leaky_pool import (LeakyPool, start,
@@ -21,7 +21,7 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
 
 def test_static_prong_flags_leaky_pool():
     # Default config (no per-path ignores): the specimen must fire.
-    findings = racecheck_paths([FIXTURE], config=LintConfig())
+    findings = check_paths([FIXTURE], config=LintConfig())["simrace"]
     assert [f.rule_id for f in findings] == ["RACE001"]
     assert "available" in findings[0].message
 

@@ -1,6 +1,6 @@
 """Shared plumbing for the taint-analysis tests: write fixture
 sources to a temp directory, build the project model, and run the TNT
-rules the way ``taintcheck_paths`` does."""
+rules the way ``check_paths`` does."""
 
 import textwrap
 

@@ -1,12 +1,14 @@
-"""The ``repro check`` umbrella: one shared model, three analyzers,
-purity feedback into the FLW/RACE rules, one merged SARIF document."""
+"""``repro check``, the one gate: one parse and one rule pass per file
+over one shared model, purity feedback into the FLW/RACE rules, three
+report sections, one merged SARIF document."""
 
+import ast
 import json
 import textwrap
 
 import pytest
 
-from repro.analysis import (LintStats, check_paths, lint_paths,
+from repro.analysis import (LintStats, check_paths, lint_source,
                             load_config)
 from repro.cli import main
 
@@ -76,21 +78,23 @@ def test_check_reports_purity_oracle_stats(project):
 
 
 def test_check_purity_feedback_sharpens_flw(project):
-    # Standalone lint treats `measure(conn)` as a conservative escape
-    # and stays silent; `check` proves it pure — it cannot release or
-    # capture the handle — so the leak is the caller's and FLW001
-    # fires.  The oracle converts a false negative into a report.
-    paths = project({"leak.py": PURE_LEAK})
+    # With no project around it (lint_source: every callee unknown)
+    # `measure(conn)` is a conservative escape and FLW001 stays
+    # silent.  The gate — the only way to analyse paths — proves the
+    # callee pure: it cannot release or capture the handle, so the
+    # leak is the caller's and FLW001 fires.  The oracle converts a
+    # false negative into a report, and there is no second verdict.
+    (path,) = project({"leak.py": PURE_LEAK})
     config = load_config(".")
-    standalone = lint_paths(paths, config=config)
-    assert not any(f.rule_id == "FLW001" for f in standalone)
-    results = check_paths(paths, config=config)
-    assert any(f.rule_id == "FLW001" for f in results["simlint"])
+    alone = lint_source(PURE_LEAK, path=path, config=config)
+    assert not any(f.rule_id == "FLW001" for f in alone)
+    results = check_paths([path], config=config)
+    assert [f.rule_id for f in results["simlint"]] == ["FLW001"]
 
 
 def test_check_impure_call_still_settles_claims(project):
     # A call the oracle can only prove IMPURE keeps the conservative
-    # escape semantics: no FLW001 from either mode.
+    # escape semantics: no FLW001.
     paths = project({"handoff.py": """\
         REGISTRY = []
 
@@ -106,6 +110,44 @@ def test_check_impure_call_still_settles_claims(project):
     results = check_paths(paths, config=load_config("."))
     assert not any(f.rule_id == "FLW001"
                    for f in results["simlint"])
+
+
+def test_check_reports_unparsable_file_once(project):
+    # A file that does not parse is one PARSE finding (simlint's
+    # section, whatever is selected — it must not pass silently), and
+    # the rest of the project is still analysed around it.
+    paths = project({"broken.py": "def broken(:\n", "mod.py": TAINTED})
+    config = load_config(".").narrowed(select=["TNT"])
+    results = check_paths(paths, config=config)
+    (finding,) = results["simlint"]
+    assert finding.rule_id == "PARSE"
+    assert finding.path.endswith("broken.py") and finding.line == 1
+    assert results["simrace"] == []
+    assert [f.rule_id for f in results["simtaint"]] == ["TNT005"]
+
+
+def test_check_stats_count_each_file_once(project, monkeypatch):
+    # One pass: each file is parsed once, gets one rule pass over the
+    # model's own tree, and is counted once (the parent's three passes
+    # reported 3x the files).
+    paths = project({f"m{index}.py": TAINTED for index in range(3)})
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, *args, **kwargs):
+        if "filename" in kwargs:  # a source file, not a fragment
+            parsed.append(kwargs["filename"])
+        return real_parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    stats = LintStats()
+    results = check_paths(paths, config=load_config("."), stats=stats)
+    assert sorted(parsed) == sorted(paths)
+    assert stats.files == 3
+    assert stats.findings_per_rule["TNT005"] == 3
+    assert len(results["simtaint"]) == 3
+    assert "simlint stats: 3 files," in stats.render()
+    assert "parse cache" not in stats.render()
 
 
 # ---------------------------------------------------------------------------

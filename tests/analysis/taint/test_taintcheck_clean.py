@@ -3,23 +3,15 @@
 The determinism prong's enforcement point — a change that routes a
 wall-clock read, unseeded entropy, an environment variable, ``id()``
 or set iteration order into event scheduling, telemetry or an
-artifact fails CI here (and via ``python -m repro taintcheck``).
+artifact fails CI here (and via ``python -m repro check``).
 Sanctioned reads are blessed in place with
 ``# simtaint: blessed=REASON``.
 """
 
-import os
-
-from repro.analysis import format_findings_text, load_config
-from repro.analysis.runner import taintcheck_paths
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.dirname(os.path.abspath(__file__)))))
+from repro.analysis import format_findings_text
 
 
-def test_repo_is_taintcheck_clean():
-    config = load_config(REPO_ROOT)
-    paths = [os.path.join(REPO_ROOT, path) for path in config.paths]
-    findings = taintcheck_paths(paths, config=config)
+def test_repo_is_taintcheck_clean(repo_check):
+    findings = repo_check["simtaint"]
     assert not findings, "\n" + format_findings_text(
         findings, tool="simtaint")

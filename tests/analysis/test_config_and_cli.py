@@ -1,12 +1,12 @@
 """Config loading (pyproject + fallback parser), rule selection, and
-the ``python -m repro lint`` command."""
+the ``python -m repro check`` command."""
 
 import json
 import os
 
 import pytest
 
-from repro.analysis import (DEFAULT_CONFIG, LintConfig, lint_paths,
+from repro.analysis import (DEFAULT_CONFIG, LintConfig, check_paths,
                             load_config)
 from repro.analysis.config import config_from_table, parse_simlint_table
 from repro.cli import main
@@ -134,7 +134,7 @@ def test_per_path_ignore_applies_through_lint_paths(tmp_path):
     prefix = str(exempt).replace(os.sep, "/")
     config = LintConfig(sql_exclude=(),
                         per_path_ignore=((prefix, "FLW002"),))
-    findings = lint_paths([str(tmp_path)], config=config)
+    findings = check_paths([str(tmp_path)], config=config)["simlint"]
     assert [finding.rule_id for finding in findings] == ["FLW002"]
     assert findings[0].path.startswith(str(checked))
 
@@ -153,55 +153,62 @@ def bad_module(tmp_path):
 def test_cli_lint_clean_path_exits_zero(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("VALUE = 1\n")
-    assert main(["lint", str(clean)]) == 0
-    assert "no findings" in capsys.readouterr().out
+    assert main(["check", str(clean)]) == 0
+    assert "simlint: no findings" in capsys.readouterr().out
 
 
 def test_cli_lint_violation_exits_nonzero(tmp_path, capsys):
-    assert main(["lint", bad_module(tmp_path)]) == 1
+    assert main(["check", bad_module(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "SIM001" in out
     assert "bad.py:4:" in out
 
 
 def test_cli_lint_json_format(tmp_path, capsys):
-    assert main(["lint", "--format", "json", bad_module(tmp_path)]) == 1
+    assert main(["check", "--format", "json",
+                 bad_module(tmp_path)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 1
-    assert payload["findings"][0]["rule_id"] == "SIM001"
-    assert payload["findings"][0]["line"] == 4
+    (finding,) = payload["tools"]["simlint"]["findings"]
+    assert finding["rule_id"] == "SIM001"
+    assert finding["line"] == 4
 
 
 def test_cli_lint_select_and_ignore(tmp_path, capsys):
     path = bad_module(tmp_path)
-    assert main(["lint", "--select", "DET", path]) == 0
+    assert main(["check", "--select", "DET", path]) == 0
     capsys.readouterr()
-    assert main(["lint", "--ignore", "SIM001", path]) == 0
+    assert main(["check", "--ignore", "SIM001", path]) == 0
 
 
 def test_lint_paths_accepts_single_file(tmp_path):
-    findings = lint_paths([bad_module(tmp_path)],
+    results = check_paths([bad_module(tmp_path)],
                           config=LintConfig(sql_exclude=()))
-    assert [finding.rule_id for finding in findings] == ["SIM001"]
+    assert [finding.rule_id
+            for finding in results["simlint"]] == ["SIM001"]
 
 
 def test_cli_lint_unknown_rule_is_a_usage_error(tmp_path, capsys):
     # A typo'd --select must not silently disable every rule.
-    assert main(["lint", "--select", "BOGUS", bad_module(tmp_path)]) == 2
+    assert main(["check", "--select", "BOGUS",
+                 bad_module(tmp_path)]) == 2
     out = capsys.readouterr().out
     assert "unknown rule or family: BOGUS" in out
-    capsys.readouterr()
-    assert main(["lint", "--ignore", "SIM01", bad_module(tmp_path)]) == 2
+    # Every analyzer's ids are selectable, so all are listed as known.
+    for rule_id in ("SIM001", "FLW001", "RACE001", "TNT005", "PARSE"):
+        assert rule_id in out
+    assert main(["check", "--ignore", "SIM01",
+                 bad_module(tmp_path)]) == 2
 
 
 def test_cli_lint_missing_path_is_an_error(tmp_path, capsys):
     missing = str(tmp_path / "no_such_dir")
-    assert main(["lint", missing]) == 2
+    assert main(["check", missing]) == 2
     assert "does not exist" in capsys.readouterr().out
 
 
 def test_cli_lint_sarif_format(tmp_path, capsys):
-    assert main(["lint", "--format", "sarif",
+    assert main(["check", "--format", "sarif",
                  bad_module(tmp_path)]) == 1
     document = json.loads(capsys.readouterr().out)
     assert document["version"] == "2.1.0"
@@ -210,22 +217,23 @@ def test_cli_lint_sarif_format(tmp_path, capsys):
 
 
 def test_cli_lint_stats_appends_to_text(tmp_path, capsys):
-    assert main(["lint", "--stats", bad_module(tmp_path)]) == 1
+    assert main(["check", "--stats", bad_module(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "simlint stats: 1 file" in out
+    # One pass: the file is counted once, not once per analyzer.
+    assert "simlint stats: 1 file," in out
     assert "SIM001: 1 finding" in out
 
 
 def test_cli_lint_stats_goes_to_stderr_for_machine_formats(tmp_path,
                                                            capsys):
-    assert main(["lint", "--format", "json", "--stats",
+    assert main(["check", "--format", "json", "--stats",
                  bad_module(tmp_path)]) == 1
     captured = capsys.readouterr()
     json.loads(captured.out)  # stdout stays a valid document
     assert "simlint stats" in captured.err
 
 
-# ----------------------------------------------------------- racecheck
+# ------------------------------------- check --select RACE (racecheck)
 RACED = """\
 class Pool:
     def __init__(self, sim):
@@ -243,6 +251,8 @@ def main(sim, pool):
         sim.process(pool.worker())
 """
 
+RACE_GATE = ["check", "--select", "RACE"]
+
 
 def raced_module(tmp_path):
     path = tmp_path / "raced.py"
@@ -253,12 +263,12 @@ def raced_module(tmp_path):
 def test_cli_racecheck_clean_path_exits_zero(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("VALUE = 1\n")
-    assert main(["racecheck", str(clean)]) == 0
+    assert main(RACE_GATE + [str(clean)]) == 0
     assert "simrace: no findings" in capsys.readouterr().out
 
 
 def test_cli_racecheck_finding_exits_one(tmp_path, capsys):
-    assert main(["racecheck", raced_module(tmp_path)]) == 1
+    assert main(RACE_GATE + [raced_module(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "RACE001" in out
     assert "read here" in out          # related location rendered
@@ -266,19 +276,21 @@ def test_cli_racecheck_finding_exits_one(tmp_path, capsys):
 
 
 def test_cli_racecheck_json_format(tmp_path, capsys):
-    assert main(["racecheck", "--format", "json",
-                 raced_module(tmp_path)]) == 1
+    assert main(RACE_GATE + ["--format", "json",
+                             raced_module(tmp_path)]) == 1
     document = json.loads(capsys.readouterr().out)
-    (finding,) = document["findings"]
+    (finding,) = document["tools"]["simrace"]["findings"]
     assert finding["rule_id"] == "RACE001"
     assert len(finding["related"]) == 2
+    assert document["count"] == 1
 
 
 def test_cli_racecheck_sarif_format(tmp_path, capsys):
-    assert main(["racecheck", "--format", "sarif",
-                 raced_module(tmp_path)]) == 1
+    assert main(RACE_GATE + ["--format", "sarif",
+                             raced_module(tmp_path)]) == 1
     document = json.loads(capsys.readouterr().out)
-    run = document["runs"][0]
+    run = document["runs"][1]
+    assert run["tool"]["driver"]["name"] == "simrace"
     listed = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
     assert listed == {"RACE001", "RACE002", "RACE003", "RACE004",
                       "RACE005"}
@@ -288,11 +300,57 @@ def test_cli_racecheck_sarif_format(tmp_path, capsys):
 
 
 def test_cli_racecheck_stats_line(tmp_path, capsys):
-    assert main(["racecheck", "--stats", raced_module(tmp_path)]) == 1
+    assert main(RACE_GATE + ["--stats", raced_module(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "parse cache:" in out
+    assert "RACE001: 1 finding" in out
+    # --select narrows the rules that run, nothing else.
+    assert "SIM001" not in out and "TNT001" not in out
 
 
 def test_cli_racecheck_missing_path_is_an_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.py")
-    assert main(["racecheck", missing]) == 2
+    assert main(RACE_GATE + [missing]) == 2
+
+
+# --------------------------------- one gate: --select / --ignore narrow
+EVERY_FAMILY = RACED + """\
+
+
+def stamp(server):
+    import time
+    server.started_at = time.time()
+
+
+def run(pool):
+    conn = pool.acquire()
+    conn.query()
+"""
+
+
+def _rule_ids(capsys):
+    document = json.loads(capsys.readouterr().out)
+    return {tool: sorted(finding["rule_id"]
+                         for finding in section["findings"])
+            for tool, section in document["tools"].items()}
+
+
+def test_cli_check_select_and_ignore_narrow_across_analyzers(tmp_path,
+                                                             capsys):
+    path = tmp_path / "everything.py"
+    path.write_text(EVERY_FAMILY)
+    command = ["check", "--format", "json", str(path)]
+    assert main(command) == 1
+    assert _rule_ids(capsys) == {"simlint": ["DET001", "FLW001"],
+                                 "simrace": ["RACE001"],
+                                 "simtaint": ["TNT005"]}
+    assert main(command + ["--select", "TNT"]) == 1
+    assert _rule_ids(capsys) == {"simlint": [], "simrace": [],
+                                 "simtaint": ["TNT005"]}
+    assert main(command + ["--select", "RACE,FLW"]) == 1
+    assert _rule_ids(capsys) == {"simlint": ["FLW001"],
+                                 "simrace": ["RACE001"],
+                                 "simtaint": []}
+    assert main(command + ["--ignore", "FLW001",
+                           "--ignore", "RACE"]) == 1
+    assert _rule_ids(capsys) == {"simlint": ["DET001"], "simrace": [],
+                                 "simtaint": ["TNT005"]}

@@ -1,22 +1,15 @@
 """The gate: ``src/repro`` must be simlint-clean.
 
 This is the enforcement point for the reproduction's determinism,
-sim-safety and SQL invariants — a refactor that introduces a
-wall-clock read, a blocking call in a sim process, or a typo'd
-table/column fails CI here (and via ``python -m repro lint``).
+sim-safety, SQL and flow-pairing invariants — a refactor that
+introduces a wall-clock read, a blocking call in a sim process, a
+typo'd table/column or a connection leaked on an exception edge fails
+CI here (and via ``python -m repro check``).
 """
 
-import os
-
-from repro.analysis import (format_findings_text, lint_paths,
-                            load_config)
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
+from repro.analysis import format_findings_text
 
 
-def test_src_repro_is_lint_clean():
-    config = load_config(REPO_ROOT)
-    paths = [os.path.join(REPO_ROOT, path) for path in config.paths]
-    findings = lint_paths(paths, config=config)
+def test_src_repro_is_lint_clean(repo_check):
+    findings = repo_check["simlint"]
     assert not findings, "\n" + format_findings_text(findings)

@@ -2,13 +2,14 @@
 
 import json
 
-from repro.analysis import all_rules, format_findings_sarif, lint_source
+from repro.analysis import all_rules, format_merged_sarif, lint_source
 from repro.analysis.findings import Finding
 from repro.analysis.sarif import SARIF_SCHEMA_URI, SARIF_VERSION
 
 
 def document_for(findings):
-    return json.loads(format_findings_sarif(findings))
+    return json.loads(format_merged_sarif(
+        [("simlint", findings, all_rules())]))
 
 
 def test_top_level_shape():

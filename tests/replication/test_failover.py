@@ -277,3 +277,48 @@ def test_promote_aborts_when_remastered_during_drain(sim, manager,
         sim.run()
     assert fast.triggered
     assert manager.master is not master
+
+
+def test_promote_waits_for_event_popped_but_not_yet_executed(
+        sim, manager, master):
+    """Regression: the SQL thread pops an event off the relay log
+    *before* it queues for a core, so under read pressure the backlog
+    reads 0 while the last received commit has not executed.  The
+    drain used to stop there; ``stop_replication`` then killed the
+    thread and the promoted master silently lacked a commit that
+    ``data_loss_window`` counted as received (reported loss: 0)."""
+    slave = manager.add_slave(MASTER_PLACEMENT)
+
+    def reader(slave):
+        try:
+            while True:
+                yield from slave.perform("SELECT COUNT(*) FROM items")
+        except DatabaseError:
+            return  # the slave identity is retired by the promotion
+
+    for _ in range(8):
+        sim.process(reader(slave))
+    drive(sim, master, 5, spacing=0.05)
+
+    def rows(server):
+        return server.admin(
+            "SELECT COUNT(*) FROM items").result.scalar()
+
+    # Stop the world at: everything received, relay log empty, the
+    # last insert popped but still queued behind the readers.
+    while not (rows(master) == 5 and slave.relay_backlog == 0
+               and slave.received_position
+               == master.binlog.head_position and rows(slave) < 5):
+        sim.step()
+    assert slave.instance.queue_length > 0
+    dead = fail_master(manager)
+
+    def failover(manager):
+        new_master = yield from promote(manager)
+        return new_master
+
+    new_master = run_process(sim, failover(manager))
+    assert data_loss_window(dead, slave) == 0
+    assert rows(new_master) == 5
+    # And the flag does not outlive the thread it described.
+    assert not slave.apply_pending
