@@ -6,9 +6,10 @@ targets, each seed-deterministic in its workload shape:
 * ``kernel.events`` — the sim kernel's event loop under a seeded
   timeout storm (events per wall-second);
 * ``sql.parse`` — the plan-cached SQL front end over the fixed
-  Cloudstone statement mix (steady state: primed cache);
-* ``sql.parse_cold`` — the raw parser over the same mix, no cache
-  (tracks the parser itself across optimisation rounds);
+  Cloudstone statement mix as clients send it, ``(template, params)``
+  (steady state: primed cache);
+* ``sql.parse_cold`` — the raw parser over the same templates, no
+  cache (tracks the parser itself across optimisation rounds);
 * ``db.query_mix`` — :class:`~repro.db.engine.StorageEngine` statement
   execution over the same mix against a loaded Cloudstone database,
   through the prepared-plan cache every cluster engine has;
@@ -50,16 +51,18 @@ _WRITES_ONLY = OperationMix("writes", read_fraction=0.0)
 
 def statement_corpus(seed: int, n_operations: int,
                      mix: OperationMix = MIX_50_50,
-                     stream: str = "perf.corpus") -> list[str]:
-    """The SQL text of ``n_operations`` seeded Cloudstone operations.
+                     stream: str = "perf.corpus"
+                     ) -> list[tuple[str, tuple]]:
+    """The ``(template, params)`` statements of ``n_operations``
+    seeded Cloudstone operations, as the driver hands them to the proxy.
 
     The corpus is the fixed statement mix every SQL-facing bench runs:
-    same ``(seed, n_operations, mix)`` -> byte-identical statements.
+    same ``(seed, n_operations, mix)`` -> identical statements.
     """
     streams = RandomStreams(seed)
     rng = streams.stream(stream)
     state = WorkloadState(n_users=200, n_events=200, n_tags=TAG_COUNT)
-    statements: list[str] = []
+    statements: list[tuple[str, tuple]] = []
     for _ in range(n_operations):
         operation = mix.pick(rng)
         statements.extend(operation.build(state, rng))
@@ -82,11 +85,11 @@ def _loaded_engine(seed: int, data_size: int,
     return engine
 
 
-def _warm(plan_cache: PlanCache, texts) -> PlanCache:
-    """Prove every template ``texts`` needs (first sightings parse the
-    slow way), so no timed run pays for one."""
-    for text in texts:
-        plan_cache.prepare(text)
+def _warm(plan_cache: PlanCache, statements) -> PlanCache:
+    """Parse (and, for literal text, prove) every template
+    ``statements`` needs, so no timed run pays for a first sighting."""
+    for text, params in statements:
+        plan_cache.prepare(text, params)
     return plan_cache
 
 
@@ -132,11 +135,14 @@ def _kernel_events(seed: int, scale: str) -> BenchCase:
 # ---------------------------------------------------------------- sql
 @register("sql.parse", subsystem="sql", unit="statements",
           description="plan-cached SQL front end over the fixed "
-                      "Cloudstone statement mix (50/50): one untimed "
-                      "priming pass, then the timed warm pass")
+                      "Cloudstone (template, params) mix (50/50, "
+                      "x40): one untimed priming pass, then the "
+                      "timed warm pass")
 def _sql_parse(seed: int, scale: str) -> BenchCase:
     class Parse(BenchCase):
-        corpus = statement_corpus(seed, 60 * SCALES[scale])
+        #: An exact-level hit is a fraction of a microsecond; the mix
+        #: is replayed until the timed window is milliseconds long.
+        corpus = statement_corpus(seed, 60 * SCALES[scale]) * 40
 
         def prepare(self):
             # A fresh cache per repeat, primed by one untimed pass:
@@ -144,16 +150,14 @@ def _sql_parse(seed: int, scale: str) -> BenchCase:
             # in, and the cumulative hit/miss counters stay a pure
             # function of (seed, scale) regardless of warmup count.
             corpus = self.corpus
-            cache = PlanCache()
-            for text in corpus:
-                cache.prepare(text)
+            cache = _warm(PlanCache(), corpus)
+            chars = sum(len(text) for text, _ in corpus)
 
             def run():
                 prepare = cache.prepare
-                for text in corpus:
-                    prepare(text)
-                return {"statements": len(corpus),
-                        "chars": sum(len(text) for text in corpus),
+                for text, params in corpus:
+                    prepare(text, params)
+                return {"statements": len(corpus), "chars": chars,
                         "cache_hits": cache.hits,
                         "cache_misses": cache.misses}
             return run
@@ -171,10 +175,10 @@ def _sql_parse_cold(seed: int, scale: str) -> BenchCase:
             corpus = self.corpus
 
             def run():
-                for text in corpus:
+                for text, _params in corpus:
                     parse(text)
                 return {"statements": len(corpus),
-                        "chars": sum(len(text) for text in corpus)}
+                        "chars": sum(len(text) for text, _ in corpus)}
             return run
     return ParseCold()
 
@@ -201,8 +205,8 @@ def _db_query_mix(seed: int, scale: str) -> BenchCase:
 
             def run():
                 examined = returned = affected = commits = 0
-                for text in corpus:
-                    outcome = engine.execute(text,
+                for text, params in corpus:
+                    outcome = engine.execute(text, params,
                                              database="cloudstone")
                     examined += outcome.profile.rows_examined
                     returned += outcome.profile.rows_returned
@@ -234,12 +238,14 @@ def _repl_binlog(seed: int, scale: str) -> BenchCase:
             master = _loaded_engine(seed, self.data_size,
                                     self.plan_cache)
             self.committed: list[tuple[str, str]] = []
-            for text in statement_corpus(seed, 150 * SCALES[scale],
-                                         mix=_WRITES_ONLY,
-                                         stream="perf.binlog"):
-                outcome = master.execute(text, database="cloudstone")
+            for text, params in statement_corpus(
+                    seed, 150 * SCALES[scale], mix=_WRITES_ONLY,
+                    stream="perf.binlog"):
+                outcome = master.execute(text, params,
+                                         database="cloudstone")
                 self.committed.extend(outcome.committed)
-            _warm(self.plan_cache, (text for text, _ in self.committed))
+            for text, _database in self.committed:
+                self.plan_cache.prepare(text)
 
         def prepare(self):
             slave = _loaded_engine(seed, self.data_size,

@@ -30,6 +30,9 @@ __all__ = ["HEARTBEAT_DATABASE", "HEARTBEAT_TABLE", "HeartbeatPlugin",
 
 HEARTBEAT_DATABASE = "heartbeats"
 HEARTBEAT_TABLE = "heartbeats.heartbeat"
+_INSERT_HEARTBEAT = ("INSERT INTO " + HEARTBEAT_TABLE +
+                     " (id, ts) VALUES (?, USEC_NOW())")
+_SELECT_HEARTBEATS = "SELECT id, ts FROM " + HEARTBEAT_TABLE
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,8 @@ class HeartbeatPlugin:
                 self.inserted_at[heartbeat_id] = inserted
                 mark = len(self.master.binlog.events)
                 try:
-                    yield from self.master.perform(
-                        f"INSERT INTO {HEARTBEAT_TABLE} (id, ts) "
-                        f"VALUES ({heartbeat_id}, USEC_NOW())")
+                    yield from self.master.perform(_INSERT_HEARTBEAT,
+                                                   (heartbeat_id,))
                 except DatabaseError:
                     # The master died under us (an injected crash): the
                     # plug-in dies with it, like a real master-side UDF
@@ -153,9 +155,9 @@ def collect_delays(plugin: HeartbeatPlugin, slave: SlaveServer,
     time (simulated), selecting e.g. the steady-state phase.
     """
     master_rows = {row[0]: row[1] for row in plugin.master.admin(
-        f"SELECT id, ts FROM {HEARTBEAT_TABLE}").result.rows}
+        _SELECT_HEARTBEATS, ()).result.rows}
     slave_rows = {row[0]: row[1] for row in slave.admin(
-        f"SELECT id, ts FROM {HEARTBEAT_TABLE}").result.rows}
+        _SELECT_HEARTBEATS, ()).result.rows}
     samples = []
     for heartbeat_id, master_ts in sorted(master_rows.items()):
         inserted = plugin.inserted_at.get(heartbeat_id)

@@ -1,46 +1,46 @@
 """Prepared-statement / plan cache over the SQL front end.
 
-Parsing is the front end's dominant cost (the committed wall profiles
-attribute ~48% of suite time to it), and the Cloudstone mix is a small
-fixed statement set whose texts differ only in their literals.  The
-cache exploits both facts with two levels:
+Parsing is the front end's dominant cost, and the Cloudstone mix is a
+small fixed statement set whose executions differ only in their
+values.  SQL reaches the cache in one of two forms:
 
-* **L1 — exact text.**  ``parse`` is a pure function of the SQL text,
-  so a statement seen verbatim before returns its frozen AST directly.
-* **L2 — literal fingerprint.**  Statements that differ only in
-  literal values (``... WHERE id = 7`` vs ``... WHERE id = 9``) are
-  collapsed onto one *template*: literals are stripped by a single
-  regex pass, the template is parsed once with ``?`` placeholders, and
-  every later sighting binds its extracted literals as parameters.
-  The whole Cloudstone mix collapses to a couple of dozen templates.
+* **``(template, params)``** — what clients, the dataset loader and
+  the heartbeat plug-in send: a ``?`` text with its values beside it.
+  ``parse`` is a pure function of the text, so the *exact* level keys
+  the frozen AST on the text itself: a hit is a dict get, an LRU touch
+  and a counter.  DDL and transaction control hit the same level.
+* **literal text** — what statement-format replication ships to
+  slaves (and what ad-hoc CLI/test SQL looks like).  The *fingerprint*
+  level strips the literals with one regex pass and binds them, as
+  parameters, to the plan of the resulting ``?`` template — the very
+  plan object a client prepared under that text, if one did, so master
+  and slaves share whatever the executor compiled onto it.
 
-Correctness is not taken on faith.  The first time a template is
-built, the original text is also parsed the slow way and both ASTs are
-rendered back to SQL; any byte difference marks the template
-uncacheable and the slow path is used forever after.  Numbers after
-``LIMIT``/``OFFSET`` are never parameterized (the grammar wants raw
-numbers there), statements carrying ``?`` placeholders or ``--``
-comments bypass fingerprinting, and only DML/queries are templated —
-DDL (``VARCHAR(64)`` is a type argument, not a literal) and
-transaction control fall back to L1, where their constant texts hit
-anyway.
+Correctness is not taken on faith.  The first time the fingerprint
+level meets a template, the original text is also parsed the slow way
+and both ASTs are rendered back to SQL; any byte difference marks the
+template uncacheable and the slow path is used forever after.  Numbers
+after ``LIMIT``/``OFFSET`` are never parameterized (the grammar wants
+raw numbers there), statements carrying ``?`` placeholders or ``--``
+comments bypass fingerprinting, and only DML/queries are templated
+(in DDL, ``VARCHAR(64)`` is a type argument, not a literal).
 
 The cache is pure text-in / frozen-AST-out: same statement sequence ->
 same hits, misses and plans, so cached runs stay byte-deterministic
 per seed.  AST nodes are immutable (what the executor compiles from a
 statement rides on its ``plan`` slot and is evicted with it), which is
 what makes one cache shareable by a whole replication cluster (master,
-every slave's apply thread, and the routing proxy).  Hit/miss/eviction counters can be
-published through a metrics registry via :meth:`attach_metrics`; the
-registry is duck-typed so this module keeps the sql layer free of obs
-imports.
+every slave's apply thread, and the routing proxy).  Hit/miss/eviction
+counters can be published through a metrics registry via
+:meth:`attach_metrics`; the registry is duck-typed so this module
+keeps the sql layer free of obs imports.
 """
 
 from __future__ import annotations
 
 import re
 from collections import OrderedDict
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Sequence
 
 from .ast import Statement
 from .lexer import _read_string
@@ -57,15 +57,17 @@ _FINGERPRINTABLE = frozenset(("SELECT", "INSERT", "UPDATE", "DELETE"))
 #: number literals.  Numbers directly after LIMIT/OFFSET stay inline —
 #: the grammar requires raw numbers there (``LIMIT ?`` does not parse).
 _LITERAL_RE = re.compile(r"""
+    (?=[`'"\d])(?:               # cheap reject: how every branch starts
       `[^`]*`                                   # quoted identifier
     | '(?:[^'\\]|\\.|'')*'                      # single-quoted string
     | "(?:[^"\\]|\\.|"")*"                      # double-quoted string
     | (?<![Ll][Ii][Mm][Ii][Tt]\ )
       (?<![Oo][Ff][Ff][Ss][Ee][Tt]\ )
       \b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b        # number
+    )
 """, re.X)
 
-#: L2 sentinel: this template was tried and must not be used.
+#: Fingerprint-level sentinel: this template was tried and must not be used.
 _UNCACHEABLE = object()
 
 
@@ -134,80 +136,68 @@ class PlanCache:
         self._eviction_counter = registry.counter(
             "sql.plancache.evictions")
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     # -- the front end -----------------------------------------------------
     def prepare(self, text: str,
                 params: Optional[Sequence[Any]] = None
                 ) -> tuple[Statement, Sequence[Any]]:
         """SQL text -> ``(statement, params)`` ready for execution.
 
-        With caller-bound ``params`` the text's own ``?`` placeholders
-        are authoritative, so only the exact-text level applies;
-        otherwise literal-only variants share one templated plan and
-        the extracted literals come back as the parameter list.
+        With caller-bound ``params`` (even an empty tuple: a prepared
+        statement that takes none) the text is a template and only
+        the exact level applies; otherwise literal-only variants share
+        one templated plan and the extracted literals come back as the
+        parameter list.
         """
         plan = self._exact.get(text)
         if plan is not None:
             self._exact.move_to_end(text)
             self._hit()
             return plan, params or ()
-        if params:
+        if params is not None:
             return self._exact_miss(text), params
-        if not self._fingerprintable(text):
-            return self._exact_miss(text), ()
-        template, literals = fingerprint(text)
-        if not literals:
-            return self._exact_miss(text), ()
-        plan = self._templates.get(template)
-        if plan is None and template not in self._templates:
-            return self._build_template(text, template, literals)
-        if plan is _UNCACHEABLE:
-            return self._exact_miss(text), ()
-        self._templates.move_to_end(template)
-        self._hit()
-        return plan, [_literal_value(raw) for raw in literals]
-
-    def statement(self, text: str) -> Statement:
-        """Exact-text-cached parse (no fingerprinting)."""
-        plan = self._exact.get(text)
-        if plan is not None:
-            self._exact.move_to_end(text)
-            self._hit()
-            return plan
-        return self._exact_miss(text)
+        if "?" not in text and "--" not in text \
+                and text.lstrip()[:6].upper() in _FINGERPRINTABLE:
+            template, literals = fingerprint(text)
+            plan = self._templates.get(template) if literals \
+                else _UNCACHEABLE  # nothing to bind: the exact level
+            if plan is None:
+                return self._build_template(text, template, literals)
+            if plan is not _UNCACHEABLE:
+                self._templates.move_to_end(template)
+                self._hit()
+                return plan, [_literal_value(raw) for raw in literals]
+        return self._exact_miss(text), ()
 
     # -- internals ---------------------------------------------------------
-    def _fingerprintable(self, text: str) -> bool:
-        if "?" in text or "--" in text:
-            return False
-        return text.lstrip()[:6].upper() in _FINGERPRINTABLE
-
     def _build_template(self, text: str, template: str,
                         literals: list[str]
                         ) -> tuple[Statement, Sequence[Any]]:
-        """First sighting of a template: build it, then *prove* it.
+        """First sighting of a template: find it, then *prove* it.
 
-        The original text is parsed the slow way regardless; the
-        template is kept only if binding the extracted literals renders
-        back to exactly the same SQL as the fresh parse.  A mismatch
-        (or a template that does not parse at all) poisons the template
-        so every later sighting takes the safe path.
+        Whether the templated plan is the one a client prepared under
+        the ``?`` text or a parse of the template, the original text
+        is parsed the slow way too, and the template is kept only if
+        binding the extracted literals renders back to exactly the
+        same SQL.  A mismatch (or a template that does not parse at
+        all) poisons the template so every later sighting takes the
+        safe path.
         """
-        plan = self._exact_miss(text)
+        plan = parse(text)
+        adopted = self._exact.get(template)
         try:
-            templated = parse(template)
+            templated = parse(template) if adopted is None else adopted
             values = [_literal_value(raw) for raw in literals]
             proven = (render_statement(templated, values)
                       == render_statement(plan))
         except Exception:
             proven = False
-        entry = templated if proven else _UNCACHEABLE
+        if proven and adopted is not None:
+            self._hit()  # prepared before, in its (template, params) form
+        else:
+            self._store_miss(text, plan)
         if self.fingerprint_capacity > 0:
-            self._templates[template] = entry
+            self._templates[template] = templated if proven \
+                else _UNCACHEABLE
             if len(self._templates) > self.fingerprint_capacity:
                 self._templates.popitem(last=False)
                 self._evict()
@@ -216,7 +206,9 @@ class PlanCache:
         return plan, ()
 
     def _exact_miss(self, text: str) -> Statement:
-        plan = parse(text)
+        return self._store_miss(text, parse(text))
+
+    def _store_miss(self, text: str, plan: Statement) -> Statement:
         self._miss()
         if self.capacity > 0:
             self._exact[text] = plan

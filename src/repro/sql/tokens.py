@@ -54,8 +54,5 @@ class Token:
     value: str
     position: int
 
-    def matches_keyword(self, word: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.value == word
-
     def __repr__(self) -> str:
         return f"Token({self.type.name}, {self.value!r})"

@@ -160,9 +160,9 @@ class LoadGenerator:
                                 if operation.is_write \
                                 else self.proxy.pick_read_server(
                                     session=index)
-                            for sql in statements:
+                            for sql, params in statements:
                                 yield from self.proxy.execute(
-                                    sql, server=server)
+                                    sql, params, server=server)
                             if operation.is_write:
                                 self.proxy.note_write(index)
                         except DatabaseError:

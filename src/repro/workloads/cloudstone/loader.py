@@ -20,17 +20,22 @@ import numpy as np
 from ...db.engine import StorageEngine
 from ...db.errors import SchemaError
 from ...sql.plancache import PlanCache
+from .operations import (INSERT_ATTENDEE, INSERT_COMMENT, INSERT_EVENT,
+                         INSERT_EVENT_TAG, INSERT_USER)
 from .schema import CLOUDSTONE_DATABASE, SCHEMA_STATEMENTS, TAG_COUNT
 from .state import WorkloadState
 
 __all__ = ["load_initial_data"]
 
 #: The newest few images by (data size, binlog format, generator
-#: state): ``(tables, [(statement text, what it committed)], generator
-#: end state)``.  An image must reference nothing simulator-bound, or
-#: caching it would pin a whole finished run.
+#: state): ``(tables, [(template, params, what it committed)],
+#: generator end state)``.  An image must reference nothing
+#: simulator-bound, or caching it would pin a whole finished run.
 _IMAGES: dict[tuple, tuple] = {}
 _MAX_IMAGES = 4
+
+_INSERT_TAG = "INSERT INTO tags (name) VALUES (?)"
+_SET_ATTENDEE_COUNT = "UPDATE events SET attendee_count = ? WHERE id = ?"
 
 
 def _build_image(data_size: int, binlog_format: str,
@@ -44,41 +49,34 @@ def _build_image(data_size: int, binlog_format: str,
     engine.binlog_format = binlog_format
     statements = []
 
-    def admin(sql):
-        result = engine.execute(sql, database=CLOUDSTONE_DATABASE)
-        statements.append((sql, tuple(result.committed)))
+    def admin(sql, *params):
+        result = engine.execute(sql, params, database=CLOUDSTONE_DATABASE)
+        statements.append((sql, params, tuple(result.committed)))
 
     for statement in SCHEMA_STATEMENTS:
         admin(statement)
     for tag_index in range(1, TAG_COUNT + 1):
-        admin(f"INSERT INTO tags (name) VALUES ('tag{tag_index:02d}')")
+        admin(_INSERT_TAG, f"tag{tag_index:02d}")
     for user_id in range(1, data_size + 1):
-        admin(f"INSERT INTO users (username, created, events_created) "
-              f"VALUES ('user{user_id:05d}', 0.0, 1)")
+        admin(INSERT_USER, f"user{user_id:05d}", 0.0, 1)
     for event_id in range(1, data_size + 1):
         owner = int(rng.integers(1, data_size + 1))
         event_date = float(rng.uniform(0.0, time_horizon))
-        admin(f"INSERT INTO events (owner, title, description, created, "
-              f"event_date, attendee_count) VALUES ({owner}, "
-              f"'Event number {event_id}', 'Description of event "
-              f"{event_id}', 0.0, {event_date}, 0)")
+        admin(INSERT_EVENT, owner, f"Event number {event_id}",
+              f"Description of event {event_id}", 0.0, event_date, 0)
         for _ in range(int(rng.integers(1, 4))):  # 1-3 tags
-            tag = int(rng.integers(1, TAG_COUNT + 1))
-            admin(f"INSERT INTO event_tags (event_id, tag_id) "
-                  f"VALUES ({event_id}, {tag})")
+            admin(INSERT_EVENT_TAG, event_id,
+                  int(rng.integers(1, TAG_COUNT + 1)))
         n_attendees = int(rng.integers(0, 6))
         for _ in range(n_attendees):
-            attendee = int(rng.integers(1, data_size + 1))
-            admin(f"INSERT INTO attendees (event_id, user_id) "
-                  f"VALUES ({event_id}, {attendee})")
+            admin(INSERT_ATTENDEE, event_id,
+                  int(rng.integers(1, data_size + 1)))
         if n_attendees:
-            admin(f"UPDATE events SET attendee_count = {n_attendees} "
-                  f"WHERE id = {event_id}")
+            admin(_SET_ATTENDEE_COUNT, n_attendees, event_id)
         for _ in range(int(rng.integers(0, 3))):  # 0-2 comments
-            commenter = int(rng.integers(1, data_size + 1))
-            admin(f"INSERT INTO comments (event_id, user_id, body, created) "
-                  f"VALUES ({event_id}, {commenter}, 'A comment on event "
-                  f"{event_id}', 0.0)")
+            admin(INSERT_COMMENT, event_id,
+                  int(rng.integers(1, data_size + 1)),
+                  f"A comment on event {event_id}", 0.0)
     return engine.tables, statements, rng.bit_generator.state
 
 
@@ -112,10 +110,10 @@ def load_initial_data(master, data_size: int,
     engine.tables.update((name, table.clone())
                          for name, table in tables.items())
     cache, listener = engine.plan_cache, engine.commit_listener
-    for text, committed in statements:
+    for template, params, committed in statements:
         # Same content, LRU order and hit/miss counters as executing.
         if cache is not None:
-            cache.prepare(text)
+            cache.prepare(template, params)
         if listener is not None:
             listener(list(committed))
     engine.statements_executed += len(statements)

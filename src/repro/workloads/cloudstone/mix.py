@@ -8,6 +8,7 @@ operation, which is how the benchmark "controls the read/write ratio
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +18,22 @@ from .operations import (Operation, READ_OPERATIONS, WRITE_OPERATIONS)
 __all__ = ["OperationMix", "MIX_50_50", "MIX_80_20"]
 
 
+def _cdf(table) -> list[float]:
+    """Cumulative weights, normalised as ``rng.choice(n, p=...)`` does."""
+    weights = np.array([w for _op, w in table], dtype=float)
+    cdf = (weights / weights.sum()).cumsum()
+    return (cdf / cdf[-1]).tolist()
+
+
+_READ_CDF, _WRITE_CDF = _cdf(READ_OPERATIONS), _cdf(WRITE_OPERATIONS)
+
+
 @dataclass(frozen=True)
 class OperationMix:
-    """A read fraction plus weighted operation tables."""
+    """A read fraction over the weighted operation tables."""
 
     name: str
     read_fraction: float
-    reads: tuple[tuple[Operation, float], ...] = tuple(READ_OPERATIONS)
-    writes: tuple[tuple[Operation, float], ...] = tuple(WRITE_OPERATIONS)
 
     def __post_init__(self):
         if not 0.0 <= self.read_fraction <= 1.0:
@@ -36,13 +45,12 @@ class OperationMix:
         return 1.0 - self.read_fraction
 
     def pick(self, rng: np.random.Generator) -> Operation:
-        """Draw the next operation."""
-        table = self.reads if rng.random() < self.read_fraction \
-            else self.writes
-        weights = np.array([w for _op, w in table], dtype=float)
-        weights /= weights.sum()
-        index = int(rng.choice(len(table), p=weights))
-        return table[index][0]
+        """Draw the next operation — as ``rng.choice(n, p=...)`` does,
+        one uniform draw against the cdf (same stream, same index)."""
+        table, cdf = (READ_OPERATIONS, _READ_CDF) \
+            if rng.random() < self.read_fraction \
+            else (WRITE_OPERATIONS, _WRITE_CDF)
+        return table[bisect_right(cdf, rng.random())][0]
 
 
 #: The paper's two configurations.

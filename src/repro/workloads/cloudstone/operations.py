@@ -24,138 +24,150 @@ __all__ = ["Operation", "READ_OPERATIONS", "WRITE_OPERATIONS",
 
 @dataclass(frozen=True)
 class Operation:
-    """One user action: a named list of SQL statements."""
+    """One user action: a named list of ``(template, params)``."""
 
     name: str
     is_write: bool
-    build: Callable[[WorkloadState, np.random.Generator], list[str]]
+    build: Callable[[WorkloadState, np.random.Generator],
+                    list[tuple[str, tuple]]]
     on_complete: Callable[[WorkloadState], None] = lambda state: None
 
 
+# A statement is a ``?`` template plus a tuple of plain Python values, as
+# a JDBC client holds it.  Each template is byte for byte what
+# ``plancache.fingerprint`` makes of the literal text (``LIMIT n`` stays
+# inline), so the master's rendered binlog text finds the same plan.
+
 # ------------------------------------------------------------------ reads
-def _view_event_detail_statements(state, rng):
-    event = state.random_event(rng)
-    return [
-        f"SELECT * FROM events WHERE id = {event}",
-        f"SELECT u.username FROM attendees a JOIN users u "
-        f"ON u.id = a.user_id WHERE a.event_id = {event}",
-        f"SELECT * FROM comments WHERE event_id = {event} "
-        f"ORDER BY created DESC LIMIT 10",
-        f"SELECT t.name FROM event_tags et JOIN tags t "
-        f"ON t.id = et.tag_id WHERE et.event_id = {event}",
-        f"SELECT username, events_created FROM users WHERE id = {event}",
-    ]
+_EVENT_BY_ID = "SELECT * FROM events WHERE id = ?"
+_EVENT_ATTENDEES = ("SELECT u.username FROM attendees a JOIN users u "
+                    "ON u.id = a.user_id WHERE a.event_id = ?")
+_EVENT_COMMENTS = ("SELECT * FROM comments WHERE event_id = ? "
+                   "ORDER BY created DESC LIMIT 10")
+_EVENT_TAGS = ("SELECT t.name FROM event_tags et JOIN tags t "
+               "ON t.id = et.tag_id WHERE et.event_id = ?")
+_USER_SUMMARY = "SELECT username, events_created FROM users WHERE id = ?"
+_UPCOMING_EVENTS = ("SELECT id, title, event_date, attendee_count "
+                    "FROM events WHERE event_date BETWEEN ? AND ? "
+                    "ORDER BY event_date LIMIT 10")
+_ALL_TAGS = "SELECT * FROM tags ORDER BY id"
+_EVENTS_BY_TAG = ("SELECT e.id, e.title, e.event_date FROM event_tags et "
+                  "JOIN events e ON e.id = et.event_id "
+                  "WHERE et.tag_id = ? ORDER BY e.event_date LIMIT 10")
+_USER_BY_ID = "SELECT * FROM users WHERE id = ?"
+_EVENTS_OWNED = ("SELECT id, title, event_date FROM events WHERE owner = ? "
+                 "ORDER BY event_date DESC LIMIT 10")
+_EVENTS_ATTENDED = ("SELECT e.title FROM attendees a JOIN events e "
+                    "ON e.id = a.event_id WHERE a.user_id = ? LIMIT 10")
+_COUNT_EVENTS = ("SELECT COUNT(*) FROM events WHERE event_date "
+                 "BETWEEN ? AND ?")
+
+
+def _as_sent(value: float, places: int) -> float:
+    """``value`` as its ``places``-decimal SQL literal reads back."""
+    return float(f"{value:.{places}f}")
+
+
+def _view_event_detail(state, rng):
+    event = (state.random_event(rng),)
+    return [(_EVENT_BY_ID, event), (_EVENT_ATTENDEES, event),
+            (_EVENT_COMMENTS, event), (_EVENT_TAGS, event),
+            (_USER_SUMMARY, event)]
 
 
 def _browse_statements(state, rng):
     low, high = state.random_date_window(rng, fraction=0.15)
-    return [
-        f"SELECT id, title, event_date, attendee_count FROM events "
-        f"WHERE event_date BETWEEN {low:.1f} AND {high:.1f} "
-        f"ORDER BY event_date LIMIT 10",
-        "SELECT * FROM tags ORDER BY id",
-    ]
+    return [(_UPCOMING_EVENTS, (_as_sent(low, 1), _as_sent(high, 1))),
+            (_ALL_TAGS, ())]
 
 
 def _search_events_by_tag(state, rng):
-    tag = state.random_tag(rng)
-    return [
-        f"SELECT e.id, e.title, e.event_date FROM event_tags et "
-        f"JOIN events e ON e.id = et.event_id "
-        f"WHERE et.tag_id = {tag} ORDER BY e.event_date LIMIT 10",
-    ]
+    return [(_EVENTS_BY_TAG, (state.random_tag(rng),))]
 
 
 def _view_user_profile(state, rng):
-    user = state.random_user(rng)
-    return [
-        f"SELECT * FROM users WHERE id = {user}",
-        f"SELECT id, title, event_date FROM events WHERE owner = {user} "
-        f"ORDER BY event_date DESC LIMIT 10",
-        f"SELECT e.title FROM attendees a JOIN events e "
-        f"ON e.id = a.event_id WHERE a.user_id = {user} LIMIT 10",
-    ]
+    user = (state.random_user(rng),)
+    return [(_USER_BY_ID, user), (_EVENTS_OWNED, user),
+            (_EVENTS_ATTENDED, user)]
 
 
-def _count_events_in_window(state, rng):
+def _count_events(state, rng):
     low, high = state.random_date_window(rng, fraction=0.25)
-    return [
-        f"SELECT COUNT(*) FROM events WHERE event_date "
-        f"BETWEEN {low:.1f} AND {high:.1f}",
-    ]
+    return [(_COUNT_EVENTS, (_as_sent(low, 1), _as_sent(high, 1)))]
 
 
 # ----------------------------------------------------------------- writes
+INSERT_USER = ("INSERT INTO users (username, created, events_created) "
+               "VALUES (?, ?, ?)")
+INSERT_EVENT = ("INSERT INTO events (owner, title, description, created, "
+                "event_date, attendee_count) VALUES (?, ?, ?, ?, ?, ?)")
+INSERT_EVENT_TAG = "INSERT INTO event_tags (event_id, tag_id) VALUES (?, ?)"
+INSERT_ATTENDEE = "INSERT INTO attendees (event_id, user_id) VALUES (?, ?)"
+INSERT_COMMENT = ("INSERT INTO comments (event_id, user_id, body, created) "
+                  "VALUES (?, ?, ?, ?)")
+_OWNER_CHECK = "SELECT id, events_created FROM users WHERE id = ?"
+_INSERT_TWO_EVENT_TAGS = ("INSERT INTO event_tags (event_id, tag_id) "
+                          "VALUES (?, ?), (?, ?)")
+_BUMP_EVENTS_CREATED = ("UPDATE users SET events_created = "
+                        "events_created + ? WHERE id = ?")
+_EVENT_CHECK = "SELECT id, attendee_count FROM events WHERE id = ?"
+_BUMP_ATTENDEE_COUNT = ("UPDATE events SET attendee_count = "
+                        "attendee_count + ? WHERE id = ?")
+_EVENT_EXISTS = "SELECT id FROM events WHERE id = ?"
+_TAG_EXISTS = "SELECT id FROM tags WHERE id = ?"
+
+
 def _create_event(state, rng):
     owner = state.random_user(rng)
     date = state.random_event_date(rng)
     tag_a = state.random_tag(rng)
     tag_b = state.random_tag(rng)
+    # state.n_events + 1 approximates the insert's auto-increment id;
+    # under concurrent creates it may name a sibling's event, which is
+    # still a valid (and replication-deterministic) row.
+    new_event = state.n_events + 1
     return [
-        f"SELECT id, events_created FROM users WHERE id = {owner}",
-        f"INSERT INTO events (owner, title, description, created, "
-        f"event_date, attendee_count) VALUES ({owner}, 'New event', "
-        f"'A freshly created event', {state.now():.6f}, {date:.1f}, 0)",
-        # state.n_events + 1 approximates the insert's auto-increment
-        # id; under concurrent creates it may name a sibling's event,
-        # which is still a valid (and replication-deterministic) row.
-        f"INSERT INTO event_tags (event_id, tag_id) "
-        f"VALUES ({state.n_events + 1}, {tag_a}), "
-        f"({state.n_events + 1}, {tag_b})",
-        f"UPDATE users SET events_created = events_created + 1 "
-        f"WHERE id = {owner}",
+        (_OWNER_CHECK, (owner,)),
+        (INSERT_EVENT, (owner, "New event", "A freshly created event",
+                        _as_sent(state.now(), 6), _as_sent(date, 1), 0)),
+        (_INSERT_TWO_EVENT_TAGS, (new_event, tag_a, new_event, tag_b)),
+        (_BUMP_EVENTS_CREATED, (1, owner)),
     ]
 
 
 def _join_event(state, rng):
     user = state.random_user(rng)
     event = state.random_event(rng)
-    return [
-        f"SELECT id, attendee_count FROM events WHERE id = {event}",
-        f"INSERT INTO attendees (event_id, user_id) "
-        f"VALUES ({event}, {user})",
-        f"UPDATE events SET attendee_count = attendee_count + 1 "
-        f"WHERE id = {event}",
-    ]
+    return [(_EVENT_CHECK, (event,)), (INSERT_ATTENDEE, (event, user)),
+            (_BUMP_ATTENDEE_COUNT, (1, event))]
 
 
 def _add_comment(state, rng):
     user = state.random_user(rng)
     event = state.random_event(rng)
-    return [
-        f"SELECT id FROM events WHERE id = {event}",
-        f"INSERT INTO comments (event_id, user_id, body, created) VALUES "
-        f"({event}, {user}, 'What a great event this will be', "
-        f"{state.now():.6f})",
-    ]
+    return [(_EVENT_EXISTS, (event,)),
+            (INSERT_COMMENT, (event, user, "What a great event this will be",
+                              _as_sent(state.now(), 6)))]
 
 
 def _tag_event(state, rng):
     event = state.random_event(rng)
     tag = state.random_tag(rng)
-    return [
-        f"SELECT id FROM tags WHERE id = {tag}",
-        f"INSERT INTO event_tags (event_id, tag_id) "
-        f"VALUES ({event}, {tag})",
-    ]
+    return [(_TAG_EXISTS, (tag,)), (INSERT_EVENT_TAG, (event, tag))]
 
 
 def _create_user(state, rng):
     suffix = int(rng.integers(0, 10**9))
-    return [
-        f"INSERT INTO users (username, created, events_created) "
-        f"VALUES ('newuser{suffix:09d}', {state.now():.6f}, 0)",
-    ]
+    return [(INSERT_USER, (f"newuser{suffix:09d}",
+                           _as_sent(state.now(), 6), 0))]
 
 
 READ_OPERATIONS: list[tuple[Operation, float]] = [
-    (Operation("view_event_detail", False, _view_event_detail_statements),
-     0.35),
+    (Operation("view_event_detail", False, _view_event_detail), 0.35),
     (Operation("browse_upcoming_events", False, _browse_statements), 0.25),
     (Operation("search_events_by_tag", False, _search_events_by_tag), 0.20),
     (Operation("view_user_profile", False, _view_user_profile), 0.10),
-    (Operation("count_events_in_window", False, _count_events_in_window),
-     0.10),
+    (Operation("count_events_in_window", False, _count_events), 0.10),
 ]
 
 WRITE_OPERATIONS: list[tuple[Operation, float]] = [

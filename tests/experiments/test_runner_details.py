@@ -83,3 +83,29 @@ def test_result_saturated_resource_classification():
     assert ExperimentResult(**base, master_cpu=0.5, slave_cpus=[],
                             relative_delay_ms=None
                             ).max_slave_cpu == 0.0
+
+
+def test_fingerprint_regex_serves_only_slave_apply(monkeypatch):
+    """Clients, the loader and the heartbeat hand the plan cache
+    ``(template, params)``; the only SQL text left to strip literals
+    from is what statement-format replication ships to slaves."""
+    from repro.replication import ReplicationManager
+    from repro.sql import plancache
+    stripped, slaves = [], []
+    fingerprint, add_slave = plancache.fingerprint, \
+        ReplicationManager.add_slave
+
+    def counting(text):
+        stripped.append(text)
+        return fingerprint(text)
+
+    def spy(self, *args, **kwargs):
+        slaves.append(add_slave(self, *args, **kwargs))
+        return slaves[-1]
+
+    monkeypatch.setattr(plancache, "fingerprint", counting)
+    monkeypatch.setattr(ReplicationManager, "add_slave", spy)
+    _config, result = run_cell(think_time_mean=2.0)
+    assert result.throughput > 0
+    applied = sum(slave.events_applied for slave in slaves)
+    assert len(stripped) == applied > 100

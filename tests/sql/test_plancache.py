@@ -8,6 +8,18 @@ from repro.db.engine import StorageEngine
 from repro.perf.benches import statement_corpus
 from repro.sql import parse, render_statement
 from repro.sql.plancache import PlanCache, fingerprint
+from repro.sql.render import render_literal
+
+
+def literal_form(template, params):
+    """The statement as a client without prepared statements would
+    send it: every ``?`` replaced by its parameter's SQL literal."""
+    pieces = template.split("?")
+    assert len(pieces) == len(params) + 1
+    text = pieces[0]
+    for value, piece in zip(params, pieces[1:]):
+        text += render_literal(value) + piece
+    return text
 
 
 # -- fingerprinting ---------------------------------------------------------
@@ -129,6 +141,41 @@ def test_unparsable_template_is_poisoned_not_fatal():
     assert cache.misses == 2
 
 
+def test_client_template_is_adopted_by_its_literal_form():
+    # A client prepares (template, params); the master's rendered
+    # binlog text — the literal form — must land on the same plan
+    # object, so what is compiled on it is shared by master and slaves.
+    cache = PlanCache()
+    template = "INSERT INTO attendees (event_id, user_id) VALUES (?, ?)"
+    plan, params = cache.prepare(template, (3, 7))
+    assert (cache.hits, cache.misses) == (0, 1)
+    again, values = cache.prepare(literal_form(template, (4, 9)))
+    assert again is plan and list(values) == [4, 9]
+    assert (cache.hits, cache.misses) == (1, 1)
+    again, values = cache.prepare(literal_form(template, (5, 1)))
+    assert again is plan and list(values) == [5, 1]
+    assert (cache.hits, cache.misses) == (2, 1)
+    assert list(cache._exact) == [template]     # no literal text kept
+
+
+def test_adoption_does_not_weaken_the_template_proof():
+    # Same ``LIMIT 3, 5`` hazard as above, but a client has already
+    # prepared the template the regex will produce.  ``LIMIT 3, ?``
+    # cannot parse, so stand in a plan that does — one whose bound
+    # parameters render back differently from the literal text.
+    cache = PlanCache()
+    template = "SELECT id FROM users WHERE age > ? LIMIT 3, ?"
+    cache._exact[template] = parse(
+        "SELECT id FROM users WHERE age > ? LIMIT 3")
+    for age in (30, 99):
+        text = f"SELECT id FROM users WHERE age > {age} LIMIT 3, 5"
+        plan, params = cache.prepare(text)
+        assert not params
+        assert render_statement(plan) == render_statement(parse(text))
+    assert cache.hits == 0              # adopted, disproven, poisoned
+    assert cache.misses == 2
+
+
 def test_malformed_sql_raises_the_parsers_error():
     from repro.sql import ParseError
     cache = PlanCache()
@@ -140,26 +187,26 @@ def test_malformed_sql_raises_the_parsers_error():
 def test_cached_plans_render_identically_over_the_full_mix():
     corpus = statement_corpus(seed=0, n_operations=60)
     cache = PlanCache()
-    for text in corpus:                 # cold pass builds templates
-        plan, params = cache.prepare(text)
-        assert render_statement(plan, params) == \
-            render_statement(parse(text))
-    for text in corpus:                 # warm pass must agree too
-        plan, params = cache.prepare(text)
-        assert render_statement(plan, params) == \
-            render_statement(parse(text))
+    for _round in ("cold", "warm"):     # first sightings, then hits
+        for template, params in corpus:
+            fresh = render_statement(parse(literal_form(template, params)))
+            plan, bound = cache.prepare(template, params)
+            assert render_statement(plan, bound) == fresh
+            # ... and the text a slave applies lands on the same plan.
+            applied, bound = cache.prepare(fresh)
+            assert render_statement(applied, bound) == fresh
 
 
 def test_warm_hit_rate_exceeds_ninety_percent():
     corpus = statement_corpus(seed=0, n_operations=60)
     cache = PlanCache()
-    for text in corpus:
-        cache.prepare(text)
+    for text, params in corpus:
+        cache.prepare(text, params)
     warm_floor = cache.hits
-    for text in corpus:
-        cache.prepare(text)
+    for text, params in corpus:
+        cache.prepare(text, params)
     assert cache.hits - warm_floor == len(corpus)  # fully warm
-    assert cache.hit_rate > 0.9
+    assert cache.hits / (cache.hits + cache.misses) > 0.9
 
 
 def test_cached_engine_execution_equals_uncached():
@@ -187,15 +234,16 @@ def _check_cached_engine_execution_equals_uncached(seed):
     load_initial_data(_Shim(cached), 40, RandomStreams(seed).stream("x"))
     plans = []
     for _round in ("cold", "warm"):
-        for text in corpus:
-            a = plain.execute(text, database="cloudstone")
-            b = cached.execute(text, database="cloudstone")
+        for template, params in corpus:
+            a = plain.execute(literal_form(template, params),
+                              database="cloudstone")
+            b = cached.execute(template, params, database="cloudstone")
             assert a.result == b.result
             assert a.profile == b.profile
             assert a.committed == b.committed
         # One plan per template, built once and kept.
         plans.append([getattr(template, "plan", None) for template
-                      in cached.plan_cache._templates.values()])
+                      in cached.plan_cache._exact.values()])
     assert sum(plan is not None for plan in plans[0]) > 10
     assert all(a is b for a, b in zip(*plans, strict=True))
     assert cached.plan_cache.hits > 0

@@ -84,8 +84,8 @@ def test_install_equals_executing_the_statements(binlog_format):
     _, installed = load(150, 4, binlog_format)
     (_tables, statements, rng_state), = loader._IMAGES.values()
     reference = make_master(binlog_format)
-    for text, _committed in statements:
-        reference.admin(text, database=CLOUDSTONE_DATABASE)
+    for template, params, _committed in statements:
+        reference.admin(template, params, database=CLOUDSTONE_DATABASE)
     rng = RandomStreams(4).stream("loader")
     rng.bit_generator.state = rng_state
     state = loader.WorkloadState(150, 150, loader.TAG_COUNT)
@@ -100,6 +100,16 @@ def test_install_equals_executing_the_statements(binlog_format):
             assert twin.indexes[index_name]._buckets == index._buckets
             assert twin.indexes[index_name].keys_in_order() \
                 == index.keys_in_order()
+
+
+def test_no_install_strips_a_literal(monkeypatch):
+    # The image records (template, params): neither building it nor
+    # replaying it onto a master's plan cache runs the fingerprint regex.
+    from repro.sql import plancache
+    monkeypatch.setattr(plancache, "fingerprint", None)
+    _, built = load(150, 0, "statement")
+    _, cached = load(150, 0, "statement")
+    assert cached == built and built["plan_cache"][0] > 1000
 
 
 def test_mutating_one_master_never_shows_in_the_next_install():
