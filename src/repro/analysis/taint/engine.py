@@ -529,6 +529,12 @@ def _param_index(tag: Tag) -> Optional[int]:
     return None
 
 
+#: The statement kinds a function summary is folded over.
+_SUMMARIZED = (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For,
+               ast.AsyncFor, ast.Return, ast.Call, ast.With,
+               ast.AsyncWith)
+
+
 class TaintSummaries:
     """Flow-insensitive per-function taint summaries, iterated to a
     fixpoint over the project call graph.
@@ -549,6 +555,13 @@ class TaintSummaries:
                            for path, module in model.modules.items()}
         self.by_key: dict = {key: FunctionTaint()
                              for key in model.functions}
+        #: function key -> the statements _summarize reads, in source
+        #: order: walked and sorted once, not on every fixpoint round
+        self._statements: dict = {
+            key: sorted((node for node in own_nodes(info.node)
+                         if isinstance(node, _SUMMARIZED)),
+                        key=lambda n: (n.lineno, n.col_offset))
+            for key, info in model.functions.items()}
         self._solve()
 
     def resolver_for(self, path: str) -> Optional[ImportResolver]:
@@ -592,17 +605,10 @@ class TaintSummaries:
         param_sinks: dict = {
             i: set(hits)
             for i, hits in self.by_key[info.key].param_sinks.items()}
-        statements = sorted(
-            (node for node in own_nodes(info.node)
-             if isinstance(node, (ast.Assign, ast.AnnAssign,
-                                  ast.AugAssign, ast.For, ast.AsyncFor,
-                                  ast.Return, ast.Call, ast.With,
-                                  ast.AsyncWith))),
-            key=lambda n: (n.lineno, n.col_offset))
         # Two source-order passes handle use-before-def in loops; the
         # outer project fixpoint supplies cross-call convergence.
         for _pass in range(2):
-            for stmt in statements:
+            for stmt in self._statements[info.key]:
                 self._summarize_stmt(stmt, env, ctx, info, returns,
                                      passthrough, param_sinks)
         return FunctionTaint(

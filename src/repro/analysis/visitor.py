@@ -132,17 +132,23 @@ def iter_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
             yield node
 
 
-def own_nodes(function: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's body without descending into nested function
-    or class definitions (their yields/calls belong to *them*)."""
-    stack = list(ast.iter_child_nodes(function))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
+def own_nodes(function: ast.AST) -> tuple[ast.AST, ...]:
+    """A function's body nodes, not descending into nested function
+    or class definitions (their yields/calls belong to *them*).
+    Walked once and parked on the node — some twenty passes ask — so
+    it lives as long as the parsed tree, which no rule mutates."""
+    nodes = getattr(function, "_own_nodes", None)
+    if nodes is None:
+        found = []
+        stack = list(ast.iter_child_nodes(function))
+        while stack:
+            node = stack.pop()
+            found.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                                     ast.AsyncFunctionDef, ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(node))
+        nodes = function._own_nodes = tuple(found)
+    return nodes
 
 
 def is_generator(function: ast.AST) -> bool:

@@ -231,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     watch.set_defaults(handler=_run_watch)
 
     bench = sub.add_parser(
-        "bench", help="repro's perf trajectory: run the deterministic "
-                      "benchmark suite (kernel / sql / db / "
-                      "replication / e2e), write BENCH json, compare "
-                      "against a committed baseline")
+        "bench", help="run the deterministic layer benches (kernel "
+                      "events / raw SQL parse / live-stream "
+                      "operators), write BENCH json, compare against "
+                      "a committed baseline")
     bench.add_argument("--bench", action="append", default=None,
                        metavar="NAME",
                        help="run only this benchmark or family "
@@ -260,14 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PCT",
                        help="allowed median slowdown before "
                             "--compare fails (percent, default 10)")
-    bench.add_argument("--profile", action="store_true",
-                       help="attach the wall-clock profiler and print "
-                            "the per-subsystem attribution table "
-                            "(timings are then not comparable to "
-                            "unprofiled baselines)")
-    bench.add_argument("--profile-out", default=None, metavar="FILE",
-                       help="also write the collapsed-stack "
-                            "flamegraph file (implies --profile)")
     bench.add_argument("--format", choices=("text", "json"),
                        default="text",
                        help="json prints the BENCH document (plus "
@@ -413,8 +405,9 @@ def _wall_profile_run(enabled: bool):
     return profiler
 
 
-def _finish_wall_profile(profiler, out_dir, paths) -> None:
-    """Stop the profiler; stderr table + artifacts under ``out_dir``.
+def _finish_wall_profile(profiler, out_dir) -> dict:
+    """Stop the profiler; stderr table + artifacts under ``out_dir``
+    (returned as ``{artifact name: path}``).
 
     Wall timings are machine-dependent, so everything lands on stderr
     / in side files — stdout stays byte-identical per seed.
@@ -424,18 +417,17 @@ def _finish_wall_profile(profiler, out_dir, paths) -> None:
 
     from .perf import render_wallprof
     profiler.stop()
-    print(render_wallprof(profiler), file=sys.stderr)
+    table = render_wallprof(profiler)
+    print(table, file=sys.stderr)
+    paths = {}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        table_path = os.path.join(out_dir, "wallprof.txt")
-        with open(table_path, "w", encoding="utf-8") as handle:
-            handle.write(render_wallprof(profiler) + "\n")
-        collapsed_path = os.path.join(out_dir, "wallprof.collapsed")
-        with open(collapsed_path, "w", encoding="utf-8") as handle:
-            handle.write(profiler.collapsed() + "\n")
-        if paths is not None:
-            paths["wallprof.txt"] = table_path
-            paths["wallprof.collapsed"] = collapsed_path
+        for name, text in (("wallprof.txt", table),
+                           ("wallprof.collapsed", profiler.collapsed())):
+            paths[name] = os.path.join(out_dir, name)
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+    return paths
 
 
 def _run_trace(args):
@@ -457,7 +449,7 @@ def _run_trace(args):
                             sanitizer=sanitizer)
     paths = observe.write_artifacts(args.out)
     if wallprof is not None:
-        _finish_wall_profile(wallprof, args.out, paths)
+        paths.update(_finish_wall_profile(wallprof, args.out))
     if args.format == "json":
         document = {
             "cell": {"location": args.location.value,
@@ -554,7 +546,7 @@ def _run_chaos(args):
     wallprof = _wall_profile_run(args.wall_profile)
     result = run_drill(config, observe=observe, sanitizer=sanitizer)
     if wallprof is not None:
-        _finish_wall_profile(wallprof, args.out, None)
+        _finish_wall_profile(wallprof, args.out)
     if args.out:
         paths = observe.write_artifacts(args.out)
         import os
@@ -672,12 +664,11 @@ def _run_watch(args):
 
 def _run_bench(args):
     import json
-    import sys
 
     from .perf import (bench_document, compare_documents,
                        load_bench_file, registry, render_compare_json,
                        render_compare_text, render_suite_text,
-                       render_wallprof, run_suite, write_bench_file)
+                       run_suite, write_bench_file)
     if args.list:
         lines = [f"{spec.name:<16s} [{spec.subsystem:<11s}] "
                  f"{spec.description}"
@@ -690,16 +681,11 @@ def _run_bench(args):
     if args.repeats < 1 or args.warmup < 0:
         return ("repro bench: error: --repeats must be >= 1 and "
                 "--warmup >= 0", 2)
-    profile = bool(args.profile or args.profile_out)
     suite = run_suite(specs, seed=args.seed, scale=args.scale,
-                      repeats=args.repeats, warmup=args.warmup,
-                      profile=profile)
+                      repeats=args.repeats, warmup=args.warmup)
     document = bench_document(suite)
     if args.out:
         write_bench_file(args.out, document)
-    if args.profile_out:
-        with open(args.profile_out, "w", encoding="utf-8") as handle:
-            handle.write(suite.profiler.collapsed() + "\n")
     report = None
     if args.compare:
         try:
@@ -717,27 +703,15 @@ def _run_bench(args):
         if report is not None:
             payload["compare"] = json.loads(
                 render_compare_json(report))
-        if profile:
-            payload["wallProfile"] = suite.profiler.snapshot()
         return (json.dumps(payload, sort_keys=True,
                            separators=(",", ":")), code)
     sections = [render_suite_text(suite)]
-    if profile:
-        sections.append("")
-        sections.append(render_wallprof(suite.profiler))
     if args.out:
         sections.append("")
         sections.append(f"wrote {args.out}")
-    if args.profile_out:
-        sections.append(f"wrote {args.profile_out}")
     if report is not None:
         sections.append("")
         sections.append(render_compare_text(report))
-    if profile and suite.profiler.attributed_share() < 0.95:
-        print(f"repro bench: warning: only "
-              f"{suite.profiler.attributed_share():.1%} of profiled "
-              f"wall time attributed to named subsystems",
-              file=sys.stderr)
     return "\n".join(sections), code
 
 

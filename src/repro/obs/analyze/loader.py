@@ -110,17 +110,11 @@ def load_artifacts(directory: str) -> TraceData:
 def from_session(observe) -> TraceData:
     """Build the same bundle from a live (attached) Observability."""
     from ..export import sorted_spans, span_record
-    if observe.tracer is None:
-        raise AnalysisError("the session has no tracer — analysis "
-                            "needs spans (Observability(trace=True))")
-    spans = [span_record(span)
-             for span in sorted_spans(observe.tracer)]
-    metrics = observe.metrics.snapshot() if observe.metrics is not None \
-        else []
-    profile = observe.profiler.snapshot() \
-        if observe.profiler is not None else None
-    return TraceData(spans=spans, metrics=metrics, meta=observe.meta(),
-                     profile=profile)
+    meta = observe.meta()   # raises when the session never ran
+    return TraceData(
+        spans=[span_record(s) for s in sorted_spans(observe.tracer)],
+        metrics=observe.metrics.snapshot(), meta=meta,
+        profile=observe.profiler.snapshot())
 
 
 def health_errors(meta: dict) -> list[str]:

@@ -30,12 +30,7 @@ __all__ = ["Observability"]
 class Observability:
     """Configuration + live handles for one observed run."""
 
-    def __init__(self, trace: bool = True, metrics: bool = True,
-                 profile: bool = True,
-                 monitor_period: Optional[float] = 5.0):
-        self._want_trace = trace
-        self._want_metrics = metrics
-        self._want_profile = profile
+    def __init__(self, monitor_period: Optional[float] = 5.0):
         #: Period of the ClusterMonitor the runner starts for observed
         #: runs (None: no monitor, gauges stay empty).
         self.monitor_period = monitor_period
@@ -44,56 +39,43 @@ class Observability:
         self.profiler: Optional[KernelProfiler] = None
         self._sim = None
 
-    @property
-    def attached(self) -> bool:
-        return self._sim is not None
-
     def attach(self, sim) -> "Observability":
-        """Wire the requested recorders into ``sim`` (once)."""
+        """Wire the three recorders into ``sim`` (once)."""
         if self._sim is not None:
             raise RuntimeError("Observability is already attached — "
                                "use one bundle per run")
         self._sim = sim
-        if self._want_trace:
-            self.tracer = Tracer(sim)
-            sim.tracer = self.tracer
-        if self._want_metrics:
-            self.metrics = MetricsRegistry(now_fn=lambda: sim.now)
-            sim.metrics = self.metrics
-        if self._want_profile:
-            self.profiler = KernelProfiler()
-            sim.profiler = self.profiler
+        self.tracer = sim.tracer = Tracer(sim)
+        self.metrics = sim.metrics = MetricsRegistry(
+            now_fn=lambda: sim.now)
+        self.profiler = sim.profiler = KernelProfiler()
         return self
+
+    def _attached_sim(self):
+        if self._sim is None:
+            raise RuntimeError("Observability was never attached to a "
+                               "run — pass it to run_experiment")
+        return self._sim
 
     def finalize(self) -> None:
         """Freeze the trace (drop any teardown-time span ends)."""
-        if self.tracer is not None:
-            self.tracer.close()
-
-    @property
-    def final_sim_time(self) -> Optional[float]:
-        """``sim.now`` of the attached run (None before attach)."""
-        return self._sim.now if self._sim is not None else None
+        self._attached_sim()
+        self.tracer.close()
 
     def meta(self) -> dict:
         """The trace-health rider (dropped spans, profiler residue)."""
-        if self.tracer is None:
-            raise RuntimeError("tracing was not enabled")
         return trace_meta(self.tracer, profiler=self.profiler,
-                          final_sim_time=self.final_sim_time)
+                          final_sim_time=self._attached_sim().now)
 
     # -- artifacts -----------------------------------------------------------
     def render_profile(self) -> str:
-        if self.profiler is None:
-            raise RuntimeError("profiling was not enabled")
+        self._attached_sim()
         return render_profile(self.profiler)
 
     def write_artifacts(self, directory: str) -> dict[str, str]:
-        """Write every enabled artifact under ``directory``; returns
+        """Write the four artifacts under ``directory``; returns
         ``{artifact name: path}``."""
-        if not self.attached:
-            raise RuntimeError("Observability was never attached to a "
-                               "run — pass it to run_experiment")
+        final_sim_time = self._attached_sim().now
         os.makedirs(directory, exist_ok=True)
         paths: dict[str, str] = {}
 
@@ -103,15 +85,10 @@ class Observability:
                 handle.write(text)
             paths[name] = path
 
-        if self.tracer is not None:
-            write("trace.json", chrome_trace(
-                self.tracer, profiler=self.profiler,
-                metrics=self.metrics,
-                final_sim_time=self.final_sim_time))
-            write("spans.jsonl", spans_jsonl(self.tracer,
-                                             meta=self.meta()))
-        if self.metrics is not None:
-            write("metrics.jsonl", metrics_jsonl(self.metrics))
-        if self.profiler is not None:
-            write("profile.txt", render_profile(self.profiler) + "\n")
+        write("trace.json", chrome_trace(
+            self.tracer, profiler=self.profiler, metrics=self.metrics,
+            final_sim_time=final_sim_time))
+        write("spans.jsonl", spans_jsonl(self.tracer, meta=self.meta()))
+        write("metrics.jsonl", metrics_jsonl(self.metrics))
+        write("profile.txt", render_profile(self.profiler) + "\n")
         return paths

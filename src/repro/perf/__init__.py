@@ -1,22 +1,22 @@
-"""The performance-trajectory plane: ``python -m repro bench``.
+"""The layer-bench plane: ``python -m repro bench``.
 
-The paper's results are throughput curves; this package is the repo's
-wall-clock counterpart to the sim-time :class:`~repro.obs.KernelProfiler`:
+The number to quote for speed is ``python bench/run.py`` — the five
+paper artifacts, end to end and per layer (``bench/README.md``).  This
+package times only what no artifact workload reaches, and holds the
+wall-clock profiler a real run is profiled with:
 
-* :mod:`registry`/:mod:`benches` — a suite of named, seed-deterministic
-  micro/macro benchmarks (kernel event loop, Cloudstone query mix on
-  the storage engine, binlog encode/ship/apply, SQL parse, one quick
-  end-to-end cell).  Workload-shape counters are byte-stable per seed,
-  so two BENCH files from the same seed differ only in timings.
+* :mod:`registry`/:mod:`benches` — three named, seed-deterministic
+  layer benches (``kernel.events``, ``sql.parse_cold``,
+  ``obs.stream``) whose workload-shape counters are byte-stable per
+  seed, so two BENCH files from one seed differ only in timings.
 * :mod:`harness` — warmup + N repeats per bench, min/median/CoV stats,
-  the canonical ``BENCH_<date>.json`` document (schema version, host
-  fingerprint, per-bench stats + counters).
-* :mod:`wallprof` — a ``sys.setprofile``-based :class:`WallProfiler`
-  that attributes wall time to repro subsystems (``sim``, ``db``,
-  ``replication``, …) and emits a collapsed-stack flamegraph file.
+  the canonical ``BENCH_<date>.json`` document.
 * :mod:`compare` — ``repro bench --compare OLD.json``: per-bench delta
-  table, exit 1 on regression; the repo commits one BENCH file per
+  table, exit 1 on regression; one BENCH file is committed per
   perf-relevant PR so every change shows a trajectory.
+* :mod:`wallprof` — the ``sys.setprofile`` :class:`WallProfiler`
+  behind ``repro trace|chaos --wall-profile``: wall time per repro
+  layer plus a collapsed-stack flamegraph file.
 """
 
 from .compare import (CompareReport, compare_documents,

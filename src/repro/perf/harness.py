@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .registry import SCALES, BenchSpec
-from .wallprof import WallProfiler
 
 __all__ = ["BenchStats", "BenchResult", "SuiteResult", "run_bench",
            "run_suite", "bench_document", "stable_view",
@@ -89,12 +88,10 @@ class SuiteResult:
     repeats: int
     warmup: int
     results: list[BenchResult] = field(default_factory=list)
-    profiler: Optional[WallProfiler] = None
 
 
 def run_bench(spec: BenchSpec, seed: int, scale: str, repeats: int,
-              warmup: int,
-              profiler: Optional[WallProfiler] = None) -> BenchResult:
+              warmup: int) -> BenchResult:
     """Warmup + ``repeats`` timed runs of one bench.
 
     ``prepare()`` rebuilds per-repeat state *outside* the timed
@@ -113,13 +110,9 @@ def run_bench(spec: BenchSpec, seed: int, scale: str, repeats: int,
     counters: Optional[dict] = None
     for repeat in range(repeats):
         run = case.prepare()
-        if profiler is not None:
-            profiler.start()
         started = time.perf_counter()  # simlint: disable=DET001  # simtaint: blessed=benchmark-harness-wall-time
         observed = run()
         elapsed = time.perf_counter() - started  # simlint: disable=DET001  # simtaint: blessed=benchmark-harness-wall-time
-        if profiler is not None:
-            profiler.stop()
         samples.append(elapsed)
         if counters is None:
             counters = observed
@@ -134,17 +127,13 @@ def run_bench(spec: BenchSpec, seed: int, scale: str, repeats: int,
 
 
 def run_suite(specs: list[BenchSpec], seed: int = 0,
-              scale: str = "quick", repeats: int = 5, warmup: int = 1,
-              profile: bool = False) -> SuiteResult:
-    """Run ``specs`` in name order; one shared profiler when asked."""
-    profiler = WallProfiler() if profile else None
-    suite = SuiteResult(seed=seed, scale=scale, repeats=repeats,
-                        warmup=warmup, profiler=profiler)
-    for spec in sorted(specs, key=lambda s: s.name):
-        suite.results.append(
-            run_bench(spec, seed, scale, repeats, warmup,
-                      profiler=profiler))
-    return suite
+              scale: str = "quick", repeats: int = 5,
+              warmup: int = 1) -> SuiteResult:
+    """Run ``specs`` in name order."""
+    return SuiteResult(
+        seed=seed, scale=scale, repeats=repeats, warmup=warmup,
+        results=[run_bench(spec, seed, scale, repeats, warmup)
+                 for spec in sorted(specs, key=lambda s: s.name)])
 
 
 # ----------------------------------------------------- BENCH document

@@ -3,14 +3,16 @@
 The sim-time :class:`~repro.obs.kernelprof.KernelProfiler` says where
 *simulated* time went; :class:`WallProfiler` is its wall-clock
 complement: a ``sys.setprofile`` hook that charges every interval of
-real time to the function on top of the Python stack, maps each
-function onto a repro subsystem (``sim``, ``db``, ``replication``,
-``sql``, ``obs``, ``workloads``, …) by its source path, and reports
+real time to the nearest frame on the stack that lives under
+``repro/`` — its layer (``sim``, ``db``, ``replication``, ``sql``,
+``obs``, …) by source path, so the C calls, stdlib and numpy frames a
+layer runs are that layer's time — and reports
 
-* a per-subsystem exclusive wall-time table (the buckets sum exactly
-  to the profiled wall time, so shares telescope to 100 %), and
-* a collapsed-stack file (``a;b;c <microseconds>`` per line) loadable
-  by any flamegraph renderer (e.g. speedscope, flamegraph.pl).
+* a per-layer wall-time table (buckets sum exactly to the profiled
+  wall time; only time with no repro frame beneath it is ``other``);
+* a collapsed-stack file (``a;b;c <microseconds>`` per line, full
+  stacks, callees outside repro included) loadable by any flamegraph
+  renderer (e.g. speedscope, flamegraph.pl).
 
 The profiler is wall-clock *measurement* infrastructure, never an
 input to simulation logic, so its clock reads are blessed for the
@@ -21,47 +23,31 @@ from __future__ import annotations
 
 import os
 import sys
-import sysconfig
 import time
 from typing import Optional
 
 __all__ = ["WallProfiler", "render_wallprof"]
 
-#: Subsystems that count as "named" for the attribution share; the
-#: catch-all bucket is ``other``.
+#: The bucket for time with no repro frame beneath it (the harness
+#: that started the profiler); every other bucket is a repro layer.
 _OTHER = "other"
 
-_STDLIB_DIR = sysconfig.get_paths().get("stdlib") or ""
 _REPRO_MARKER = os.sep + os.path.join("repro", "")
 
 
 def _subsystem_of(filename: str) -> str:
-    """Map a source path onto an attribution bucket."""
-    if not filename or filename.startswith("<"):
-        # <string>, <frozen importlib...>, builtins.
-        return "stdlib"
-    if "site-packages" in filename or "dist-packages" in filename:
-        for marker in ("site-packages", "dist-packages"):
-            index = filename.find(marker)
-            if index >= 0:
-                rest = filename[index + len(marker) + 1:]
-                return rest.split(os.sep, 1)[0].split(".", 1)[0] \
-                    or _OTHER
+    """The repro layer a source path belongs to; ``other`` for code
+    outside ``repro/`` (stdlib, site-packages, ``<string>``)."""
     index = filename.rfind(_REPRO_MARKER)
-    if index >= 0:
-        rest = filename[index + len(_REPRO_MARKER):]
-        head = rest.split(os.sep, 1)
-        if len(head) == 1:
-            # Top-level modules: cli.py, metrics.py, __main__.py.
-            return "cli"
-        return head[0]
-    if _STDLIB_DIR and filename.startswith(_STDLIB_DIR):
-        return "stdlib"
-    return _OTHER
+    if index < 0:
+        return _OTHER
+    head = filename[index + len(_REPRO_MARKER):].split(os.sep, 1)
+    # Top-level modules: cli.py, metrics.py, __main__.py.
+    return "cli" if len(head) == 1 else head[0]
 
 
 class WallProfiler:
-    """Exclusive wall-time per subsystem + collapsed call stacks.
+    """Wall time per repro layer + collapsed call stacks.
 
     Use as a context manager around the code to profile::
 
@@ -81,7 +67,9 @@ class WallProfiler:
         self._buckets: dict[str, list] = {}
         #: tuple(label, ...) -> exclusive seconds
         self._stacks: dict[tuple, float] = {}
-        #: live stack of (label, subsystem)
+        #: live stack of (label, owner): the owner is the layer of the
+        #: nearest repro frame at or beneath this one, carried down as
+        #: frames are pushed
         self._stack: list[tuple[str, str]] = []
         self._label_cache: dict[str, tuple[str, str]] = {}
         self._last: Optional[float] = None
@@ -115,15 +103,13 @@ class WallProfiler:
 
     # -- the hook ----------------------------------------------------------
     def _charge(self, now: float) -> None:
-        """Charge the interval since the last event to the stack top."""
+        """Charge the interval since the last event to the owner of
+        the stack top."""
         elapsed = now - self._last
         self._last = now
         if elapsed <= 0.0:
             return
-        if self._stack:
-            label, subsystem = self._stack[-1]
-        else:
-            label, subsystem = "<harness>", "perf"
+        subsystem = self._stack[-1][1] if self._stack else _OTHER
         entry = self._buckets.get(subsystem)
         if entry is None:
             self._buckets[subsystem] = [elapsed, 1]
@@ -134,6 +120,12 @@ class WallProfiler:
                     for frame in self._stack[-self.MAX_STACK:]) \
             or ("<harness>",)
         self._stacks[key] = self._stacks.get(key, 0.0) + elapsed
+
+    def _push(self, label: str, subsystem: str = _OTHER) -> None:
+        """Push a frame; one outside repro inherits its caller's owner."""
+        if subsystem == _OTHER and self._stack:
+            subsystem = self._stack[-1][1]
+        self._stack.append((label, subsystem))
 
     def _label_python(self, code) -> tuple[str, str]:
         filename = code.co_filename
@@ -150,18 +142,15 @@ class WallProfiler:
         now = self._clock()  # simlint: disable=DET001  # simtaint: blessed=wall-clock-profiler-measurement
         self._charge(now)
         if event == "call":
-            self._stack.append(self._label_python(frame.f_code))
+            self._push(*self._label_python(frame.f_code))
         elif event == "return":
             if self._stack:
                 self._stack.pop()
         elif event == "c_call":
             module = getattr(arg, "__module__", None) or "builtins"
-            subsystem = module.split(".", 1)[0]
-            if subsystem not in ("builtins", "numpy"):
-                subsystem = "stdlib"
             name = getattr(arg, "__qualname__", None) \
                 or getattr(arg, "__name__", "<c>")
-            self._stack.append((f"{subsystem}:{name}", subsystem))
+            self._push(f"{module.split('.', 1)[0]}:{name}")
         elif event in ("c_return", "c_exception"):
             if self._stack:
                 self._stack.pop()
@@ -170,7 +159,7 @@ class WallProfiler:
 
     # -- results -----------------------------------------------------------
     def rows(self) -> list[dict]:
-        """Per-subsystem exclusive wall time, largest first."""
+        """Per-layer wall time, largest first."""
         total = self.wall_time or 1.0
         return [
             {"subsystem": subsystem, "wall_s": entry[0],
@@ -180,8 +169,8 @@ class WallProfiler:
                 key=lambda kv: (-kv[1][0], kv[0]))]
 
     def attributed_share(self) -> float:
-        """Fraction of profiled wall time in *named* subsystems
-        (everything except the ``other`` catch-all)."""
+        """Fraction of profiled wall time owned by a repro layer
+        (everything except the ``other`` row)."""
         if not self.wall_time:
             return 1.0
         unnamed = self._buckets.get(_OTHER, [0.0])[0]
@@ -203,20 +192,18 @@ class WallProfiler:
         return "\n".join(lines)
 
 
-def render_wallprof(profiler: WallProfiler,
-                    max_rows: int = 20) -> str:
-    """The per-subsystem wall-time attribution table."""
+def render_wallprof(profiler: WallProfiler) -> str:
+    """The per-layer wall-time attribution table (one row per repro
+    subpackage that ran, plus ``other``)."""
     rows = profiler.rows()
     lines = [
-        "wall-clock profile (exclusive time per repro subsystem)",
+        "wall-clock profile (wall time per repro layer)",
         f"{'subsystem':<16s} {'events':>10s} {'wall-s':>10s} "
         f"{'share':>7s}",
     ]
-    for row in rows[:max_rows]:
+    for row in rows:
         lines.append(f"{row['subsystem']:<16s} {row['events']:>10d} "
                      f"{row['wall_s']:>10.4f} {row['share']:>6.1%}")
-    if len(rows) > max_rows:
-        lines.append(f"... {len(rows) - max_rows} more row(s)")
     lines.append(f"{'total':<16s} {'':>10s} "
                  f"{profiler.wall_time:>10.4f} "
                  f"{profiler.attributed_share():>6.1%} attributed")

@@ -167,17 +167,18 @@ def test_write_artifacts(tmp_path):
 
 def test_observability_attaches_once():
     observe = Observability()
+    for unattached in (observe.meta, observe.render_profile,
+                       observe.finalize):
+        with pytest.raises(RuntimeError, match="never attached"):
+            unattached()
     run_experiment(tiny_config(), observe=observe)
     with pytest.raises(RuntimeError):
         run_experiment(tiny_config(), observe=observe)
 
 
 def test_partial_observability():
-    observe = Observability(trace=False, profile=False,
-                            monitor_period=None)
+    observe = Observability(monitor_period=None)
     run_experiment(tiny_config(), observe=observe)
-    assert observe.tracer is None
-    assert observe.profiler is None
     assert observe.metrics is not None
     names = [entry["name"] for entry in observe.metrics.snapshot()]
     assert "pool.borrows" in names

@@ -8,13 +8,12 @@ from repro.perf.harness import run_bench
 from repro.perf.registry import (SCALES, all_benchmarks, get_benchmark,
                                  register, resolve)
 
-EXPECTED = {"kernel.events", "sql.parse", "db.query_mix",
-            "repl.binlog", "e2e.cell"}
+EXPECTED = {"kernel.events", "obs.stream", "sql.parse_cold"}
 
 
 def test_builtin_suite_is_registered():
     names = {spec.name for spec in all_benchmarks()}
-    assert EXPECTED <= names
+    assert EXPECTED == names
     assert [spec.name for spec in all_benchmarks()] \
         == sorted(spec.name for spec in all_benchmarks())
 
@@ -29,22 +28,23 @@ def test_get_unknown_benchmark_lists_known():
 
 
 def test_resolve_exact_family_and_unknown():
-    assert [s.name for s in resolve(["sql.parse"])] == ["sql.parse"]
+    assert [s.name for s in resolve(["sql.parse_cold"])] \
+        == ["sql.parse_cold"]
     family = [s.name for s in resolve(["kernel"])]
     assert family == ["kernel.events"]
-    merged = {s.name for s in resolve(["sql.parse", "kernel"])}
-    assert merged == {"sql.parse", "kernel.events"}
+    merged = {s.name for s in resolve(["sql.parse_cold", "kernel"])}
+    assert merged == {"sql.parse_cold", "kernel.events"}
     assert resolve(None) == all_benchmarks()
     with pytest.raises(KeyError, match="unknown benchmark"):
-        resolve(["sql.parse", "bogus"])
+        resolve(["sql.parse_cold", "bogus"])
 
 
 def test_duplicate_registration_rejected():
     with pytest.raises(ValueError, match="already registered"):
-        register("sql.parse", "sql", "statements", "dup")(object)
+        register("sql.parse_cold", "sql", "statements", "dup")(object)
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED - {"e2e.cell"}))
+@pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_each_micro_bench_is_repeat_deterministic(name):
     """Two repeats at quick scale must agree on every counter (the
     harness raises otherwise) and two seeds must not."""
@@ -59,17 +59,9 @@ def test_each_micro_bench_is_repeat_deterministic(name):
     assert other.counters != result.counters
 
 
-def test_e2e_cell_runs_and_counts_operations():
-    result = run_bench(get_benchmark("e2e.cell"), seed=0,
-                       scale="quick", repeats=1, warmup=0)
-    assert result.unit == "operations"
-    assert result.counters["operations"] > 0
-    assert result.counters["slaves"] == 1
-
-
 def test_resolve_family_prefix_with_trailing_dot():
     # The docs show "--bench sql." — both spellings must work.
     dotted = {spec.name for spec in resolve(["sql."])}
     bare = {spec.name for spec in resolve(["sql"])}
     assert dotted == bare
-    assert {"sql.parse", "sql.parse_cold"} <= dotted
+    assert dotted == {"sql.parse_cold"}
