@@ -1,30 +1,25 @@
 """simlint — static analysis for the reproduction's own invariants.
 
-The reproduction's results are only trustworthy if three properties
+The reproduction's results are only trustworthy if these properties
 hold everywhere in ``src/repro/``:
 
-* **Determinism** (DET rules): every stochastic draw flows through
-  :class:`repro.sim.rng.RandomStreams`; nothing reads wall-clock time
-  or iterates containers in memory-address order.
-* **Sim-safety** (SIM rules): simulation processes — generators that
-  yield kernel :class:`~repro.sim.kernel.Event` objects — never block
-  on real time or real I/O, never yield non-events, and never trigger
-  the same event twice.
+* **Determinism** (DET rules): nothing reads wall-clock time, imports
+  the stdlib ``random`` module or iterates a set in hash order; every
+  stochastic draw flows through :class:`repro.sim.rng.RandomStreams`.
 * **SQL validity** (SQL rules): every SQL string literal parses with
   the in-repo :mod:`repro.sql` parser and references tables and
   columns that actually exist in the Cloudstone schema.
 * **Lifecycle pairing** (FLW rules): flow-sensitive proofs over a
   per-function CFG (:mod:`repro.analysis.flow`) that pool
-  connections, resource claims and transactions are released /
-  committed on *every* path, exception edges included.
-* **Yield-point atomicity** (RACE rules, :mod:`repro.analysis.race`):
-  interprocedural proofs that no process acts on shared state it read
-  before a preemption point.
+  connections and resource claims are released on *every* path,
+  exception edges included.
+* **Yield-point atomicity** (RACE001, :mod:`repro.analysis.race`):
+  an interprocedural proof that no process writes back shared state
+  it read before a preemption point.
 * **Determinism taint** (TNT rules, :mod:`repro.analysis.taint`):
   interprocedural source→sink proofs that no nondeterministic value
   (wall clock, entropy, environment, ``id()``, set iteration order)
-  reaches event scheduling, telemetry, or artifacts; its purity
-  summaries are the oracle the FLW/RACE rules consult about callees.
+  reaches event scheduling, telemetry, or artifacts.
 
 Nothing in the runtime enforces these invariants, so refactors could
 silently break reproducibility.  One gate makes them checkable:
@@ -32,7 +27,8 @@ silently break reproducibility.  One gate makes them checkable:
 pass over one project model — which the ``repo_check`` fixture in
 ``tests/analysis/conftest.py`` runs over the repo.
 :func:`lint_source` is the single-source API the per-rule fixture
-tests use.
+tests use.  A rule earns its place by having fired on a committed
+tree outside its own fixtures; retired ids are never reused.
 """
 
 from .baseline import (filter_new, fingerprint, load_baseline,

@@ -4,13 +4,15 @@ Recognized keys (all optional)::
 
     [tool.simlint]
     paths = ["src/repro"]          # what `repro check` analyses by default
-    select = ["DET", "SIM"]        # only these rules / families
+    select = ["DET", "FLW"]        # only these rules / families
     ignore = ["SQL003"]            # drop these rules / families
     sql-exclude = ["src/repro/sql"]  # paths exempt from SQL rules
-    per-path-ignore = ["tests:SIM003", "benchmarks:DET"]
+    per-path-ignore = ["tests/sim:FLW002", "benchmarks:DET"]
 
 ``select``/``ignore`` entries may be full rule ids (``DET001``) or
-family prefixes (``DET``).  ``per-path-ignore`` entries are
+family prefixes (``DET``); ``PARSE`` (a file that does not parse) is
+not a rule and cannot be ignored, here or per path.
+``per-path-ignore`` entries are
 ``"<path-prefix>:<rule-or-family>"`` — the rule is dropped for every
 file at or under that prefix, so directories of test fixtures that
 intentionally violate a rule stay suppressible without inline
@@ -45,6 +47,14 @@ class LintConfig:
     #: ``(path_prefix, rule_or_family)`` pairs; the rule is dropped for
     #: files at or under the prefix.
     per_path_ignore: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        ignored = self.ignore + tuple(
+            pattern for _prefix, pattern in self.per_path_ignore)
+        if _matches("PARSE", ignored):
+            raise ValueError(
+                "PARSE cannot be ignored: a file that does not parse "
+                "is never analysed, so it must keep failing the gate")
 
     def rule_enabled(self, rule_id: str) -> bool:
         if self.select and not _matches(rule_id, self.select):

@@ -27,14 +27,11 @@ Architecture — three layers, each usable without the ones above it:
    definition plus a report: FLW001 (``pool.acquire()`` released on
    every path) and FLW002 (``Resource.request()`` paired with
    ``release``) share one :class:`~.rules._PairingProblem` and differ
-   only in their acquire-site matcher; FLW003 pairs transaction
-   ``begin`` with ``commit``/``rollback``; FLW004 uses bare CFG
-   reachability (unreachable ``yield``); FLW005 is the escape check
-   that closes the soundness gap the pairing rules would otherwise
-   have (a handle passed to an unknown callee is nobody's to prove).
+   only in their acquire-site matcher.
 
-Future rule families plug in at layer 3: define facts, gen, kill —
-the CFG and solver are already paid for.
+Further rule families plug in at layer 3 (RACE001 and the TNT rules
+do): define facts, gen, kill — the CFG and solver are already paid
+for.
 """
 
 from .cfg import ControlFlowGraph, build_cfg

@@ -280,7 +280,7 @@ class _Builder:
         """Build a statement sequence; returns the nodes whose normal
         out-edge falls through to whatever follows the sequence.
         Statements after the block terminated (empty ``preds``) are
-        still built, as unreachable nodes — FLW004 reports them."""
+        still built, as unreachable nodes."""
         for stmt in stmts:
             preds = self._build_stmt(stmt, preds)
         return preds

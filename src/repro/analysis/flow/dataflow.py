@@ -20,8 +20,8 @@ Two refinements matter for resource-pairing proofs:
   O(edges × facts) joins regardless of visit order, and the fixpoint
   is order-independent (the transfer is monotone and distributive).
 
-A third, optional ingredient serves flow-*rewriting* analyses (the
-RACE rules in :mod:`..race.rules`): :meth:`DataflowProblem.transform`
+A third, optional ingredient serves flow-*rewriting* analyses
+(RACE001 in :mod:`..race.rules`): :meth:`DataflowProblem.transform`
 maps the surviving facts at a node to new facts — e.g. marking every
 fact that flows through a yield point as "crossed a preemption".  The
 transform applies on *both* edge kinds: an interrupt is thrown into a

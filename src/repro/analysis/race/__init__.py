@@ -9,9 +9,8 @@ read:
 * **Static** (:mod:`.callgraph`, :mod:`.shared`, :mod:`.rules`): a
   project-wide call graph with interprocedural may-yield summaries, a
   shared-state inventory seeded from ``sim.process(...)`` call sites,
-  and the RACE001–RACE005 rules riding the flow plane's CFG/dataflow
-  solver.  Surfaced as the ``simrace`` section of
-  ``python -m repro check``.
+  and RACE001 riding the flow plane's CFG/dataflow solver.  Surfaced
+  as the ``simrace`` section of ``python -m repro check``.
 * **Dynamic** (:mod:`.sanitizer`): an opt-in
   :class:`~.sanitizer.RaceSanitizer` hooked into the kernel that
   instruments chosen shared objects and reports stale write-backs at

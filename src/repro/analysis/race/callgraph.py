@@ -120,8 +120,9 @@ def _collect_functions(module: ModuleInfo) -> None:
 class ProjectModel:
     """The resolved project: functions, call edges, yield summaries.
 
-    Built once per ``check_paths`` run by :func:`build_project_model`; the
-    RACE rules and the shared-state inventory are its clients.
+    Built once per ``check_paths`` run by :func:`build_project_model`;
+    RACE001, the shared-state inventory and the taint plane are its
+    clients.
     """
 
     def __init__(self, modules: list[ModuleInfo]):
@@ -129,41 +130,24 @@ class ProjectModel:
                                                for m in modules}
         self.functions: dict[tuple, FunctionInfo] = {}
         self.by_name: dict[str, list[FunctionInfo]] = {}
-        #: id(FunctionDef node) -> FunctionInfo, for rule lookups on
-        #: the shared parsed trees.
-        self._by_node: dict[int, FunctionInfo] = {}
         #: id(YieldFrom node) -> does delegating through it preempt?
         self._yf_preempts: dict[int, bool] = {}
-        #: method/function bare name -> writes shared-looking state
-        #: somewhere in the project (RACE002's mutating-call test).
-        self._mutating_names: set[str] = set()
         for module in modules:
             for info in module.all_functions:
                 self.functions[info.key] = info
                 self.by_name.setdefault(info.name, []).append(info)
-                self._by_node[id(info.node)] = info
         self._resolve_calls()
         self._solve_may_yield()
-        self._classify_mutators()
 
     # -- lookups -----------------------------------------------------------
     def module_for(self, path: str) -> Optional[ModuleInfo]:
         return self.modules.get(_norm(path))
-
-    def function_for_node(self, node: ast.AST) -> Optional[FunctionInfo]:
-        return self._by_node.get(id(node))
 
     def yieldfrom_preempts(self, node: ast.YieldFrom) -> bool:
         """Whether ``yield from <node.value>`` is a preemption point.
         Unknown nodes (not seen at build time) are conservatively
         preempting."""
         return self._yf_preempts.get(id(node), True)
-
-    def method_mutates(self, name: str) -> bool:
-        """Whether *some* project function named ``name`` writes
-        instance state — the dynamic-dispatch answer to "could this
-        call mutate the object it is invoked on?"."""
-        return name in self._mutating_names
 
     def summary(self) -> dict[str, bool]:
         """``qualname -> may_yield`` for every function (tests assert
@@ -251,28 +235,6 @@ class ProjectModel:
                 self._yf_preempts[id(node)] = bool(targets) and any(
                     self.functions[t.key].may_yield for t in targets)
 
-    # -- mutation classification ------------------------------------------
-    def _classify_mutators(self) -> None:
-        collection_mutators = _COLLECTION_MUTATORS
-        for info in self.functions.values():
-            if info.name in self._mutating_names:
-                continue
-            for node in own_nodes(info.node):
-                if isinstance(node, (ast.Assign, ast.AugAssign,
-                                     ast.AnnAssign)):
-                    targets = node.targets \
-                        if isinstance(node, ast.Assign) \
-                        else [node.target]
-                    if any(isinstance(t, (ast.Attribute, ast.Subscript))
-                           for t in targets):
-                        self._mutating_names.add(info.name)
-                        break
-                elif isinstance(node, ast.Call) and \
-                        isinstance(node.func, ast.Attribute) and \
-                        node.func.attr in collection_mutators:
-                    self._mutating_names.add(info.name)
-                    break
-
     # -- reachability ------------------------------------------------------
     def reachable_from(self, root: FunctionInfo) -> set:
         """Keys of every function reachable from ``root`` over the
@@ -322,15 +284,6 @@ class ProjectModel:
         return [(self.functions[key],
                  multi or sites.get(key, 0) >= 2)
                 for key, multi in sorted(roots.items())]
-
-
-#: Method names that mutate the standard containers in place — the
-#: conservative fallback when a call's receiver class is unknown.
-_COLLECTION_MUTATORS = frozenset((
-    "append", "appendleft", "add", "discard", "remove", "pop",
-    "popleft", "clear", "update", "extend", "insert", "put",
-    "setdefault",
-))
 
 
 def build_project_model(paths: Iterable[str],

@@ -1,7 +1,7 @@
 """Dynamic prong: a sim-time race sanitizer for instrumented objects.
 
-The static RACE rules prove what *may* go wrong; the sanitizer watches
-what *does*.  Chosen shared objects (the connection pool, the proxy's
+Static RACE001 proves what *may* go wrong; the sanitizer watches what
+*does*.  Chosen shared objects (the connection pool, the proxy's
 routing table, replication positions, ...) get a shim subclass whose
 ``__getattribute__``/``__setattr__`` route reads and writes of the
 instrumented fields through the sanitizer, tagged with the currently

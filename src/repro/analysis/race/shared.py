@@ -19,7 +19,7 @@ precisely the state a yield point can tear.  Seeding:
 multiplicity >= 2 (two distinct roots, or one multi-instance root)
 and at least one tagged function writes it.  Everything else —
 ``__init__``-only fields, per-process scratch, constants — stays
-private, which is what keeps the RACE rules' false-positive rate at a
+private, which is what keeps RACE001's false-positive rate at a
 usable level.
 """
 
@@ -30,9 +30,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..visitor import own_nodes
-from .callgraph import _COLLECTION_MUTATORS, FunctionInfo, ProjectModel
+from .callgraph import FunctionInfo, ProjectModel
 
 __all__ = ["SharedStateInventory", "build_inventory"]
+
+#: Method names that mutate the standard containers in place: a call
+#: to one on a shared attribute counts as a write to it.
+_COLLECTION_MUTATORS = frozenset((
+    "append", "appendleft", "add", "discard", "remove", "pop",
+    "popleft", "clear", "update", "extend", "insert", "put",
+    "setdefault",
+))
 
 
 @dataclass

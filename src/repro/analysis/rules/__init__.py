@@ -1,5 +1,5 @@
-"""Rule implementations, grouped by family (DET / SIM / SQL / OBS)."""
+"""Rule implementations, grouped by family (DET / SQL)."""
 
-from . import determinism, obsnames, simsafety, sqlcheck
+from . import determinism, sqlcheck
 
-__all__ = ["determinism", "obsnames", "simsafety", "sqlcheck"]
+__all__ = ["determinism", "sqlcheck"]

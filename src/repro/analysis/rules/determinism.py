@@ -1,9 +1,12 @@
-"""DET rules: every source of nondeterminism is banned in ``src/repro``.
+"""DET rules: the syntactic determinism bans in ``src/repro``.
 
 The reproduction's replication-delay measurements are microsecond
-scale; any wall-clock read, OS entropy, global RNG state or
-memory-address-dependent iteration order silently breaks the
-guarantee that the same seed produces byte-identical results.
+scale; a wall-clock read (DET001), the stdlib ``random`` module's
+global state (DET002) or hash-order iteration of a set (DET005)
+silently breaks the guarantee that the same seed produces
+byte-identical results.  OS entropy, numpy's global RNG and ``id()``
+are taint *sources* instead (:mod:`..taint`): they report when they
+reach a sink.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from typing import Optional
 from ..visitor import LintContext, Rule, qualified_name
 
 __all__ = ["ImportResolver", "WallClockRule", "StdlibRandomRule",
-           "OsEntropyRule", "NumpyGlobalRngRule", "SetIterationRule",
-           "IdOrderingRule", "RULES"]
+           "SetIterationRule", "RULES"]
 
 
 class ImportResolver:
@@ -54,29 +56,17 @@ class ImportResolver:
         return f"{mapped}.{rest}" if rest else mapped
 
 
-def import_resolver(context: LintContext) -> ImportResolver:
-    """The file's import table, built once for all DET/SIM rules."""
-    return context.memo("imports",
-                        lambda: ImportResolver(context.tree))
+def import_resolver(tree: ast.Module) -> ImportResolver:
+    """``tree``'s import table, built once and parked on the module
+    node (as :func:`~..visitor.own_nodes` does per function): DET001
+    and the taint summaries read the same one."""
+    resolver = getattr(tree, "_import_resolver", None)
+    if resolver is None:
+        resolver = tree._import_resolver = ImportResolver(tree)
+    return resolver
 
 
-class _CallRule(Rule):
-    """Base for rules that ban calls to specific dotted names."""
-
-    def check(self, context: LintContext) -> None:
-        resolver = import_resolver(context)
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Call):
-                resolved = resolver.resolve(node.func)
-                if resolved is not None:
-                    self.check_call(context, node, resolved)
-
-    def check_call(self, context: LintContext, node: ast.Call,
-                   resolved: str) -> None:
-        raise NotImplementedError
-
-
-class WallClockRule(_CallRule):
+class WallClockRule(Rule):
     """DET001: no wall-clock reads — simulated time is ``sim.now``."""
 
     rule_id = "DET001"
@@ -92,10 +82,15 @@ class WallClockRule(_CallRule):
         "datetime.datetime.today", "datetime.date.today",
     ))
 
-    def check_call(self, context, node, resolved):
-        if resolved in self.BANNED:
-            self.report(context, node,
-                        f"call to {resolved}() reads the host clock")
+    def check(self, context: LintContext) -> None:
+        resolver = import_resolver(context.tree)
+        for node in ast.walk(context.tree):
+            if isinstance(node, ast.Call):
+                resolved = resolver.resolve(node.func)
+                if resolved in self.BANNED:
+                    self.report(context, node,
+                                f"call to {resolved}() reads the host "
+                                f"clock")
 
 
 class StdlibRandomRule(Rule):
@@ -118,54 +113,6 @@ class StdlibRandomRule(Rule):
                         node.module.split(".")[0] == "random":
                     self.report(context, node,
                                 "import from the stdlib random module")
-
-
-class OsEntropyRule(_CallRule):
-    """DET003: no OS entropy sources."""
-
-    rule_id = "DET003"
-    description = "OS entropy source (urandom/uuid/secrets)"
-    hint = "derive values from a named RandomStreams stream"
-
-    BANNED = frozenset(("os.urandom", "uuid.uuid1", "uuid.uuid4"))
-
-    def check_call(self, context, node, resolved):
-        if resolved in self.BANNED or resolved.startswith("secrets."):
-            self.report(context, node,
-                        f"call to {resolved}() draws OS entropy")
-
-
-class NumpyGlobalRngRule(_CallRule):
-    """DET004: no numpy global-state RNG and no unseeded generators."""
-
-    rule_id = "DET004"
-    description = "numpy global or unseeded RNG"
-    hint = "build generators via RandomStreams (SeedSequence-derived)"
-
-    #: Constructors that are fine as long as they are seeded — the
-    #: RandomStreams implementation itself uses these.
-    ALLOWED = frozenset((
-        "numpy.random.Generator", "numpy.random.PCG64",
-        "numpy.random.SeedSequence", "numpy.random.BitGenerator",
-        "numpy.random.Philox", "numpy.random.SFC64",
-    ))
-
-    def check_call(self, context, node, resolved):
-        if not resolved.startswith("numpy.random."):
-            return
-        if resolved in self.ALLOWED:
-            return
-        if resolved == "numpy.random.default_rng":
-            unseeded = not node.args or (
-                isinstance(node.args[0], ast.Constant)
-                and node.args[0].value is None)
-            if unseeded:
-                self.report(context, node,
-                            "numpy.random.default_rng() without a seed "
-                            "is entropy-seeded")
-            return
-        self.report(context, node,
-                    f"{resolved}() uses numpy's global RNG state")
 
 
 def _is_set_expression(node: ast.AST) -> bool:
@@ -208,41 +155,4 @@ class SetIterationRule(Rule):
                             f"order")
 
 
-def _lambda_calls_id(node: ast.Lambda) -> bool:
-    return any(isinstance(sub, ast.Call)
-               and isinstance(sub.func, ast.Name) and sub.func.id == "id"
-               for sub in ast.walk(node.body))
-
-
-class IdOrderingRule(Rule):
-    """DET006: ordering by ``id()`` is memory-address ordering."""
-
-    rule_id = "DET006"
-    description = "ordering keyed on id() (memory addresses)"
-    hint = "sort on a stable field (name, sequence number, time)"
-
-    def check(self, context: LintContext) -> None:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            is_sort = (isinstance(node.func, ast.Name)
-                       and node.func.id == "sorted") or \
-                      (isinstance(node.func, ast.Attribute)
-                       and node.func.attr == "sort")
-            if not is_sort:
-                continue
-            for keyword in node.keywords:
-                if keyword.arg != "key":
-                    continue
-                value = keyword.value
-                if isinstance(value, ast.Name) and value.id == "id":
-                    self.report(context, node,
-                                "sort keyed directly on id()")
-                elif isinstance(value, ast.Lambda) and \
-                        _lambda_calls_id(value):
-                    self.report(context, node,
-                                "sort key lambda calls id()")
-
-
-RULES = (WallClockRule, StdlibRandomRule, OsEntropyRule,
-         NumpyGlobalRngRule, SetIterationRule, IdOrderingRule)
+RULES = (WallClockRule, StdlibRandomRule, SetIterationRule)

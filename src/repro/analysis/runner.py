@@ -30,11 +30,6 @@ class LintStats:
     findings_per_rule: Counter = field(default_factory=Counter)
     seconds_per_rule: dict = field(default_factory=dict)
     total_seconds: float = 0.0
-    #: purity-oracle accounting: call sites the FLW/RACE analyzers
-    #: asked about, split into resolved (a definite pure/impure
-    #: verdict) vs still-conservative (unknown callee).
-    calls_resolved: int = 0
-    calls_conservative: int = 0
 
     def observe(self, rule_id: str, findings: int,
                 seconds: float) -> None:
@@ -46,13 +41,6 @@ class LintStats:
         lines = [f"simlint stats: {self.files} file"
                  f"{'s' if self.files != 1 else ''}, "
                  f"{self.total_seconds * 1000:.0f} ms total"]
-        consulted = self.calls_resolved + self.calls_conservative
-        if consulted:
-            share = 100.0 * self.calls_resolved / consulted
-            lines.append(
-                f"  purity oracle: {self.calls_resolved}/{consulted} "
-                f"call sites resolved ({share:.0f}%), "
-                f"{self.calls_conservative} conservative")
         for rule_id in sorted(self.seconds_per_rule):
             lines.append(
                 f"  {rule_id}: {self.findings_per_rule[rule_id]} "
@@ -78,10 +66,10 @@ def lint_source(source: str, path: str = "<string>",
                 stats: Optional[LintStats] = None,
                 tree: Optional[ast.Module] = None) -> list[Finding]:
     """Run ``rules`` (default: :func:`all_rules`, the project-free
-    ones with no purity oracle — every callee unknown) over one file's
-    text; ``path`` is used in findings, for the per-path ignores and
-    for the SQL-exclusion patterns.  :func:`check_paths` passes the
-    project model's ``tree`` so node identities line up."""
+    ones) over one file's text; ``path`` is used in findings, for the
+    per-path ignores and for the SQL-exclusion patterns.
+    :func:`check_paths` passes the project model's ``tree`` so node
+    identities line up."""
     if tree is None:
         tree, error = _parse(source, path)
         if error is not None:
@@ -136,18 +124,17 @@ def check_paths(paths: Optional[Iterable[str]] = None,
     """The one way to analyse paths: every rule in one pass.
 
     Parses each ``*.py`` file under ``paths`` (default: the config's
-    paths) once, builds one project model, the purity oracle and the
-    taint summaries over those trees, then runs every enabled rule —
-    DET/SIM/SQL/OBS, FLW with the oracle wired in, RACE, TNT — over
-    one :class:`LintContext` per file, so whatever one rule memoizes
-    on ``context.cache`` the next one finds.  ``config.select`` /
-    ``ignore`` narrow the rules, never the model.
+    paths) once, builds one project model and the taint summaries
+    over those trees, then runs every enabled rule — DET/SQL/FLW,
+    RACE, TNT — over one :class:`LintContext` per file, so whatever
+    one rule memoizes on ``context.cache`` the next one finds.
+    ``config.select`` / ``ignore`` narrow the rules, never the model.
 
     Returns ``{"simlint": [...], "simrace": [...], "simtaint": [...]}``
     (each sorted), split by rule-id family.
     """
     from .race import build_project_model, race_rules
-    from .taint import build_purity, taint_rules
+    from .taint import taint_rules
 
     started = time.perf_counter()  # simlint: disable=DET001  # simtaint: blessed=analyzer-wall-time
     filenames = [filename
@@ -162,14 +149,7 @@ def check_paths(paths: Optional[Iterable[str]] = None,
             parsed[filename] = (source, *_parse(source, filename))
     model = build_project_model(
         filenames, loader=lambda path: parsed[path][:2])
-    purity = build_purity(model)
-
-    def oracle(call, path):
-        return purity.call_verdict(
-            call, resolver=purity.resolver_for(path))
-
-    rules = all_rules(call_oracle=oracle) \
-        + race_rules(model, purity=purity) + taint_rules(model)
+    rules = all_rules() + race_rules(model) + taint_rules(model)
     findings: list[Finding] = []
     for filename in filenames:
         source, tree, error = parsed[filename]
@@ -183,8 +163,6 @@ def check_paths(paths: Optional[Iterable[str]] = None,
     for finding in sorted(findings):
         results[_section(finding.rule_id)].append(finding)
     if stats is not None:
-        stats.calls_resolved += purity.stats.resolved
-        stats.calls_conservative += purity.stats.conservative
         stats.total_seconds = \
             time.perf_counter() - started  # simlint: disable=DET001  # simtaint: blessed=analyzer-wall-time
     return results

@@ -74,9 +74,10 @@ def _result(finding: Finding, rule_index: dict[str, int]) -> dict:
         }],
     }
     if finding.related:
-        # The RACE rules carry both halves of a race (the stale read
-        # and the yield it crossed); code scanning renders these as
-        # secondary annotations on the same alert.
+        # RACE001 carries both halves of a race (the stale read and
+        # the yield it crossed), the TNT rules the taint path; code
+        # scanning renders these as secondary annotations on the same
+        # alert.
         result["relatedLocations"] = [{
             "physicalLocation": _physical_location(rpath, rline, rcol),
             "message": {"text": rmessage},

@@ -2,10 +2,9 @@
 
 Three layers:
 
-* :mod:`.purity` — per-function side-effect summaries (mutates-params,
-  writes-globals/attributes, performs-I/O, nondet) as a least fixpoint
-  over the project call graph; consumed by the TNT rules and fed back
-  into the FLW/RACE analyzers for precision.
+* :mod:`.purity` — what the engine asks about a call: precise
+  resolution into the project (:func:`~.purity.resolve_targets`) and
+  the nondeterminism source table.
 * :mod:`.engine` — the taint lattice: five nondeterminism kinds, tag
   propagation through expressions and the CFG dataflow solver, and
   flow-insensitive per-function taint summaries (return taint,
@@ -16,10 +15,7 @@ Three layers:
 
 from .engine import (FunctionTaint, Tag, TaintProblem, TaintSummaries,
                      expr_taint)
-from .purity import (Effects, PuritySummaries, PurityStats,
-                     build_purity)
 from .rules import TAINT_RULES, taint_rules
 
-__all__ = ["Effects", "PuritySummaries", "PurityStats", "build_purity",
-           "FunctionTaint", "Tag", "TaintProblem", "TaintSummaries",
+__all__ = ["FunctionTaint", "Tag", "TaintProblem", "TaintSummaries",
            "expr_taint", "TAINT_RULES", "taint_rules"]

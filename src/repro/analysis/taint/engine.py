@@ -37,7 +37,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from ..rules.determinism import ImportResolver, WallClockRule
+from ..rules.determinism import (ImportResolver, WallClockRule,
+                                  import_resolver)
 from ..visitor import own_nodes
 from ..race.callgraph import FunctionInfo, ProjectModel
 from .purity import _is_nondet_call, resolve_targets
@@ -551,7 +552,7 @@ class TaintSummaries:
 
     def __init__(self, model: ProjectModel):
         self.model = model
-        self._resolvers = {path: ImportResolver(module.tree)
+        self._resolvers = {path: import_resolver(module.tree)
                            for path, module in model.modules.items()}
         self.by_key: dict = {key: FunctionTaint()
                              for key in model.functions}

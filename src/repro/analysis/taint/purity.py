@@ -1,54 +1,32 @@
-"""Per-function purity/side-effect summaries over the call graph.
+"""What the taint engine needs to know about a call: where it can
+dispatch inside the project, and whether it draws from a
+nondeterministic source.
 
-Every function in the project gets an :class:`Effects` record —
-*mutates-params* (which positional parameters it writes through,
-aliasing included), *writes-globals*, *writes-attributes* (stores on
-objects it did not allocate), *performs-I/O*, *nondet* (draws from a
-nondeterministic source) and *opaque-calls* (calls something the
-resolver cannot see through).  Effects are computed as a least
-fixpoint over the :class:`~..race.callgraph.ProjectModel` call graph:
-a function inherits the effects of everything it may call, with
-callee parameter mutations mapped back through the call's argument
-list onto the caller's own parameters.
-
-The summaries serve two clients:
-
-* the taint rules (:mod:`.rules`) treat a call to a nondet function
-  as a taint source even when the ``time.time()`` is three helpers
-  deep, and
-* the existing analyzers (FLW pairing, RACE002) consult
-  :meth:`PuritySummaries.call_verdict` so calls *proven* pure stop
-  being conservative mutation/escape points — the precision gain
-  ``--stats`` reports as resolved vs conservative call sites.
-
-Resolution errs toward impurity: an unresolvable callee makes the
-caller opaque, and a named-but-unknown callee is pure only when it is
-on the whitelist of order-safe stdlib/builtin functions below.
+* :func:`resolve_targets` — the race call graph's name-based
+  resolution behind a precision gate, so ``x.append(...)`` is not
+  routed through every project method named ``append``;
+* :func:`_is_nondet_call` — the source table of the ``random`` taint
+  kind (OS entropy, the stdlib/numpy global RNGs, unseeded generator
+  constructors) next to the wall-clock, environment and ``id()``
+  sources the engine tags by their own kinds.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from typing import Optional
 
-from ..rules.determinism import ImportResolver, NumpyGlobalRngRule, \
-    WallClockRule
-from ..visitor import own_nodes, qualified_name
-from ..race.callgraph import (_COLLECTION_MUTATORS, FunctionInfo,
-                              ProjectModel)
+from ..race.callgraph import FunctionInfo, ProjectModel
 
-__all__ = ["Effects", "PurityStats", "PuritySummaries",
-           "build_purity", "classify_external", "resolve_targets"]
+__all__ = ["resolve_targets"]
 
 
 # ------------------------------------------------- precise resolution
 #: Method names shared with builtin container/string/file types.  The
 #: race call graph's name-based fallback resolves ``x.append(...)`` to
 #: *every* project method named ``append`` — sound for may-yield
-#: (an extra callee errs safe) but ruinous for taint and purity, where
-#: it would route every list append through ``Binlog.append``'s
-#: artifact sink and its I/O effects.
+#: (an extra callee errs safe) but ruinous for taint, where it would
+#: route every list append through ``Binlog.append``'s artifact sink.
 _GENERIC_METHODS = frozenset((
     "append", "add", "extend", "insert", "remove", "discard", "pop",
     "popitem", "clear", "update", "get", "setdefault", "keys",
@@ -104,105 +82,28 @@ def resolve_targets(model: ProjectModel, call: ast.Call,
     return kept
 
 
-# --------------------------------------------------------------- effects
-@dataclass
-class Effects:
-    """One function's side-effect summary (grows monotonically during
-    the fixpoint; frozen only conceptually)."""
-
-    mutates_params: set = field(default_factory=set)
-    writes_globals: bool = False
-    writes_attributes: bool = False
-    performs_io: bool = False
-    nondet: bool = False
-    opaque_calls: bool = False
-
-    @property
-    def pure(self) -> bool:
-        """No observable effect: safe to treat as a value computation."""
-        return not (self.mutates_params or self.writes_globals
-                    or self.writes_attributes or self.performs_io
-                    or self.nondet or self.opaque_calls)
-
-    def mutates(self) -> bool:
-        """Could this function change state its caller can see?"""
-        return bool(self.mutates_params) or self.writes_globals \
-            or self.writes_attributes or self.opaque_calls
-
-    def absorb(self, other: "Effects") -> bool:
-        """Union in ``other``'s non-parameter effects; True if grown."""
-        grew = False
-        for flag in ("writes_globals", "writes_attributes",
-                     "performs_io", "nondet", "opaque_calls"):
-            if getattr(other, flag) and not getattr(self, flag):
-                setattr(self, flag, True)
-                grew = True
-        return grew
-
-    def describe(self) -> str:
-        """Stable short form for tests: e.g. ``mutates(0) io``."""
-        parts = []
-        if self.mutates_params:
-            indices = ",".join(str(i)
-                               for i in sorted(self.mutates_params))
-            parts.append(f"mutates({indices})")
-        for flag, label in (("writes_globals", "globals"),
-                            ("writes_attributes", "attrs"),
-                            ("performs_io", "io"),
-                            ("nondet", "nondet"),
-                            ("opaque_calls", "opaque")):
-            if getattr(self, flag):
-                parts.append(label)
-        return " ".join(parts) if parts else "pure"
-
-
-# ------------------------------------------------- external call policy
-#: Builtins / stdlib calls that compute a value with no side effect and
-#: no order dependence worth modeling here.  Resolution falls back to
-#: this table when a named callee is not defined in the project.
-PURE_EXTERNALS = frozenset((
-    "len", "sorted", "min", "max", "abs", "round", "sum", "range",
-    "enumerate", "zip", "map", "filter", "reversed", "list", "tuple",
-    "dict", "set", "frozenset", "str", "repr", "format", "int",
-    "float", "bool", "bytes", "divmod", "pow", "hash", "ord", "chr",
-    "isinstance", "issubclass", "hasattr", "getattr", "callable",
-    "type", "iter", "next", "all", "any", "vars", "slice",
-))
-
-#: Dotted-prefix whitelist: ``math.sqrt`` etc. are value computations.
-PURE_PREFIXES = ("math.", "operator.", "bisect.", "itertools.",
-                 "statistics.", "json.loads", "os.path.", "re.",
-                 "textwrap.", "string.", "copy.", "functools.reduce")
-
-#: Known in-place mutators of their first argument.
-MUTATOR_EXTERNALS = frozenset((
-    "heapq.heappush", "heapq.heappop", "heapq.heapify",
-    "heapq.heapreplace", "heapq.heappushpop", "bisect.insort",
-    "bisect.insort_left", "bisect.insort_right", "random.shuffle",
-))
-
-#: Dotted-prefix I/O classification (``os.path.`` is carved out by the
-#: pure table above, which is consulted first).
-IO_PREFIXES = ("os.", "sys.", "io.", "subprocess.", "shutil.",
-               "socket.", "logging.", "pathlib.")
-
-IO_CALLS = frozenset(("open", "print", "input"))
-
-#: Nondeterminism sources, shared with the taint engine: wall clocks
-#: (the DET001 table), OS entropy, the stdlib/numpy global RNGs and
-#: environment reads.
-NONDET_CALLS = frozenset(WallClockRule.BANNED) | frozenset((
-    "os.urandom", "uuid.uuid1", "uuid.uuid4", "os.getenv", "id",
-))
+# -------------------------------------------- nondeterminism sources
+#: OS entropy draws.  (Wall clocks, environment reads and ``id()``
+#: are tagged by the engine under their own kinds before it asks.)
+_ENTROPY_CALLS = frozenset(("os.urandom", "uuid.uuid1", "uuid.uuid4"))
 
 _SEEDED_RNG_CONSTRUCTORS = frozenset((
     "random.Random", "numpy.random.default_rng",
 ))
 
+#: numpy constructors that are fine as long as they are seeded — the
+#: RandomStreams implementation itself uses these.
+_SEEDED_NUMPY_RNG = frozenset((
+    "numpy.random.Generator", "numpy.random.PCG64",
+    "numpy.random.SeedSequence", "numpy.random.BitGenerator",
+    "numpy.random.Philox", "numpy.random.SFC64",
+))
+
 
 def _is_nondet_call(resolved: str, call: ast.Call) -> bool:
-    """Whether a call to ``resolved`` draws from a nondet source."""
-    if resolved in NONDET_CALLS:
+    """Whether a call to ``resolved`` draws OS entropy or from an
+    unseeded RNG — the ``random`` taint kind."""
+    if resolved in _ENTROPY_CALLS:
         return True
     if resolved.startswith("secrets."):
         return True
@@ -216,63 +117,10 @@ def _is_nondet_call(resolved: str, call: ast.Call) -> bool:
         # Module-level functions share the global, unseeded state.
         return resolved != "random.Random"
     if resolved.startswith("numpy.random."):
-        return resolved not in NumpyGlobalRngRule.ALLOWED
+        return resolved not in _SEEDED_NUMPY_RNG
     return False
 
 
-def classify_external(resolved: Optional[str],
-                      call: ast.Call) -> Optional[Effects]:
-    """Effects of a call that does not resolve into the project.
-
-    Returns ``None`` when the name is unknown (the caller becomes
-    opaque); otherwise an :class:`Effects` for the known stdlib /
-    builtin behaviour.
-    """
-    if resolved is None:
-        return None
-    if _is_nondet_call(resolved, call):
-        return Effects(nondet=True)
-    if resolved in PURE_EXTERNALS:
-        return Effects()
-    if any(resolved == p or resolved.startswith(p)
-           for p in PURE_PREFIXES):
-        return Effects()
-    if resolved in MUTATOR_EXTERNALS:
-        return Effects(mutates_params={0})
-    if resolved in IO_CALLS or \
-            any(resolved.startswith(p) for p in IO_PREFIXES):
-        return Effects(performs_io=True)
-    tail = resolved.rsplit(".", 1)[-1]
-    if tail[:1].isupper():
-        # Constructor-like: allocation, not mutation of arguments.
-        return Effects()
-    return None
-
-
-# ------------------------------------------------------- stats plumbing
-@dataclass
-class PurityStats:
-    """Resolved vs conservative call-site accounting for ``--stats``."""
-
-    resolved: int = 0
-    conservative: int = 0
-
-    def note(self, verdict: str) -> None:
-        if verdict == "unknown":
-            self.conservative += 1
-        else:
-            self.resolved += 1
-
-    def render(self) -> str:
-        total = self.resolved + self.conservative
-        if not total:
-            return "purity: no call sites consulted"
-        share = 100.0 * self.resolved / total
-        return (f"purity: {self.resolved}/{total} call sites resolved "
-                f"({share:.0f}%), {self.conservative} conservative")
-
-
-# ----------------------------------------------------- direct extraction
 def _param_names(node: ast.AST) -> list:
     args = node.args
     names = [a.arg for a in args.posonlyargs + args.args]
@@ -282,332 +130,3 @@ def _param_names(node: ast.AST) -> list:
     if args.kwarg is not None:
         names.append(args.kwarg.arg)
     return names
-
-
-def _head_name(node: ast.AST) -> Optional[str]:
-    """The base ``Name`` a chain of attributes/subscripts hangs off."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-_FRESH_VALUES = (ast.List, ast.Dict, ast.Set, ast.Tuple, ast.Constant,
-                 ast.ListComp, ast.DictComp, ast.SetComp,
-                 ast.GeneratorExp)
-
-
-class _FunctionFacts:
-    """One function's locally-visible purity ingredients."""
-
-    def __init__(self, info: FunctionInfo, resolver: ImportResolver,
-                 model: ProjectModel):
-        self.info = info
-        self.direct = Effects()
-        #: ``(callee_key, argmap)`` — argmap maps callee parameter
-        #: index -> caller parameter indices the argument aliases
-        #: (empty set when the argument is a fresh local; ``None``
-        #: when it is anything else, i.e. reachable state).
-        self.edges: list = []
-        self._extract(resolver, model)
-
-    # -- alias sets ---------------------------------------------------
-    def _build_aliases(self, node: ast.AST):
-        params = _param_names(node)
-        aliases = {name: frozenset({i})
-                   for i, name in enumerate(params)}
-        fresh: set = set()
-        assigned: set = set()
-        for sub in own_nodes(node):
-            if isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                targets = sub.targets if isinstance(sub, ast.Assign) \
-                    else [sub.target]
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        assigned.add(target.id)
-            elif isinstance(sub, (ast.For, ast.AsyncFor)):
-                for name in ast.walk(sub.target):
-                    if isinstance(name, ast.Name):
-                        assigned.add(name.id)
-        # Propagate "may alias parameter i" through simple name-to-name
-        # assignments until stable (flow-insensitive union keeps the
-        # conservative direction: a rebound alias stays an alias).
-        changed = True
-        while changed:
-            changed = False
-            for sub in own_nodes(node):
-                if not isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                    continue
-                value = sub.value
-                targets = sub.targets if isinstance(sub, ast.Assign) \
-                    else [sub.target]
-                name_targets = [t.id for t in targets
-                                if isinstance(t, ast.Name)]
-                if not name_targets:
-                    continue
-                if isinstance(value, ast.Name):
-                    source = aliases.get(value.id, frozenset())
-                    for name in name_targets:
-                        known = aliases.get(name, frozenset())
-                        if not source <= known:
-                            aliases[name] = known | source
-                            changed = True
-                elif isinstance(value, _FRESH_VALUES) or (
-                        isinstance(value, ast.Call)
-                        and _constructor_like(value)):
-                    fresh.update(name_targets)
-        # A name that is both fresh-assigned and a param alias must be
-        # treated as the alias (conservative).
-        fresh -= {name for name, ids in aliases.items() if ids}
-        return aliases, fresh, assigned
-
-    # -- extraction ---------------------------------------------------
-    def _classify_store(self, head: Optional[str], aliases, fresh,
-                        assigned) -> None:
-        if head is None:
-            self.direct.writes_attributes = True
-            return
-        if head in aliases and aliases[head]:
-            self.direct.mutates_params.update(aliases[head])
-        elif head in fresh:
-            pass  # mutating an object this function allocated
-        elif head in assigned:
-            # A local rebound from non-fresh state (e.g. ``x =
-            # self.pool``): mutating it mutates reachable state.
-            self.direct.writes_attributes = True
-        else:
-            # Module-level / imported object.
-            self.direct.writes_globals = True
-
-    def _extract(self, resolver: ImportResolver,
-                 model: ProjectModel) -> None:
-        node = self.info.node
-        aliases, fresh, assigned = self._build_aliases(node)
-        for sub in own_nodes(node):
-            if isinstance(sub, ast.Global):
-                self.direct.writes_globals = True
-            elif isinstance(sub, (ast.Assign, ast.AugAssign,
-                                  ast.AnnAssign)):
-                targets = sub.targets if isinstance(sub, ast.Assign) \
-                    else [sub.target]
-                for target in targets:
-                    if isinstance(target, (ast.Attribute,
-                                           ast.Subscript)):
-                        self._classify_store(
-                            _head_name(target), aliases, fresh,
-                            assigned)
-            elif isinstance(sub, ast.Delete):
-                for target in sub.targets:
-                    if isinstance(target, (ast.Attribute,
-                                           ast.Subscript)):
-                        self._classify_store(
-                            _head_name(target), aliases, fresh,
-                            assigned)
-            elif isinstance(sub, ast.Call):
-                self._extract_call(sub, resolver, model, aliases,
-                                   fresh, assigned)
-
-    def _extract_call(self, call: ast.Call, resolver: ImportResolver,
-                      model: ProjectModel, aliases, fresh,
-                      assigned) -> None:
-        targets = resolve_targets(model, call, self.info)
-        # In-place collection mutation through a receiver chain —
-        # unless the receiver gives evidence of a project class, in
-        # which case the resolved method's own summary governs.
-        if not targets and isinstance(call.func, ast.Attribute) and \
-                call.func.attr in _COLLECTION_MUTATORS:
-            self._classify_store(_head_name(call.func.value), aliases,
-                                 fresh, assigned)
-            return
-        if targets:
-            method = any(t.cls is not None for t in targets)
-            argmap = _argument_map(call, aliases, fresh,
-                                   method=method)
-            for target in targets:
-                self.edges.append((target.key, argmap))
-            return
-        resolved = resolver.resolve(call.func)
-        external = classify_external(resolved, call)
-        if external is None:
-            self.direct.opaque_calls = True
-            return
-        self.direct.absorb(external)
-        for index in external.mutates_params:
-            entry = _argument_entry(call, index,
-                                    method=isinstance(call.func,
-                                                      ast.Attribute))
-            self._note_mutated_argument(entry, aliases, fresh,
-                                        assigned)
-
-    def _note_mutated_argument(self, entry, aliases, fresh,
-                               assigned) -> None:
-        if entry is None:
-            self.direct.writes_attributes = True
-            return
-        self._classify_store(_head_name(entry), aliases, fresh,
-                             assigned)
-
-
-def _constructor_like(call: ast.Call) -> bool:
-    dotted = qualified_name(call.func)
-    if dotted is None:
-        return False
-    tail = dotted.rsplit(".", 1)[-1]
-    return bool(tail) and tail[:1].isupper()
-
-
-def _argument_entry(call: ast.Call, index: int,
-                    method: bool) -> Optional[ast.AST]:
-    """The expression passed for callee parameter ``index``.
-
-    For a method call through an attribute, parameter 0 is the
-    receiver; positional arguments shift by one.
-    """
-    if method and isinstance(call.func, ast.Attribute):
-        if index == 0:
-            return call.func.value
-        index -= 1
-    if index < len(call.args):
-        return call.args[index]
-    return None
-
-
-def _argument_map(call: ast.Call, aliases, fresh, method: bool) -> dict:
-    """callee param index -> caller param indices (see _FunctionFacts
-    edges).  Only as many positions as the call names are mapped."""
-    argmap: dict = {}
-    receiver_offset = 0
-    if method and isinstance(call.func, ast.Attribute):
-        argmap[0] = _entry_aliases(call.func.value, aliases, fresh)
-        receiver_offset = 1
-    for position, arg in enumerate(call.args):
-        if isinstance(arg, ast.Starred):
-            continue
-        argmap[position + receiver_offset] = \
-            _entry_aliases(arg, aliases, fresh)
-    return argmap
-
-
-def _entry_aliases(entry: ast.AST, aliases, fresh):
-    """Caller-parameter indices an argument may alias; empty frozenset
-    for fresh locals; ``None`` for reachable state (attributes...)."""
-    if isinstance(entry, ast.Name):
-        if entry.id in aliases and aliases[entry.id]:
-            return frozenset(aliases[entry.id])
-        if entry.id in fresh:
-            return frozenset()
-        return None
-    if isinstance(entry, _FRESH_VALUES):
-        return frozenset()
-    return None
-
-
-# ------------------------------------------------------------ summaries
-class PuritySummaries:
-    """Queryable fixpoint effects for every project function."""
-
-    def __init__(self, model: ProjectModel):
-        self.model = model
-        self.stats = PurityStats()
-        self._resolvers: dict = {
-            path: ImportResolver(module.tree)
-            for path, module in model.modules.items()}
-        self._facts: dict = {}
-        for info in model.functions.values():
-            resolver = self._resolvers[info.path]
-            self._facts[info.key] = _FunctionFacts(info, resolver,
-                                                   model)
-        self._solve()
-
-    # -- fixpoint -----------------------------------------------------
-    def _solve(self) -> None:
-        # Round-robin to a least fixpoint: effects only grow, the
-        # lattice is finite (five flags + a bounded param set), so the
-        # loop terminates; recursion cycles with no direct effects
-        # settle at pure.
-        order = sorted(self._facts)
-        changed = True
-        while changed:
-            changed = False
-            for key in order:
-                facts = self._facts[key]
-                effects = facts.direct
-                for callee_key, argmap in facts.edges:
-                    callee = self._facts.get(callee_key)
-                    if callee is None:
-                        continue
-                    if effects.absorb(callee.direct):
-                        changed = True
-                    for index in sorted(callee.direct.mutates_params):
-                        mapped = argmap.get(index, None) \
-                            if index in argmap else None
-                        if mapped is None:
-                            if not effects.writes_attributes:
-                                effects.writes_attributes = True
-                                changed = True
-                        elif not mapped <= effects.mutates_params:
-                            effects.mutates_params.update(mapped)
-                            changed = True
-
-    # -- queries ------------------------------------------------------
-    def effects(self, info: FunctionInfo) -> Effects:
-        return self._facts[info.key].direct
-
-    def effects_by_qualname(self) -> dict:
-        """``qualname -> describe()`` for exact test assertions."""
-        return {info.qualname: self.effects(info).describe()
-                for info in self.model.functions.values()}
-
-    def resolver_for(self, path: str) -> Optional[ImportResolver]:
-        from ..race.callgraph import _norm
-        return self._resolvers.get(_norm(path))
-
-    def _resolve_targets(self, call: ast.Call,
-                         caller: Optional[FunctionInfo]):
-        if caller is not None:
-            return resolve_targets(self.model, call, caller)
-        func = call.func
-        if isinstance(func, ast.Name):
-            return self.model.by_name.get(func.id, [])
-        if isinstance(func, ast.Attribute):
-            return self.model.by_name.get(func.attr, [])
-        return None
-
-    def call_verdict(self, call: ast.Call,
-                     caller: Optional[FunctionInfo] = None,
-                     resolver: Optional[ImportResolver] = None) -> str:
-        """``"pure"`` / ``"impure"`` / ``"unknown"`` for a call site.
-
-        *pure* additionally requires every resolved target to be
-        yield-free — the contract the FLW/RACE clients rely on.  Every
-        consultation is tallied in :attr:`stats`.
-        """
-        verdict = self._verdict(call, caller, resolver)
-        self.stats.note(verdict)
-        return verdict
-
-    def _verdict(self, call, caller, resolver) -> str:
-        targets = self._resolve_targets(call, caller)
-        if targets:
-            effects = [self._facts[t.key].direct for t in targets
-                       if t.key in self._facts]
-            if not effects:
-                return "unknown"
-            if all(e.pure for e in effects) and \
-                    not any(t.may_yield for t in targets):
-                return "pure"
-            return "impure"
-        if resolver is None and caller is not None:
-            resolver = self._resolvers.get(caller.path)
-        if resolver is None:
-            return "unknown"
-        external = classify_external(resolver.resolve(call.func), call)
-        if external is None:
-            return "unknown"
-        return "pure" if external.pure else "impure"
-
-
-def build_purity(model: ProjectModel) -> PuritySummaries:
-    """Fixpoint purity summaries for ``model`` (one per check run)."""
-    return PuritySummaries(model)

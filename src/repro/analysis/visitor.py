@@ -95,20 +95,14 @@ class Rule:
         context.report(node, self.rule_id, message, hint=self.hint)
 
 
-def all_rules(call_oracle=None) -> list[Rule]:
-    """One instance of every project-free rule, DET/SIM/SQL/OBS then
-    FLW (the RACE and TNT rules need a project model: see
-    ``race_rules`` / ``taint_rules``).  ``call_oracle`` is the purity
-    oracle :func:`check_paths` hands the FLW rules; without one every
-    callee is unknown."""
+def all_rules() -> list[Rule]:
+    """One instance of every project-free rule, DET/SQL then FLW (the
+    RACE and TNT rules need a project model: see ``race_rules`` /
+    ``taint_rules``)."""
     from .flow import rules as flowrules
-    from .rules import determinism, obsnames, simsafety, sqlcheck
-    rules: list[Rule] = []
-    for module in (determinism, simsafety, sqlcheck, obsnames):
-        rules.extend(cls() for cls in module.RULES)
-    rules.extend(cls(call_oracle=call_oracle)
-                 for cls in flowrules.RULES)
-    return rules
+    from .rules import determinism, sqlcheck
+    return [cls() for module in (determinism, sqlcheck, flowrules)
+            for cls in module.RULES]
 
 
 # ----------------------------------------------------------- AST helpers
@@ -135,8 +129,8 @@ def iter_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
 def own_nodes(function: ast.AST) -> tuple[ast.AST, ...]:
     """A function's body nodes, not descending into nested function
     or class definitions (their yields/calls belong to *them*).
-    Walked once and parked on the node — some twenty passes ask — so
-    it lives as long as the parsed tree, which no rule mutates."""
+    Walked once and parked on the node — every engine asks — so it
+    lives as long as the parsed tree, which no rule mutates."""
     nodes = getattr(function, "_own_nodes", None)
     if nodes is None:
         found = []

@@ -268,10 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check", help="the static-analysis gate: determinism / "
-                      "sim-safety / SQL / flow-pairing (simlint), "
-                      "yield-point atomicity (simrace) and determinism "
-                      "taint (simtaint) in one pass over one project "
-                      "model and purity oracle")
+                      "SQL / flow-pairing (simlint), yield-point "
+                      "atomicity (simrace) and determinism taint "
+                      "(simtaint) in one pass over one project model")
     check.add_argument("paths", nargs="*",
                        help="files or directories (default: the "
                             "[tool.simlint] paths)")
@@ -290,9 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(comma-separated, repeatable)")
     check.add_argument("--stats", action="store_true",
                        help="print per-rule finding counts and "
-                            "wall-time and the purity oracle's "
-                            "resolved/conservative call-site split "
-                            "(to stderr for json/sarif)")
+                            "wall-time (to stderr for json/sarif)")
     check.add_argument("--baseline", default=None, metavar="FILE",
                        help="only report findings not present in "
                             "this baseline snapshot; exit 1 only "
@@ -741,6 +738,8 @@ def _run_check(args) -> tuple[str, int]:
     ignore = _split_rule_lists(args.ignore)
     # A typo'd rule id would silently disable checks (exit 0), so an
     # unknown --select/--ignore entry is a usage error, not a no-op.
+    # PARSE is selectable (a parse-only gate) but no --select drops
+    # it, and LintConfig refuses to ignore it.
     known = sorted({rule.rule_id for rules in rules_by_tool.values()
                     for rule in rules} | {"PARSE"})
     unknown = [pattern for pattern in select + ignore
@@ -749,7 +748,10 @@ def _run_check(args) -> tuple[str, int]:
     if unknown:
         return ("simcheck: error: unknown rule or family: "
                 f"{', '.join(unknown)} (known: {', '.join(known)})", 2)
-    config = load_config(".").narrowed(select=select, ignore=ignore)
+    try:
+        config = load_config(".").narrowed(select=select, ignore=ignore)
+    except ValueError as error:
+        return f"simcheck: error: {error}", 2
     stats = LintStats() if args.stats else None
     try:
         results = check_paths(args.paths or None, config=config,

@@ -79,8 +79,8 @@ class Instance:
     """A running virtual machine with CPU, a local clock and a placement.
 
     CPU work is expressed in *reference seconds*: seconds of compute on
-    a nominal small-instance core.  ``compute(work)`` queues for a core
-    and holds it for ``work / effective_speed`` simulated seconds.
+    a nominal small-instance core.  ``run_on_cpu(job)`` queues for a
+    core and holds it for ``work / effective_speed`` simulated seconds.
     """
 
     def __init__(self, sim: Simulator, name: str, itype: InstanceType,
@@ -160,26 +160,6 @@ class Instance:
         """How long ``work`` reference-seconds hold one core."""
         return work / self.effective_speed
 
-    def compute(self, work: float):
-        """Process generator: acquire a core and burn ``work``.
-
-        Usage inside a process::
-
-            yield from instance.compute(0.010)
-        """
-        request = self.cpu.request()
-        try:
-            # The wait itself sits inside the try: an interrupt thrown
-            # in while queued must cancel the claim (releasing an
-            # ungranted request does exactly that), or the core count
-            # silently shrinks.
-            yield request
-            service = self.service_time(work)
-            yield self.sim.timeout(service)
-            self._busy_time += service
-        finally:
-            self.cpu.release(request)
-
     def run_on_cpu(self, job):
         """Process generator: queue for a core, run ``job`` at service
         start, hold the core for the work it reports.
@@ -191,6 +171,10 @@ class Instance:
         """
         request = self.cpu.request()
         try:
+            # The wait itself sits inside the try: an interrupt thrown
+            # in while queued must cancel the claim (releasing an
+            # ungranted request does exactly that), or the core count
+            # silently shrinks.
             yield request
             result, work = job()
             service = self.service_time(work)
@@ -205,18 +189,6 @@ class Instance:
     def busy_time(self) -> float:
         """Cumulative core-seconds of completed work."""
         return self._busy_time
-
-    def utilization(self, since: float, busy_at_since: float) -> float:
-        """Average CPU utilization over a window.
-
-        ``busy_at_since`` is the value :attr:`busy_time` had at sim time
-        ``since``; the caller samples both ends of the window.
-        """
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        used = self._busy_time - busy_at_since
-        return used / (elapsed * self.itype.cores)
 
     @property
     def queue_length(self) -> int:

@@ -6,12 +6,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["trimmed_mean", "Summary", "summarize", "TimeSeries",
-           "CpuUtilizationProbe"]
+__all__ = ["trimmed_mean", "Summary", "summarize", "TimeSeries"]
 
 
 def trimmed_mean(samples: Sequence[float], trim: float = 0.05) -> float:
@@ -104,22 +103,3 @@ class TimeSeries:
         if span <= 0:
             return 0.0
         return self.count_in(start, end) / span
-
-
-class CpuUtilizationProbe:
-    """Samples an instance's CPU utilization over a window."""
-
-    def __init__(self, instance):
-        self.instance = instance
-        self._start_time: Optional[float] = None
-        self._start_busy = 0.0
-
-    def start(self) -> None:
-        self._start_time = self.instance.sim.now
-        self._start_busy = self.instance.busy_time
-
-    def stop(self) -> float:
-        """Utilization in [0, 1] since :meth:`start`."""
-        if self._start_time is None:
-            raise ValueError("probe was never started")
-        return self.instance.utilization(self._start_time, self._start_busy)

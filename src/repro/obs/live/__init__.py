@@ -23,7 +23,7 @@ from .score import FAULT_ALERTS, score_detection
 from .session import LiveSession
 from .slo import (AlertRule, SLOSpec, default_slo_spec,
                   load_slo_file)
-from .streams import (Combine, Ewma, Latest, LivePipeline, Mapped,
+from .streams import (Ewma, Latest, LivePipeline, Mapped,
                       Node, NullLivePipeline, NULL_LIVE, Operator,
                       SlidingMax, SlidingMin, SlidingQuantile,
                       WindowedMean, WindowedRate)
@@ -33,7 +33,6 @@ __all__ = [
     "LivePipeline", "NullLivePipeline", "NULL_LIVE", "Node",
     "Operator", "Latest", "Ewma", "WindowedRate", "WindowedMean",
     "SlidingMax", "SlidingMin", "SlidingQuantile", "Mapped",
-    "Combine",
     "AlertRule", "SLOSpec", "default_slo_spec", "load_slo_file",
     "AlertEngine", "AlertState", "Incident",
     "incidents_document", "render_incidents_text", "write_incidents",

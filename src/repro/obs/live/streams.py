@@ -7,7 +7,7 @@ sim-second over a gauge with tens of thousands of samples would turn
 each evaluation into a scan.  This module keeps every aggregate
 **incremental**: a :class:`Node` wraps one operator whose state updates
 in O(1)-ish work per published sample, and nodes form an explicit DAG
-so derived streams (per-slave staleness p99, pool-wait share) compose
+so derived streams (per-slave staleness p99, violation shares) compose
 from primitive ones.
 
 Everything is keyed on *simulated* time — the pipeline never reads a
@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from fnmatch import fnmatchcase
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 __all__ = [
     "Operator", "Latest", "Ewma", "WindowedRate", "WindowedMean",
-    "SlidingMax", "SlidingMin", "SlidingQuantile", "Mapped", "Combine",
+    "SlidingMax", "SlidingMin", "SlidingQuantile", "Mapped",
     "Node", "LivePipeline", "NullLivePipeline", "NULL_LIVE",
     "STALENESS_BUCKETS",
 ]
@@ -44,7 +44,7 @@ class Operator:
     later sim time.  ``read`` may return None before the first sample
     (or when the window is empty)."""
 
-    def update(self, t: float, value: float, slot: int = 0) -> None:
+    def update(self, t: float, value: float) -> None:
         raise NotImplementedError
 
     def read(self, now: float) -> Optional[float]:
@@ -59,7 +59,7 @@ class Latest(Operator):
     def __init__(self):
         self.value: Optional[float] = None
 
-    def update(self, t: float, value: float, slot: int = 0) -> None:
+    def update(self, t: float, value: float) -> None:
         self.value = value
 
     def read(self, now: float) -> Optional[float]:
@@ -83,7 +83,7 @@ class Ewma(Operator):
         self.value: Optional[float] = None
         self._last_t: Optional[float] = None
 
-    def update(self, t: float, value: float, slot: int = 0) -> None:
+    def update(self, t: float, value: float) -> None:
         if self.value is None:
             self.value = value
         else:
@@ -139,7 +139,7 @@ class WindowedRate(Operator):
         self.mode = mode
         self._last_total: Optional[float] = None
 
-    def update(self, t: float, value: float, slot: int = 0) -> None:
+    def update(self, t: float, value: float) -> None:
         if self.mode == "delta":
             previous = self._last_total
             self._last_total = value
@@ -165,7 +165,7 @@ class WindowedMean(Operator):
     def __init__(self, window: float):
         self._window = _WindowDeque(window)
 
-    def update(self, t: float, value: float, slot: int = 0) -> None:
+    def update(self, t: float, value: float) -> None:
         self._window.entries.append((t, value))
         self._window.evict(t)
 
@@ -186,7 +186,7 @@ class _SlidingExtreme(Operator):
         self._window = _WindowDeque(window)
         self._better = better
 
-    def update(self, t: float, value: float, slot: int = 0) -> None:
+    def update(self, t: float, value: float) -> None:
         entries = self._window.entries
         while entries and not self._better(entries[-1][1], value):
             entries.pop()
@@ -260,7 +260,7 @@ class SlidingQuantile(Operator):
         for index in [index for index in ring if index <= oldest_live]:
             del ring[index]
 
-    def update(self, t: float, value: float, slot: int = 0) -> None:
+    def update(self, t: float, value: float) -> None:
         counts = self._ring.get(self._slot(t))
         if counts is None:
             counts = [0] * (len(self.edges) + 1)
@@ -307,35 +307,11 @@ class Mapped(Operator):
         self.fn = fn
         self.value: Optional[float] = None
 
-    def update(self, t: float, value: float, slot: int = 0) -> None:
+    def update(self, t: float, value: float) -> None:
         self.value = self.fn(value)
 
     def read(self, now: float) -> Optional[float]:
         return self.value
-
-
-class Combine(Operator):
-    """N-ary combination of parent streams by positional slot.
-
-    Holds the latest value per slot; reads None until every slot has
-    reported (a share of nothing is not zero, it is unknown).
-    """
-
-    __slots__ = ("fn", "_values")
-
-    def __init__(self, fn: Callable[..., float], arity: int):
-        if arity < 1:
-            raise ValueError(f"arity must be >= 1, got {arity}")
-        self.fn = fn
-        self._values: list[Optional[float]] = [None] * arity
-
-    def update(self, t: float, value: float, slot: int = 0) -> None:
-        self._values[slot] = value
-
-    def read(self, now: float) -> Optional[float]:
-        if any(value is None for value in self._values):
-            return None
-        return self.fn(*self._values)
 
 
 class Node:
@@ -346,20 +322,20 @@ class Node:
     def __init__(self, name: str, op: Operator):
         self.name = name
         self.op = op
-        #: Downstream edges as ``(child node, child slot)``.
-        self.children: list[tuple["Node", int]] = []
+        #: Downstream nodes, fed this node's reading on every update.
+        self.children: list["Node"] = []
         self.last_time: Optional[float] = None
         self.updates = 0
 
-    def receive(self, slot: int, t: float, value: float) -> None:
-        self.op.update(t, value, slot)
+    def receive(self, t: float, value: float) -> None:
+        self.op.update(t, value)
         self.last_time = t
         self.updates += 1
         if self.children:
             out = self.op.read(t)
             if out is not None:
-                for child, child_slot in self.children:
-                    child.receive(child_slot, t, out)
+                for child in self.children:
+                    child.receive(t, out)
 
     def read(self, now: float) -> Optional[float]:
         return self.op.read(now)
@@ -372,8 +348,8 @@ class LivePipeline:
     """Named streams + derivation: the live telemetry bus.
 
     Sources appear on first publish (or are pre-declared); derived
-    nodes are added with :meth:`derive`/:meth:`combine`, which can only
-    point *at existing nodes* — the graph is acyclic by construction.
+    nodes are added with :meth:`derive`, which can only point *at an
+    existing node* — the graph is acyclic by construction.
     """
 
     enabled = True
@@ -405,18 +381,7 @@ class LivePipeline:
         parent_node = self.source(parent) if isinstance(parent, str) \
             else parent
         node = self._add(name, Node(name, op))
-        parent_node.children.append((node, 0))
-        return node
-
-    def combine(self, name: str, fn: Callable[..., float],
-                parents: Iterable["str | Node"]) -> Node:
-        """A new stream combining several parents positionally."""
-        parent_nodes = [self.source(p) if isinstance(p, str) else p
-                        for p in parents]
-        node = self._add(name, Node(name, Combine(fn,
-                                                  len(parent_nodes))))
-        for slot, parent_node in enumerate(parent_nodes):
-            parent_node.children.append((node, slot))
+        parent_node.children.append(node)
         return node
 
     # -- feeding -----------------------------------------------------------
@@ -425,7 +390,7 @@ class LivePipeline:
         """Push one sample into ``name``'s source node (created on
         first publish) and through its downstream operators."""
         self.published += 1
-        self.source(name).receive(0, self._now() if t is None else t,
+        self.source(name).receive(self._now() if t is None else t,
                                   float(value))
 
     def attach_metrics(self, registry) -> None:

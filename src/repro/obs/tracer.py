@@ -13,12 +13,13 @@ Two opening APIs with different proof obligations:
 
 * :meth:`Tracer.span` — a *scoped* span: the opener must close it on
   every path, either as a context manager (preferred) or via an
-  explicit ``end()``.  The simlint rule **OBS001** checks exactly this
-  pairing, the way FLW001 checks ``pool.acquire``/``release``.
+  explicit ``end()``.  Every scoped span in ``src/`` uses the ``with``
+  form; an ``end()`` that arrives after :meth:`Tracer.close` is
+  counted in ``dropped``, which ``repro analyze`` refuses.
 * :meth:`Tracer.open_span` — a *flow* span whose ownership transfers
   to whoever observes the matching completion (e.g. a replication
   ship span opened by the master's dump thread and ended by the
-  slave's IO thread).  OBS001 does not track these.
+  slave's IO thread).
 
 Disabled tracing must cost nothing measurable: :data:`NULL_TRACER`
 (``enabled`` is False) returns one shared no-op span, so
@@ -118,7 +119,7 @@ class Tracer:
     # -- opening -----------------------------------------------------------
     def span(self, name: str, category: str = "app",
              track: Optional[str] = None, **attributes) -> Span:
-        """Open a scoped span: close it on every path (OBS001)."""
+        """Open a scoped span: close it on every path (``with``)."""
         return self._start(name, category, track, attributes, push=True)
 
     def open_span(self, name: str, category: str = "app",

@@ -6,7 +6,7 @@ queueing resources and named deterministic RNG streams.
 
 from .kernel import (AllOf, AnyOf, Event, Interrupt, Process, SimulationError,
                      Simulator, Timeout)
-from .resources import Gate, Request, Resource, Store
+from .resources import Request, Resource, Store
 from .rng import RandomStreams
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "Resource",
     "Request",
     "Store",
-    "Gate",
     "RandomStreams",
 ]

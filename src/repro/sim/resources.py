@@ -1,14 +1,11 @@
 """Queueing primitives built on the simulation kernel.
 
-Three primitives cover every queueing structure in the reproduction:
+Two primitives cover every queueing structure in the reproduction:
 
 * :class:`Resource` — a counted resource with a FIFO wait queue (CPU
   cores, connection-pool slots).
 * :class:`Store` — an unbounded-or-bounded FIFO queue of items (request
   queues, relay logs, network mailboxes).
-* :class:`Gate` — a level-triggered condition processes can wait on
-  (used e.g. to park the slave SQL thread until the relay log is
-  non-empty).
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from typing import Any, Optional
 
 from .kernel import Event, Simulator, SimulationError
 
-__all__ = ["Request", "Resource", "Store", "Gate"]
+__all__ = ["Request", "Resource", "Store"]
 
 
 class Request(Event):
@@ -156,39 +153,3 @@ class Store:
             else:
                 self._items.append(item)
             done.succeed(item)
-
-
-class Gate:
-    """A level-triggered condition.
-
-    ``wait()`` returns an event that fires as soon as the gate is (or
-    becomes) open.  Unlike a one-shot event the gate can close and
-    reopen repeatedly.
-    """
-
-    def __init__(self, sim: Simulator, open_: bool = False):
-        self.sim = sim
-        self._open = open_
-        self._waiters: list[Event] = []
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def open(self) -> None:
-        """Open the gate and release every current waiter."""
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed()
-
-    def close(self) -> None:
-        self._open = False
-
-    def wait(self) -> Event:
-        ev = Event(self.sim)
-        if self._open:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev

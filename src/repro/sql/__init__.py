@@ -4,7 +4,7 @@ from . import ast
 from .expressions import (EvalContext, EvaluationError, compile_expression,
                           evaluate, like_match)
 from .lexer import LexerError, tokenize
-from .parser import ParseError, parse, parse_many
+from .parser import ParseError, parse
 from .plancache import PlanCache, fingerprint
 from .render import render_expression, render_literal, render_statement
 
@@ -13,7 +13,6 @@ __all__ = [
     "tokenize",
     "LexerError",
     "parse",
-    "parse_many",
     "ParseError",
     "compile_expression",
     "evaluate",

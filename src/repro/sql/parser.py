@@ -15,7 +15,7 @@ from .ast import (BeginStatement, BetweenOp, BinaryOp, ColumnDef, ColumnRef,
 from .lexer import tokenize
 from .tokens import Token, TokenType
 
-__all__ = ["ParseError", "parse", "parse_many"]
+__all__ = ["ParseError", "parse"]
 
 _TYPE_KEYWORDS = frozenset((
     "INTEGER", "INT", "BIGINT", "FLOAT", "DOUBLE", "VARCHAR", "TEXT",
@@ -35,17 +35,6 @@ def parse(text: str) -> Statement:
     parser.skip_semicolons()
     parser.expect_eof()
     return statement
-
-
-def parse_many(text: str) -> list[Statement]:
-    """Parse a ``;``-separated script into a list of statements."""
-    parser = _Parser(tokenize(text))
-    statements: list[Statement] = []
-    parser.skip_semicolons()
-    while not parser.at_eof():
-        statements.append(parser.statement())
-        parser.skip_semicolons()
-    return statements
 
 
 class _Parser:

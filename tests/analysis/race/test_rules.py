@@ -1,5 +1,5 @@
-"""Per-RACE-rule suites: each rule fires on its canonical shape,
-stays silent on the corrected shape, and honours suppressions."""
+"""RACE001 fires on its canonical shape, stays silent on the
+corrected shape, and honours suppressions."""
 
 
 def _codes(findings):
@@ -88,227 +88,3 @@ def test_race001_crosses_interprocedural_yield(race_project):
                 sim.process(pool.worker())
     """})
     assert _codes(findings) == ["RACE001"]
-
-
-# ---------------------------------------------------------------------------
-# RACE002: check-then-act across a yield.
-# ---------------------------------------------------------------------------
-
-RACE002_FIRE = """\
-class Registry:
-    def __init__(self, sim):
-        self.sim = sim
-        self.leader = None
-
-    def elect(self, me):
-        if self.leader is None:
-            yield self.sim.timeout(1)
-            self.leader = me
-
-
-def main(sim, registry):
-    for name in ("a", "b"):
-        sim.process(registry.elect(name))
-"""
-
-
-def test_race002_fires_on_check_then_act(race_project):
-    _model, findings = race_project({"mod.py": RACE002_FIRE})
-    assert "RACE002" in _codes(findings)
-    finding = next(f for f in findings if f.rule_id == "RACE002")
-    assert "leader" in finding.message
-
-
-def test_race002_silent_when_rechecked_after_yield(race_project):
-    source = RACE002_FIRE.replace(
-        "            self.leader = me",
-        "            if self.leader is None:\n"
-        "                self.leader = me")
-    _model, findings = race_project({"mod.py": source})
-    assert "RACE002" not in _codes(findings)
-
-
-def test_race002_poll_loop_recheck_is_clean(race_project):
-    # `while` headers re-evaluate after every yield: that IS the
-    # re-check, so acting after the loop is fine.
-    _model, findings = race_project({"mod.py": """\
-        class Gate:
-            def __init__(self, sim):
-                self.sim = sim
-                self.open = False
-                self.entered = 0
-
-            def enter(self):
-                while not self.open:
-                    yield self.sim.timeout(1)
-                self.entered = self.entered + 1
-
-
-        def main(sim, gate):
-            for _ in range(2):
-                sim.process(gate.enter())
-    """})
-    assert "RACE002" not in _codes(findings)
-
-
-def test_race002_suppressed_inline(race_project):
-    # Suppressions anchor at the reported line — the act, not the check.
-    source = RACE002_FIRE.replace(
-        "            self.leader = me",
-        "            self.leader = me  # simlint: disable=RACE002")
-    _model, findings = race_project({"mod.py": source})
-    assert "RACE002" not in _codes(findings)
-
-
-# ---------------------------------------------------------------------------
-# RACE003: iterating a shared collection across a yield.
-# ---------------------------------------------------------------------------
-
-RACE003_FIRE = """\
-class Fleet:
-    def __init__(self, sim):
-        self.sim = sim
-        self.members = set()
-
-    def sweep(self):
-        for member in self.members:
-            yield self.sim.timeout(1)
-
-    def evict(self, member):
-        yield self.sim.timeout(1)
-        self.members.discard(member)
-
-
-def main(sim, fleet):
-    sim.process(fleet.sweep())
-    sim.process(fleet.evict("m1"))
-"""
-
-
-def test_race003_fires_on_live_iteration(race_project):
-    _model, findings = race_project({"mod.py": RACE003_FIRE})
-    assert "RACE003" in _codes(findings)
-    finding = next(f for f in findings if f.rule_id == "RACE003")
-    assert "members" in finding.message
-
-
-def test_race003_silent_on_snapshot_iteration(race_project):
-    source = RACE003_FIRE.replace(
-        "        for member in self.members:",
-        "        for member in list(self.members):")
-    _model, findings = race_project({"mod.py": source})
-    assert "RACE003" not in _codes(findings)
-
-
-def test_race003_silent_without_yield_in_body(race_project):
-    source = RACE003_FIRE.replace(
-        "        for member in self.members:\n"
-        "            yield self.sim.timeout(1)",
-        "        for member in self.members:\n"
-        "            pass\n"
-        "        yield self.sim.timeout(1)")
-    _model, findings = race_project({"mod.py": source})
-    assert "RACE003" not in _codes(findings)
-
-
-# ---------------------------------------------------------------------------
-# RACE004: publication torn by interrupt before the finally restores.
-# ---------------------------------------------------------------------------
-
-RACE004_FIRE = """\
-class Router:
-    def __init__(self, sim):
-        self.sim = sim
-        self.target = "primary"
-
-    def detour(self):
-        try:
-            self.target = "standby"
-            yield self.sim.timeout(5)
-        finally:
-            self.sim.log("done")
-
-    def sender(self):
-        yield self.sim.timeout(1)
-        self.target = "primary"
-
-
-def main(sim, router):
-    sim.process(router.detour())
-    sim.process(router.sender())
-"""
-
-
-def test_race004_fires_on_unrestored_publication(race_project):
-    _model, findings = race_project({"mod.py": RACE004_FIRE})
-    assert "RACE004" in _codes(findings)
-    finding = next(f for f in findings if f.rule_id == "RACE004")
-    assert "target" in finding.message
-
-
-def test_race004_silent_when_finally_restores(race_project):
-    source = RACE004_FIRE.replace(
-        '            self.sim.log("done")',
-        '            self.target = "primary"')
-    _model, findings = race_project({"mod.py": source})
-    assert "RACE004" not in _codes(findings)
-
-
-def test_race004_silent_when_write_after_yield(race_project):
-    # Published only after the first preemption: an interrupt landing
-    # at that yield never observes the torn value.
-    source = RACE004_FIRE.replace(
-        '            self.target = "standby"\n'
-        "            yield self.sim.timeout(5)",
-        "            yield self.sim.timeout(5)\n"
-        '            self.target = "standby"')
-    _model, findings = race_project({"mod.py": source})
-    assert "RACE004" not in _codes(findings)
-
-
-# ---------------------------------------------------------------------------
-# RACE005: a yield inside a begin/commit atomic region.
-# ---------------------------------------------------------------------------
-
-RACE005_FIRE = """\
-class Writer:
-    def __init__(self, sim, db):
-        self.sim = sim
-        self.db = db
-
-    def apply(self):
-        self.db.begin()
-        yield self.sim.timeout(1)
-        self.db.commit()
-
-
-def main(sim, writer):
-    for _ in range(2):
-        sim.process(writer.apply())
-"""
-
-
-def test_race005_fires_on_yield_inside_transaction(race_project):
-    _model, findings = race_project({"mod.py": RACE005_FIRE})
-    assert "RACE005" in _codes(findings)
-
-
-def test_race005_silent_when_commit_precedes_yield(race_project):
-    source = RACE005_FIRE.replace(
-        "        self.db.begin()\n"
-        "        yield self.sim.timeout(1)\n"
-        "        self.db.commit()",
-        "        self.db.begin()\n"
-        "        self.db.commit()\n"
-        "        yield self.sim.timeout(1)")
-    _model, findings = race_project({"mod.py": source})
-    assert "RACE005" not in _codes(findings)
-
-
-def test_race005_suppressed_inline(race_project):
-    source = RACE005_FIRE.replace(
-        "        yield self.sim.timeout(1)",
-        "        yield self.sim.timeout(1)"
-        "  # simlint: disable=RACE005")
-    _model, findings = race_project({"mod.py": source})
-    assert "RACE005" not in _codes(findings)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.config import LintConfig
 from repro.analysis.race import build_project_model
-from repro.analysis.taint import build_purity, taint_rules
+from repro.analysis.taint import taint_rules
 from repro.analysis.visitor import LintContext
 
 
@@ -40,16 +40,5 @@ def taint_project(tmp_path):
                 rule.check(context)
             findings.extend(context.findings)
         return model, sorted(findings)
-
-    return run
-
-
-@pytest.fixture
-def purity_project(tmp_path):
-    def run(sources):
-        """``sources``: {filename: source}.  Returns (model, purity)."""
-        paths = _write(tmp_path, sources)
-        model = build_project_model(paths)
-        return model, build_purity(model)
 
     return run

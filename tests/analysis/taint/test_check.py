@@ -1,6 +1,6 @@
 """``repro check``, the one gate: one parse and one rule pass per file
-over one shared model, purity feedback into the FLW/RACE rules, three
-report sections, one merged SARIF document."""
+over one shared model, three report sections, one merged SARIF
+document."""
 
 import ast
 import json
@@ -8,8 +8,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import (LintStats, check_paths, lint_source,
-                            load_config)
+from repro.analysis import LintStats, check_paths, load_config
 from repro.cli import main
 
 
@@ -44,57 +43,9 @@ def test_check_paths_returns_per_tool_findings(project):
     assert results["simrace"] == []
 
 
-PURE_LEAK = """\
-def measure(conn):
-    return 1
-
-
-def run(pool):
-    conn = pool.acquire()
-    measure(conn)
-"""
-
-
-def test_check_reports_purity_oracle_stats(project):
-    # A pure helper consulted by the FLW rules shows up as resolved
-    # call sites in the stats — and with the release present, clean.
-    paths = project({"mod.py": """\
-        def measure(conn):
-            return 1
-
-
-        def run(pool):
-            conn = pool.acquire()
-            try:
-                measure(conn)
-            finally:
-                pool.release(conn)
-    """})
-    stats = LintStats()
-    results = check_paths(paths, config=load_config("."), stats=stats)
-    assert results["simlint"] == []
-    assert stats.calls_resolved > 0
-    assert "purity oracle" in stats.render()
-
-
-def test_check_purity_feedback_sharpens_flw(project):
-    # With no project around it (lint_source: every callee unknown)
-    # `measure(conn)` is a conservative escape and FLW001 stays
-    # silent.  The gate — the only way to analyse paths — proves the
-    # callee pure: it cannot release or capture the handle, so the
-    # leak is the caller's and FLW001 fires.  The oracle converts a
-    # false negative into a report, and there is no second verdict.
-    (path,) = project({"leak.py": PURE_LEAK})
-    config = load_config(".")
-    alone = lint_source(PURE_LEAK, path=path, config=config)
-    assert not any(f.rule_id == "FLW001" for f in alone)
-    results = check_paths([path], config=config)
-    assert [f.rule_id for f in results["simlint"]] == ["FLW001"]
-
-
 def test_check_impure_call_still_settles_claims(project):
-    # A call the oracle can only prove IMPURE keeps the conservative
-    # escape semantics: no FLW001.
+    # Handing the connection to a callee that keeps it is an escape:
+    # the claim stops being this function's to prove, no FLW001.
     paths = project({"handoff.py": """\
         REGISTRY = []
 

@@ -1,269 +1,64 @@
-"""Purity/side-effect summaries: the least fixpoint over the call
-graph, exact per-function assertions via ``effects_by_qualname``."""
+"""``taint/purity.py``: precise call resolution for the taint engine
+(``resolve_targets``: the race call graph behind a precision gate)."""
 
 import ast
+import textwrap
 
-import pytest
-
-
-def _effects(purity):
-    return purity.effects_by_qualname()
+from repro.analysis.race import build_project_model
+from repro.analysis.taint.purity import resolve_targets
 
 
-# ---------------------------------------------------------------------------
-# Direct effects.
-# ---------------------------------------------------------------------------
-
-def test_value_computation_is_pure(purity_project):
-    _model, purity = purity_project({"mod.py": """\
-        def double(x):
-            return x * 2
-    """})
-    assert _effects(purity) == {"mod.double": "pure"}
-
-
-def test_fresh_local_mutation_stays_pure(purity_project):
-    # Mutating a list the function itself allocated is invisible to
-    # the caller.
-    _model, purity = purity_project({"mod.py": """\
-        def build(n):
-            out = []
-            for i in range(n):
-                out.append(i)
-            return out
-    """})
-    assert _effects(purity) == {"mod.build": "pure"}
+def _resolved(tmp_path, source):
+    """``caller name -> [callee qualname, ...]`` for the one call each
+    caller's body ends with."""
+    path = tmp_path / "mod.py"
+    path.write_text(textwrap.dedent(source), encoding="utf-8")
+    model = build_project_model([str(path)])
+    resolved = {}
+    for info in model.functions.values():
+        calls = [node for node in ast.walk(info.node.body[-1])
+                 if isinstance(node, ast.Call)]
+        if calls:
+            targets = resolve_targets(model, calls[0], info)
+            resolved[info.name] = [t.qualname for t in targets]
+    return resolved
 
 
-def test_parameter_mutation_is_recorded_by_index(purity_project):
-    _model, purity = purity_project({"mod.py": """\
-        def push(items, value):
-            items.append(value)
-    """})
-    assert _effects(purity) == {"mod.push": "mutates(0)"}
-
-
-def test_aliased_parameter_mutation_is_caught(purity_project):
-    # The write goes through a local alias of the parameter.
-    _model, purity = purity_project({"mod.py": """\
-        def push(items, value):
-            view = items
-            view.append(value)
-    """})
-    assert _effects(purity) == {"mod.push": "mutates(0)"}
-
-
-def test_global_write_and_io_and_nondet(purity_project):
-    _model, purity = purity_project({"mod.py": """\
-        import time
-
-        COUNTER = 0
-
-        def bump():
-            global COUNTER
-            COUNTER += 1
-
-        def log(msg):
-            print(msg)
-
-        def stamp():
-            return time.time()
-    """})
-    effects = _effects(purity)
-    assert effects["mod.bump"] == "globals"
-    assert effects["mod.log"] == "io"
-    assert effects["mod.stamp"] == "nondet"
-
-
-# ---------------------------------------------------------------------------
-# The fixpoint: recursion, mutual recursion, transitivity.
-# ---------------------------------------------------------------------------
-
-def test_recursion_converges_to_pure(purity_project):
-    _model, purity = purity_project({"mod.py": """\
-        def fact(n):
-            return 1 if n <= 1 else n * fact(n - 1)
-    """})
-    assert _effects(purity) == {"mod.fact": "pure"}
-
-
-def test_mutual_recursion_converges_to_pure(purity_project):
-    _model, purity = purity_project({"mod.py": """\
-        def is_even(n):
-            return True if n == 0 else is_odd(n - 1)
-
-        def is_odd(n):
-            return False if n == 0 else is_even(n - 1)
-    """})
-    assert _effects(purity) == {"mod.is_even": "pure",
-                                "mod.is_odd": "pure"}
-
-
-def test_mutual_recursion_propagates_an_effect_to_both(purity_project):
-    _model, purity = purity_project({"mod.py": """\
-        def ping(n):
-            print(n)
-            return pong(n - 1)
-
-        def pong(n):
-            return ping(n - 1)
-    """})
-    effects = _effects(purity)
-    assert effects["mod.ping"] == "io"
-    assert effects["mod.pong"] == "io"
-
-
-def test_nondet_is_transitive_across_helpers(purity_project):
-    _model, purity = purity_project({"mod.py": """\
-        import time
-
-        def leaf():
-            return time.time()
-
-        def middle():
-            return leaf() + 1
-
-        def top():
-            return middle() * 2
-    """})
-    effects = _effects(purity)
-    assert effects["mod.leaf"] == "nondet"
-    assert effects["mod.middle"] == "nondet"
-    assert effects["mod.top"] == "nondet"
-
-
-def test_callee_param_mutation_maps_back_through_arguments(purity_project):
-    # push mutates its first parameter; fill passes ITS first
-    # parameter there, so fill mutates parameter 0 too.
-    _model, purity = purity_project({"mod.py": """\
-        def push(items, value):
-            items.append(value)
-
-        def fill(bucket):
-            push(bucket, 1)
-
-        def fresh():
-            local = []
-            push(local, 1)
-            return local
-    """})
-    effects = _effects(purity)
-    assert effects["mod.push"] == "mutates(0)"
-    assert effects["mod.fill"] == "mutates(0)"
-    # A fresh local handed to the mutator is the caller's own object.
-    assert effects["mod.fresh"] == "pure"
-
-
-def test_unknown_call_makes_the_caller_opaque(purity_project):
-    _model, purity = purity_project({"mod.py": """\
-        import mystery
-
-        def touch():
-            return mystery.poke()
-    """})
-    assert _effects(purity)["mod.touch"] == "opaque"
-
-
-def test_whitelisted_stdlib_calls_stay_pure(purity_project):
-    _model, purity = purity_project({"mod.py": """\
-        import math
-
-        def norm(xs):
-            return math.sqrt(sum(x * x for x in sorted(xs)))
-    """})
-    assert _effects(purity) == {"mod.norm": "pure"}
-
-
-# ---------------------------------------------------------------------------
-# call_verdict: the oracle the FLW/RACE rules consult.
-# ---------------------------------------------------------------------------
-
-SOURCES = {"mod.py": """\
-    import time
-
-    def pure_helper(x):
-        return x + 1
-
-    def nondet_helper():
-        return time.time()
-
-    def gen(sim):
-        yield sim.timeout(pure_helper(1))
-
-    def caller(sim):
-        a = pure_helper(1)
-        b = nondet_helper()
-        c = gen(sim)
-        return a, b, c
-"""}
-
-
-def _calls_in(model, path, name):
-    module = model.module_for(path)
-    info = module.functions[name]
-    return {node.func.id: node
-            for node in ast.walk(info.node)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)}, info
-
-
-def test_call_verdicts_and_stats(purity_project, tmp_path):
-    model, purity = purity_project(SOURCES)
-    path = str(tmp_path / "mod.py")
-    calls, caller = _calls_in(model, path, "caller")
-
-    assert purity.call_verdict(calls["pure_helper"],
-                               caller=caller) == "pure"
-    assert purity.call_verdict(calls["nondet_helper"],
-                               caller=caller) == "impure"
-    # A generator is never "pure" for the oracle even if effect-free:
-    # calling it builds a process that may suspend.
-    assert purity.call_verdict(calls["gen"], caller=caller) != "pure"
-
-    # All three verdicts came from resolved project targets ("impure"
-    # is still a *resolved* answer; only "unknown" is conservative).
-    assert purity.stats.resolved == 3
-    assert purity.stats.conservative == 0
-    assert "resolved" in purity.stats.render()
-
-
-def test_generic_method_names_need_receiver_evidence(purity_project,
-                                                     tmp_path):
+def test_generic_method_names_need_receiver_evidence(tmp_path):
     # `sink.append(...)` must NOT dispatch to Binlog.append just
     # because the names match; `binlog.append(...)` may.
-    model, purity = purity_project({"mod.py": """\
+    resolved = _resolved(tmp_path, """\
         class Binlog:
             def __init__(self):
                 self.events = []
 
             def append(self, event):
                 self.events.append(event)
-                print(event)
 
         def anonymous(sink, event):
             sink.append(event)
 
         def evidenced(binlog, event):
             binlog.append(event)
-    """})
-    effects = _effects(purity)
-    # No receiver evidence: plain collection mutation of param 0.
-    assert effects["mod.anonymous"] == "mutates(0)"
-    # Receiver names the class: the callee's own summary governs —
-    # its self-mutation maps back to param 0, and its I/O comes along.
-    assert effects["mod.evidenced"] == "mutates(0) io"
+    """)
+    assert resolved["anonymous"] == []
+    assert resolved["evidenced"] == ["mod.Binlog.append"]
+    # `self.events.append` inside the class is a list, not the class.
+    assert resolved["append"] == []
 
 
-def test_parameter_shadows_project_function(purity_project):
+def test_parameter_shadows_project_function(tmp_path):
     # Calling the callable *parameter* `job` must not resolve to the
-    # module-level `def job` (which does I/O).
-    _model, purity = purity_project({"mod.py": """\
+    # module-level `def job`.
+    resolved = _resolved(tmp_path, """\
         def job():
-            print("module-level")
+            return 1
 
         def run(job):
             return job()
-    """})
-    effects = _effects(purity)
-    assert effects["mod.job"] == "io"
-    assert "io" not in effects["mod.run"]
+
+        def direct():
+            return job()
+    """)
+    assert resolved["run"] == []
+    assert resolved["direct"] == ["mod.job"]

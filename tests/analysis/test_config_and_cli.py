@@ -6,9 +6,11 @@ import os
 
 import pytest
 
-from repro.analysis import (DEFAULT_CONFIG, LintConfig, check_paths,
-                            load_config)
+from repro.analysis import (DEFAULT_CONFIG, LintConfig, all_rules,
+                            check_paths, load_config)
 from repro.analysis.config import config_from_table, parse_simlint_table
+from repro.analysis.race import RACE_RULES
+from repro.analysis.taint import TAINT_RULES
 from repro.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -23,9 +25,9 @@ def test_select_restricts_to_family():
 
 
 def test_ignore_drops_specific_rule():
-    config = LintConfig(ignore=("SIM003",))
-    assert config.rule_enabled("SIM001")
-    assert not config.rule_enabled("SIM003")
+    config = LintConfig(ignore=("TNT003",))
+    assert config.rule_enabled("TNT001")
+    assert not config.rule_enabled("TNT003")
 
 
 def test_narrowed_applies_cli_overrides():
@@ -51,11 +53,11 @@ def test_load_config_from_custom_pyproject(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
         "[tool.simlint]\n"
         'paths = ["lib"]\n'
-        'select = ["DET", "SIM"]\n'
+        'select = ["DET", "FLW"]\n'
         'ignore = ["DET005"]\n')
     config = load_config(str(tmp_path))
     assert config.paths == ("lib",)
-    assert config.rule_enabled("SIM001")
+    assert config.rule_enabled("FLW001")
     assert not config.rule_enabled("DET005")
     assert not config.rule_enabled("SQL001")
 
@@ -146,7 +148,7 @@ def bad_module(tmp_path):
         "import time\n"
         "def probe(sim):\n"
         "    yield sim.timeout(1.0)\n"
-        "    time.sleep(0.5)\n")
+        "    time.time()\n")
     return str(path)
 
 
@@ -160,7 +162,7 @@ def test_cli_lint_clean_path_exits_zero(tmp_path, capsys):
 def test_cli_lint_violation_exits_nonzero(tmp_path, capsys):
     assert main(["check", bad_module(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "SIM001" in out
+    assert "DET001" in out
     assert "bad.py:4:" in out
 
 
@@ -170,22 +172,22 @@ def test_cli_lint_json_format(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 1
     (finding,) = payload["tools"]["simlint"]["findings"]
-    assert finding["rule_id"] == "SIM001"
+    assert finding["rule_id"] == "DET001"
     assert finding["line"] == 4
 
 
 def test_cli_lint_select_and_ignore(tmp_path, capsys):
     path = bad_module(tmp_path)
-    assert main(["check", "--select", "DET", path]) == 0
+    assert main(["check", "--select", "SQL", path]) == 0
     capsys.readouterr()
-    assert main(["check", "--ignore", "SIM001", path]) == 0
+    assert main(["check", "--ignore", "DET001", path]) == 0
 
 
 def test_lint_paths_accepts_single_file(tmp_path):
     results = check_paths([bad_module(tmp_path)],
                           config=LintConfig(sql_exclude=()))
     assert [finding.rule_id
-            for finding in results["simlint"]] == ["SIM001"]
+            for finding in results["simlint"]] == ["DET001"]
 
 
 def test_cli_lint_unknown_rule_is_a_usage_error(tmp_path, capsys):
@@ -195,10 +197,56 @@ def test_cli_lint_unknown_rule_is_a_usage_error(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "unknown rule or family: BOGUS" in out
     # Every analyzer's ids are selectable, so all are listed as known.
-    for rule_id in ("SIM001", "FLW001", "RACE001", "TNT005", "PARSE"):
+    for rule_id in ("DET001", "FLW001", "RACE001", "TNT005", "PARSE"):
         assert rule_id in out
-    assert main(["check", "--ignore", "SIM01",
+    assert main(["check", "--ignore", "DET01",
                  bad_module(tmp_path)]) == 2
+
+
+REGISTRY = ["DET001", "DET002", "DET005", "FLW001", "FLW002",
+            "RACE001", "SQL001", "SQL002", "SQL003", "TNT001",
+            "TNT002", "TNT003", "TNT004", "TNT005"]
+
+
+def test_registry_is_exactly_the_rules_that_have_fired():
+    rules = all_rules() + [cls() for cls in RACE_RULES + TAINT_RULES]
+    assert sorted(rule.rule_id for rule in rules) == REGISTRY
+
+
+def test_cli_check_retired_rule_id_is_unknown(tmp_path, capsys):
+    # Retired ids are never reused and not silently accepted: SIM003
+    # is as unknown as a typo, and the message lists what is left.
+    assert main(["check", "--select", "SIM003",
+                 bad_module(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "unknown rule or family: SIM003" in out
+    listed = out[out.index("(known: ") + 8:out.rindex(")")].split(", ")
+    assert listed == sorted(REGISTRY + ["PARSE"])
+
+
+def unparsable_dir(tmp_path):
+    (tmp_path / "broken.py").write_text("def broken(:\n")
+    return str(tmp_path)
+
+
+def test_cli_check_ignoring_parse_is_a_usage_error(tmp_path, capsys):
+    # An unparsable file is never analysed, so it keeps failing the
+    # gate: ignoring PARSE is refused, not silently accepted.
+    path = unparsable_dir(tmp_path)
+    assert main(["check", path, "--ignore", "PARSE"]) == 2
+    out = capsys.readouterr().out
+    assert "PARSE cannot be ignored" in out
+    assert "broken.py" not in out
+    # ...and no --select drops it.
+    assert main(["check", path, "--select", "TNT"]) == 1
+    assert "PARSE file does not parse" in capsys.readouterr().out
+
+
+def test_config_rejects_ignoring_parse():
+    with pytest.raises(ValueError, match="PARSE cannot be ignored"):
+        config_from_table({"per-path-ignore": ["x:PARSE"]})
+    with pytest.raises(ValueError, match="PARSE cannot be ignored"):
+        config_from_table({"ignore": ["PARSE"]})
 
 
 def test_cli_lint_missing_path_is_an_error(tmp_path, capsys):
@@ -213,7 +261,7 @@ def test_cli_lint_sarif_format(tmp_path, capsys):
     document = json.loads(capsys.readouterr().out)
     assert document["version"] == "2.1.0"
     results = document["runs"][0]["results"]
-    assert [result["ruleId"] for result in results] == ["SIM001"]
+    assert [result["ruleId"] for result in results] == ["DET001"]
 
 
 def test_cli_lint_stats_appends_to_text(tmp_path, capsys):
@@ -221,7 +269,7 @@ def test_cli_lint_stats_appends_to_text(tmp_path, capsys):
     out = capsys.readouterr().out
     # One pass: the file is counted once, not once per analyzer.
     assert "simlint stats: 1 file," in out
-    assert "SIM001: 1 finding" in out
+    assert "DET001: 1 finding" in out
 
 
 def test_cli_lint_stats_goes_to_stderr_for_machine_formats(tmp_path,
@@ -292,8 +340,7 @@ def test_cli_racecheck_sarif_format(tmp_path, capsys):
     run = document["runs"][1]
     assert run["tool"]["driver"]["name"] == "simrace"
     listed = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert listed == {"RACE001", "RACE002", "RACE003", "RACE004",
-                      "RACE005"}
+    assert listed == {"RACE001"}
     (result,) = run["results"]
     assert result["ruleId"] == "RACE001"
     assert len(result["relatedLocations"]) == 2
@@ -304,7 +351,7 @@ def test_cli_racecheck_stats_line(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "RACE001: 1 finding" in out
     # --select narrows the rules that run, nothing else.
-    assert "SIM001" not in out and "TNT001" not in out
+    assert "DET001" not in out and "TNT001" not in out
 
 
 def test_cli_racecheck_missing_path_is_an_error(tmp_path, capsys):

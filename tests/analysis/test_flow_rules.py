@@ -1,4 +1,4 @@
-"""Each FLW rule: positive, suppressed, and negative cases.
+"""FLW001 / FLW002: positive, suppressed, and negative cases.
 
 The acceptance case for the family is the first test: a pooled
 connection acquired in a sim process and released only on the normal
@@ -127,129 +127,3 @@ def test_flw001_flw002_share_the_pairing_solver():
     assert issubclass(ResourceRequestLeakRule, _PairingRule)
     assert PoolAcquireLeakRule.check is _PairingRule.check
     assert ResourceRequestLeakRule.check is _PairingRule.check
-
-
-# ------------------------------------------------------------- FLW003
-def test_flw003_fires_on_begin_without_commit():
-    findings = only(
-        "def f(txn):\n"
-        "    txn.begin()\n"
-        "    txn.write()\n",
-        "FLW003")
-    assert len(findings) == 1
-    assert "'txn'" in findings[0].message
-
-
-def test_flw003_fires_when_commit_can_be_skipped_by_exception():
-    # txn.write() may raise between begin and commit.
-    assert len(only(
-        "def f(txn):\n"
-        "    txn.begin()\n"
-        "    txn.write()\n"
-        "    txn.commit()\n",
-        "FLW003")) == 1
-
-
-def test_flw003_clean_with_catch_all_rollback():
-    assert only(
-        "def f(txn):\n"
-        "    txn.begin()\n"
-        "    try:\n"
-        "        txn.write()\n"
-        "    except Exception:\n"
-        "        txn.rollback()\n"
-        "        raise\n"
-        "    txn.commit()\n",
-        "FLW003") == []
-
-
-def test_flw003_tracks_receiver_chains_separately():
-    # a.begin() is not closed by b.commit().
-    assert len(only(
-        "def f(a, b):\n"
-        "    a.begin()\n"
-        "    b.begin()\n"
-        "    b.commit()\n",
-        "FLW003")) == 1
-
-
-def test_flw003_suppressed():
-    assert only(
-        "def f(txn):\n"
-        "    txn.begin()  # simlint: disable=FLW003\n",
-        "FLW003") == []
-
-
-# ------------------------------------------------------------- FLW004
-def test_flw004_fires_on_yield_after_return():
-    findings = only(
-        "def gen():\n"
-        "    yield 1\n"
-        "    return\n"
-        "    yield 2\n",
-        "FLW004")
-    assert len(findings) == 1
-    assert findings[0].line == 4
-
-
-def test_flw004_ignores_reachable_yields():
-    assert only(
-        "def gen(flag):\n"
-        "    if flag:\n"
-        "        return\n"
-        "    yield 1\n",
-        "FLW004") == []
-
-
-def test_flw004_ignores_plain_functions():
-    assert only(
-        "def f():\n"
-        "    return 1\n"
-        "    g()\n",
-        "FLW004") == []
-
-
-def test_flw004_suppressed():
-    assert only(
-        "def gen():\n"
-        "    yield 1\n"
-        "    return\n"
-        "    yield 2  # simlint: disable=FLW004\n",
-        "FLW004") == []
-
-
-# ------------------------------------------------------------- FLW005
-def test_flw005_fires_on_escape_into_call():
-    findings = only(
-        "def f(res, log):\n"
-        "    req = res.request()\n"
-        "    log.append(req)\n",
-        "FLW005")
-    assert len(findings) == 1
-    assert "log.append" in findings[0].message
-
-
-def test_flw005_fires_on_escape_into_container():
-    assert len(only(
-        "def f(res, table, k):\n"
-        "    req = res.request()\n"
-        "    table[k] = req\n",
-        "FLW005")) == 1
-
-
-def test_flw005_allows_release_and_constructors():
-    assert only(
-        "def f(res):\n"
-        "    req = res.request()\n"
-        "    handle = ClaimHandle(req)\n"
-        "    res.release(req)\n"
-        "    return handle\n",
-        "FLW005") == []
-
-
-def test_flw005_suppressed():
-    assert only(
-        "def f(res, log):\n"
-        "    req = res.request()\n"
-        "    log.append(req)  # simlint: disable=FLW005\n",
-        "FLW005") == []

@@ -74,7 +74,7 @@ def test_compute_charges_cpu_time():
     done = []
 
     def job(sim, inst):
-        yield from inst.compute(0.100)
+        yield from inst.run_on_cpu(lambda: (None, 0.100))
         done.append(sim.now)
 
     sim.process(job(sim, inst))
@@ -90,7 +90,7 @@ def test_compute_queues_on_single_core():
     finish = []
 
     def job(sim, inst, tag):
-        yield from inst.compute(0.050)
+        yield from inst.run_on_cpu(lambda: (None, 0.050))
         finish.append((tag, sim.now))
 
     sim.process(job(sim, inst, "a"))
@@ -106,7 +106,7 @@ def test_large_instance_parallelism():
     finish = []
 
     def job(sim, inst):
-        yield from inst.compute(0.050)
+        yield from inst.run_on_cpu(lambda: (None, 0.050))
         finish.append(sim.now)
 
     sim.process(job(sim, inst))
@@ -121,14 +121,14 @@ def test_utilization_window():
 
     def jobs(sim, inst):
         while True:
-            yield from inst.compute(0.010)
+            yield from inst.run_on_cpu(lambda: (None, 0.010))
             yield sim.timeout(inst.service_time(0.010))  # 50% duty
 
     sim.process(jobs(sim, inst))
     sim.run(until=10.0)
     start, busy0 = sim.now, inst.busy_time
     sim.run(until=110.0)
-    util = inst.utilization(start, busy0)
+    util = (inst.busy_time - busy0) / (sim.now - start)
     assert 0.4 < util < 0.6
 
 

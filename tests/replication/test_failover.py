@@ -210,8 +210,8 @@ def test_proxy_repoints_after_failover(sim, manager, master):
 
 # ---------------------------------------------------------------------------
 # Regression: the drain loop in promote() yields, so everything
-# validated before it is stale by the time the rebrand runs (RACE001 /
-# RACE002).  promote() must re-validate after draining.
+# validated before it is stale by the time the rebrand runs (RACE001).
+# promote() must re-validate after draining.
 # ---------------------------------------------------------------------------
 
 def _pause_sql_thread(slave):

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store and Gate."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Gate, Resource, SimulationError, Simulator, Store
+from repro.sim import Resource, SimulationError, Simulator, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -205,58 +205,3 @@ def test_store_len_and_items():
     store.put(2)
     assert len(store) == 2
     assert store.items == (1, 2)
-
-
-# -------------------------------------------------------------------- Gate
-def test_gate_open_releases_waiters():
-    sim = Simulator()
-    gate = Gate(sim)
-    woke = []
-
-    def waiter(sim, gate, tag):
-        yield gate.wait()
-        woke.append((tag, sim.now))
-
-    sim.process(waiter(sim, gate, 1))
-    sim.process(waiter(sim, gate, 2))
-
-    def opener(sim, gate):
-        yield sim.timeout(4.0)
-        gate.open()
-
-    sim.process(opener(sim, gate))
-    sim.run()
-    assert woke == [(1, 4.0), (2, 4.0)]
-
-
-def test_open_gate_passes_immediately():
-    sim = Simulator()
-    gate = Gate(sim, open_=True)
-    woke = []
-
-    def waiter(sim, gate):
-        yield gate.wait()
-        woke.append(sim.now)
-
-    sim.process(waiter(sim, gate))
-    sim.run()
-    assert woke == [0.0]
-
-
-def test_gate_reclose():
-    sim = Simulator()
-    gate = Gate(sim, open_=True)
-    gate.close()
-    assert not gate.is_open
-    woke = []
-
-    def waiter(sim, gate):
-        yield gate.wait()
-        woke.append(sim.now)
-
-    sim.process(waiter(sim, gate))
-    sim.run()
-    assert woke == []  # never opened again
-    gate.open()
-    sim.run()
-    assert woke == [0.0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sql import ParseError, parse, parse_many
+from repro.sql import ParseError, parse
 from repro.sql.ast import (BeginStatement, BinaryOp, ColumnRef,
                            CommitStatement, CreateDatabaseStatement,
                            CreateIndexStatement, CreateTableStatement,
@@ -284,14 +284,6 @@ def test_trailing_garbage_rejected():
 
 def test_semicolon_tolerated():
     assert isinstance(parse("SELECT 1;"), SelectStatement)
-
-
-def test_parse_many():
-    statements = parse_many(
-        "CREATE DATABASE d; USE d; "
-        "CREATE TABLE t (a INTEGER PRIMARY KEY); "
-        "INSERT INTO t (a) VALUES (1);")
-    assert len(statements) == 4
 
 
 def test_unknown_statement_rejected():

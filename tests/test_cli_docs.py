@@ -121,3 +121,20 @@ def test_performance_playbook_names_current_baseline():
     for name in names:
         assert (repo / name).is_file(), \
             f"PERFORMANCE.md references {name}, which is not committed"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_rule_tables_list_exactly_the_registered_rules():
+    """Every ``| `RULE` | ... |`` row of README's rule tables is a
+    registered rule id, and every registered id has its row."""
+    from repro.analysis import all_rules
+    from repro.analysis.race import RACE_RULES
+    from repro.analysis.taint import TAINT_RULES
+    registered = sorted(
+        rule.rule_id for rule in
+        all_rules() + [cls() for cls in RACE_RULES + TAINT_RULES])
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([A-Z]+\d{3})` \|", text, flags=re.M)
+    assert sorted(rows) == registered

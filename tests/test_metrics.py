@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import Cloud, MASTER_PLACEMENT, SMALL
-from repro.metrics import (CpuUtilizationProbe, TimeSeries, summarize,
-                           trimmed_mean)
-from repro.sim import RandomStreams, Simulator
+from repro.metrics import TimeSeries, summarize, trimmed_mean
 
 
 # ------------------------------------------------------------ trimmed_mean
@@ -155,31 +152,3 @@ def test_timeseries_bisect_matches_linear_scan(times, start, span):
                 if start <= t < end]
     assert series.window(start, end) == expected
     assert series.count_in(start, end) == len(expected)
-
-
-# ------------------------------------------------------ CpuUtilizationProbe
-def test_cpu_probe():
-    sim = Simulator()
-    cloud = Cloud(sim, RandomStreams(1))
-    instance = cloud.launch(SMALL, MASTER_PLACEMENT)
-    probe = CpuUtilizationProbe(instance)
-
-    def worker(sim, instance):
-        while sim.now < 100.0:
-            yield from instance.compute(0.010)
-            yield sim.timeout(instance.service_time(0.030))
-
-    sim.process(worker(sim, instance))
-    sim.run(until=10.0)
-    probe.start()
-    sim.run(until=90.0)
-    utilization = probe.stop()
-    assert 0.2 < utilization < 0.3  # 25% duty cycle
-
-
-def test_cpu_probe_requires_start():
-    sim = Simulator()
-    cloud = Cloud(sim, RandomStreams(2))
-    probe = CpuUtilizationProbe(cloud.launch(SMALL, MASTER_PLACEMENT))
-    with pytest.raises(ValueError):
-        probe.stop()
