@@ -9,45 +9,33 @@ workload, and reports throughput, replication delay and convergence.
 Run:  python examples/quickstart.py
 """
 
-from repro.cloud import Cloud, MASTER_PLACEMENT
-from repro.replication import (ConnectionPool, HeartbeatPlugin,
-                               ReplicationManager, collect_delays)
-from repro.sim import RandomStreams, Simulator
-from repro.workloads.cloudstone import (LoadGenerator, MIX_50_50, Phases,
-                                        load_initial_data)
+from repro.cloud import MASTER_PLACEMENT
+from repro.experiments.deployment import Deployment
+from repro.replication import collect_delays
+from repro.workloads.cloudstone import MIX_50_50, Phases
 
 
 def main():
-    sim = Simulator()
-    streams = RandomStreams(seed=42)
-    cloud = Cloud(sim, streams)
-
     # --- the application-managed database tier --------------------------
-    manager = ReplicationManager(sim, cloud)
-    master = manager.create_master(MASTER_PLACEMENT)
-    state = load_initial_data(master, data_size=100,
-                              rng=streams.stream("loader"))
-    heartbeat = HeartbeatPlugin(sim, master, interval=1.0)
-    heartbeat.install()
-    slaves = [manager.add_slave(MASTER_PLACEMENT) for _ in range(2)]
-    heartbeat.start()
+    # The paper's bring-up (§III-B), a step at a time; run_experiment
+    # and run_drill walk the same handle.
+    cell = Deployment(seed=42)
+    cell.provision(data_size=100, placements=[MASTER_PLACEMENT] * 2,
+                   heartbeat_interval=1.0, pin_master=False,
+                   monitor_period=None)
+    master, slaves = cell.manager.master, cell.manager.slaves
     print(f"cluster: master={master.name} "
           f"({master.instance.cpu_model.name}), "
           f"slaves={[s.name for s in slaves]}")
 
-    # --- the client stack ------------------------------------------------
-    proxy = manager.build_proxy(MASTER_PLACEMENT)
-    pool = ConnectionPool(sim, max_active=32)
+    # --- the client stack: proxy, connection pool, 40 users --------------
     phases = Phases(ramp_up=30.0, steady=120.0, ramp_down=15.0)
-    generator = LoadGenerator(sim, proxy, pool, MIX_50_50, state, streams,
-                              n_users=40, think_time_mean=5.0,
-                              phases=phases)
-    generator.start()
+    cell.start_workload(MIX_50_50, n_users=40, think_time_mean=5.0,
+                        phases=phases, pool_size=32)
 
     # --- run and report ----------------------------------------------------
-    sim.run(until=phases.total + 60.0)  # extra time to drain replication
-    heartbeat.stop()
-
+    cell.run_workload()
+    generator = cell.generator
     print(f"\nsteady-stage throughput: "
           f"{generator.steady_throughput():.1f} operations/second")
     print(f"achieved read fraction:  "
@@ -56,21 +44,15 @@ def main():
           f"{generator.steady_mean_latency() * 1000:.0f} ms")
     print(f"operations by type:      {dict(generator.op_counts)}")
 
+    verdict = cell.drain_and_verify(timeout=120.0)
     for slave in slaves:
-        samples = collect_delays(heartbeat, slave)
+        samples = collect_delays(cell.heartbeat, slave)
         if samples:
             median = sorted(s.delay_ms for s in samples)[len(samples) // 2]
             print(f"{slave.name}: {len(samples)} heartbeats, "
                   f"median raw replication delay {median:.2f} ms")
-
-    def verify(sim, manager):
-        caught_up = yield from manager.wait_until_caught_up(timeout=120.0)
-        print(f"\nall slaves caught up: {caught_up}")
-        print(f"replicas consistent with master: "
-              f"{manager.verify_consistency()}")
-
-    sim.process(verify(sim, manager))
-    sim.run(until=sim.now + 150.0)
+    print(f"\nall slaves caught up: {verdict['drained']}")
+    print(f"replicas consistent with master: {verdict['consistent']}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Fault drills: run a workload, break the cluster, measure recovery.
 
-A drill is a scaled-down experiment cell (same phase structure, same
-observability contract as ``run_experiment``) with three extra
-actors:
+A drill is a scaled-down experiment cell — one
+:class:`~repro.experiments.deployment.Deployment` on a validated
+master, slaves spread over zones, the cluster monitor always on, a
+retrying 50/50 driver — with three extra actors:
 
 * a :class:`~repro.chaos.injector.ChaosInjector` executing the fault
   schedule;
@@ -25,27 +26,23 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..cloud.instance import CpuModel
-from ..cloud.provisioner import Cloud
-from ..cloud.regions import DEFAULT_CATALOG, MASTER_PLACEMENT
+from ..cloud.regions import DEFAULT_CATALOG
 from ..db.errors import DatabaseError
+from ..experiments.deployment import Deployment
 from ..obs import Observability
-from ..replication.failover import data_loss_window, promote
-from ..replication.heartbeat import HeartbeatPlugin
+from ..replication.failover import (best_candidate, data_loss_window,
+                                    promote)
 from ..replication.manager import ReplicationManager
-from ..replication.monitor import ClusterMonitor
-from ..replication.pool import ConnectionPool
 from ..replication.proxy import ReadWriteSplitProxy
 from ..replication.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from ..sim import RandomStreams, Simulator
-from ..workloads.cloudstone import (MIX_50_50, LoadGenerator, Phases,
-                                    load_initial_data)
+from ..sim import Simulator
+from ..workloads.cloudstone import MIX_50_50, Phases
 from .faults import Fault, FaultSchedule
 from .injector import ChaosInjector
 
-__all__ = ["DrillConfig", "DrillResult", "FailoverController",
-           "ReplicaHealthPolicy", "default_schedule", "run_drill",
-           "render_report_text"]
+__all__ = ["Drill", "DrillConfig", "DrillResult", "FailoverController",
+           "ReplicaHealthPolicy", "default_schedule", "finish_drill",
+           "run_drill", "start_drill", "render_report_text"]
 
 #: Slave placements, in attachment order: one local replica, one
 #: cross-region replica (so partitions and latency surges bite), then
@@ -137,14 +134,6 @@ class FailoverController:
             self._process.interrupt("stopped")
         self._process = None
 
-    def _eligible_candidate(self):
-        candidates = [s for s in self.manager.slaves
-                      if s.online and s.instance.running]
-        if not candidates:
-            return None
-        return max(candidates,
-                   key=lambda s: (s.received_position, s.name))
-
     def _run(self):
         from ..sim import Interrupt
         try:
@@ -154,10 +143,11 @@ class FailoverController:
                 if dead is None or dead.online:
                     continue
                 detected_at = self.sim.now
-                candidate = self._eligible_candidate()
-                if candidate is None:
-                    # Nothing promotable yet (every slave down too);
-                    # keep polling — a slave restart unblocks us.
+                try:
+                    candidate = best_candidate(self.manager)
+                except DatabaseError:
+                    # Nothing promotable yet (every slave down too):
+                    # keep polling — a restart brings one back online.
                     continue
                 with self.sim.tracer.span(
                         "chaos.failover", category="chaos",
@@ -236,45 +226,45 @@ class ReplicaHealthPolicy:
 
 
 @dataclass
-class DrillResult:
-    """The recovery report plus live handles for inspection."""
+class Drill:
+    """A started drill: run ``deployment.sim`` in slices (or not at
+    all), then :func:`finish_drill`."""
 
-    report: dict
-    manager: ReplicationManager
-    generator: LoadGenerator
+    config: DrillConfig
+    deployment: Deployment
     injector: ChaosInjector
     controller: FailoverController
-    monitor: ClusterMonitor
-    proxy: ReadWriteSplitProxy
-    observe: Optional[Observability] = None
-    #: The SLO plane's handles, when the drill carried an SLO spec.
-    live: Optional[object] = None
-    #: Canonical incident timeline (``incidents.json`` payload), with
-    #: the detection scorecard against the injected schedule.
-    incidents: Optional[dict] = None
-    #: The executed schedule and its sim-time origin (faults are
-    #: relative to ``workload_start``).
-    schedule: Optional[FaultSchedule] = None
-    workload_start: float = 0.0
+    health: ReplicaHealthPolicy
+
+
+@dataclass
+class DrillResult:
+    """The recovery report plus the deployment for inspection."""
+
+    report: dict
+    deployment: Deployment
+    #: With an SLO spec: the ``incidents.json`` payload, carrying the
+    #: detection scorecard against the injected schedule.
+    incidents: Optional[dict]
+    #: As executed; fault times count from ``deployment.workload_start``.
+    schedule: FaultSchedule
 
 
 def _round(value: float, digits: int = 6) -> float:
     return round(float(value), digits)
 
 
-def _build_report(config: DrillConfig, schedule: FaultSchedule,
-                  injector: ChaosInjector,
-                  controller: FailoverController,
-                  monitor: ClusterMonitor, generator: LoadGenerator,
-                  proxy: ReadWriteSplitProxy, pool: ConnectionPool,
-                  workload_start: float, consistency: dict,
-                  observe: Optional[Observability],
-                  slo_section: Optional[dict] = None) -> dict:
-    crash_times = [when for when, fault, action, _note in injector.log
+def _build_report(drill: Drill, consistency: dict,
+                  slo_section: Optional[dict]) -> dict:
+    config, cell = drill.config, drill.deployment
+    schedule = drill.injector.schedule
+    generator, proxy, pool = cell.generator, cell.proxy, cell.pool
+    crash_times = [when for when, fault, action, _note
+                   in drill.injector.log
                    if fault.kind == "master-crash" and action == "begin"]
     failover: Optional[dict] = None
-    if controller.failovers:
-        event = controller.failovers[0]
+    if drill.controller.failovers:
+        event = drill.controller.failovers[0]
         crash_at = crash_times[0] if crash_times \
             else event["detected_at"]
         failover = {
@@ -293,8 +283,8 @@ def _build_report(config: DrillConfig, schedule: FaultSchedule,
     baseline_max = 0.0
     workload_max = 0.0
     per_slave_max: dict[str, float] = {}
-    for sample in monitor.samples:
-        in_baseline = sample.time <= workload_start
+    for sample in cell.monitor.samples:
+        in_baseline = sample.time <= cell.workload_start
         for slave in sample.slaves:
             if in_baseline:
                 baseline_max = max(baseline_max, slave.seconds_behind)
@@ -328,7 +318,7 @@ def _build_report(config: DrillConfig, schedule: FaultSchedule,
             "digest": schedule.digest(),
             "timeline": schedule.timeline().splitlines(),
         },
-        "applied": injector.timeline(),
+        "applied": drill.injector.timeline(),
         "failover": failover,
         "staleness": {
             "baseline_max_s": _round(baseline_max),
@@ -359,13 +349,13 @@ def _build_report(config: DrillConfig, schedule: FaultSchedule,
         },
         "consistency": consistency,
     }
-    if observe is not None:
+    if cell.observe is not None:
         from ..obs.export import metrics_jsonl
-        metrics_digest = hashlib.sha256(
-            metrics_jsonl(observe.metrics).encode("utf-8")).hexdigest()
+        metrics_digest = hashlib.sha256(metrics_jsonl(
+            cell.observe.metrics).encode("utf-8")).hexdigest()
         report["observability"] = {
-            "spans": len(observe.tracer.spans),
-            "droppedSpans": observe.tracer.dropped,
+            "spans": len(cell.observe.tracer.spans),
+            "droppedSpans": cell.observe.tracer.dropped,
             "metricsDigest": metrics_digest,
         }
     else:
@@ -381,86 +371,33 @@ def _build_report(config: DrillConfig, schedule: FaultSchedule,
     return report
 
 
-def run_drill(config: DrillConfig = DrillConfig(),
-              observe: Optional[Observability] = None,
-              sanitizer=None, slo=None) -> DrillResult:
-    """Execute one fault drill; deterministic per ``config.seed``.
-
-    Mirrors ``run_experiment``'s timeline (baseline phase span, then a
-    workload phase span carrying the analyze plane's window
-    attributes) so ``repro analyze`` works on drill traces unchanged.
-
-    Pass a :class:`~repro.analysis.race.RaceSanitizer` to watch the
-    drill's shared surfaces for stale write-backs; like observation,
-    instrumentation is read-only — the recovery report is
-    byte-identical with or without it (when no race fires).
-
-    ``slo`` (an :class:`~repro.obs.live.SLOSpec` or
-    :class:`~repro.obs.live.LiveSession`) turns the live SLO plane
-    on: alerts are evaluated at sim-time while the faults land, the
-    detection scorecard grades fire-times against the injected
-    schedule, and the report gains an ``slo`` section.  A bare spec
-    implies a default :class:`Observability` (the stream tap needs a
-    metrics registry).
-    """
-    live = None
-    if slo is not None:
-        from ..obs.live import LiveSession
-        live = LiveSession.of(slo)
-        if observe is None:
-            observe = Observability()
-    sim = Simulator()
-    if observe is not None:
-        observe.attach(sim)
-    if sanitizer is not None:
-        sanitizer.attach(sim)
-    if live is not None:
-        live.attach(sim)
-    streams = RandomStreams(config.seed)
-    cloud = Cloud(sim, streams)
-    manager = ReplicationManager(sim, cloud, ntp_period=1.0)
-    master = manager.create_master(MASTER_PLACEMENT)
+def start_drill(config: DrillConfig = DrillConfig(),
+                observe: Optional[Observability] = None,
+                sanitizer=None, slo=None) -> Drill:
+    """Bring the cluster up to the start of the workload phase with
+    the users and the drill's three actors started, nothing run yet."""
+    cell = Deployment(config.seed, observe, sanitizer, slo)
     # A validated master (the paper's §IV-A advice) keeps the drill's
     # signal on the *injected* faults, not the instance lottery.
-    master.instance.pin_hardware(CpuModel("Intel Xeon E5430 2.66GHz",
-                                          1.0))
-    state = load_initial_data(master, config.data_size,
-                              streams.stream("loader"))
-    heartbeat = HeartbeatPlugin(sim, master,
-                                interval=config.heartbeat_interval)
-    heartbeat.install()
-    for index in range(config.n_slaves):
-        zone = _SLAVE_ZONES[index % len(_SLAVE_ZONES)]
-        manager.add_slave(DEFAULT_CATALOG.placement(zone))
-    heartbeat.start()
-    monitor = ClusterMonitor(sim, manager, period=config.monitor_period)
-    monitor.start()
-
-    with sim.tracer.span("phase.baseline", category="experiment",
-                         track="experiment"):
-        sim.run(until=config.baseline_duration)
-    workload_start = sim.now
-
-    proxy = manager.build_proxy(MASTER_PLACEMENT)
-    pool = ConnectionPool(sim, max_active=config.n_users)
-    if sanitizer is not None:
-        from ..analysis.race import instrument_cluster
-        instrument_cluster(sanitizer, pool=pool, proxy=proxy,
-                           manager=manager)
-    generator = LoadGenerator(sim, proxy, pool, MIX_50_50, state,
-                              streams, n_users=config.n_users,
-                              think_time_mean=config.think_time_mean,
-                              phases=config.phases,
-                              retry=config.retry)
-    generator.start()
+    cell.provision(
+        config.data_size,
+        [DEFAULT_CATALOG.placement(_SLAVE_ZONES[i % len(_SLAVE_ZONES)])
+         for i in range(config.n_slaves)],
+        config.heartbeat_interval, pin_master=True,
+        monitor_period=config.monitor_period)
+    cell.run_baseline(config.baseline_duration)
+    cell.start_workload(MIX_50_50, config.n_users,
+                        config.think_time_mean, config.phases,
+                        retry=config.retry)
+    sim, manager, proxy = cell.sim, cell.manager, cell.proxy
 
     schedule = config.schedule if config.schedule is not None \
         else default_schedule()
     schedule.validate_targets(
         [slave.name for slave in manager.slaves],
         region_names=DEFAULT_CATALOG.region_names)
-    injector = ChaosInjector(sim, manager, cloud.network, schedule,
-                             proxy=proxy, offset=workload_start)
+    injector = ChaosInjector(sim, manager, cell.cloud.network, schedule,
+                             proxy=proxy, offset=cell.workload_start)
     injector.start()
     controller = FailoverController(sim, manager, proxy,
                                     period=config.detect_period)
@@ -470,48 +407,26 @@ def run_drill(config: DrillConfig = DrillConfig(),
         evict_behind_s=config.evict_behind_s,
         readmit_behind_s=config.readmit_behind_s)
     health.start()
+    return Drill(config, cell, injector, controller, health)
 
-    steady_start = workload_start + config.phases.steady_start
-    steady_end = workload_start + config.phases.steady_end
-    with sim.tracer.span("phase.workload", category="experiment",
-                         track="experiment", users=config.n_users,
-                         slaves=config.n_slaves,
-                         workload_start=workload_start,
-                         steady_start=steady_start,
-                         steady_end=steady_end):
-        sim.run(until=workload_start + config.phases.total)
-    heartbeat.stop()
-    injector.stop()
-    controller.stop()
-    health.stop()
 
-    # Post-drill drain: let replication catch up, then compare table
-    # checksums — a crash-during-apply or a missed resync shows up
-    # here, not as a silently wrong report.
-    drained = False
-    if manager.master is not None and manager.master.online:
-        drain = sim.process(
-            manager.wait_until_caught_up(
-                timeout=config.drain_timeout))
-        sim.run(until=sim.now + config.drain_timeout + 1.0)
-        drained = bool(drain.value) if drain.triggered else False
-    monitor.stop()
-    consistency = {
-        "drained": drained,
-        "consistent": manager.verify_consistency() if drained
-        else False,
-        "slaves": len(manager.slaves),
-    }
-    if observe is not None:
-        observe.finalize()
+def finish_drill(drill: Drill) -> DrillResult:
+    """Run what is left of the workload, stop the actors, drain
+    replication for the consistency verdict and build the report."""
+    cell, schedule = drill.deployment, drill.injector.schedule
+    cell.run_workload()
+    drill.injector.stop()
+    drill.controller.stop()
+    drill.health.stop()
+    consistency = cell.drain_and_verify(drill.config.drain_timeout)
 
-    incidents = None
-    slo_section = None
-    if live is not None:
+    detection = slo_section = None
+    if cell.live is not None:
         from ..obs.live import score_detection
-        detection = score_detection(live.incidents, schedule,
-                                    offset=workload_start)
-        incidents = live.document(sim.now, detection=detection)
+        detection = score_detection(cell.live.incidents, schedule,
+                                    offset=cell.workload_start)
+    incidents = cell.finish(detection=detection)
+    if incidents is not None:
         slo_section = {
             "spec": incidents["spec"],
             "fired": incidents["fired"],
@@ -520,17 +435,22 @@ def run_drill(config: DrillConfig = DrillConfig(),
             "scored": detection["scored"],
             "incidentsDigest": incidents["digest"],
         }
+    report = _build_report(drill, consistency, slo_section)
+    return DrillResult(report, cell, incidents, schedule)
 
-    report = _build_report(config, schedule, injector, controller,
-                           monitor, generator, proxy, pool,
-                           workload_start, consistency, observe,
-                           slo_section=slo_section)
-    return DrillResult(report=report, manager=manager,
-                       generator=generator, injector=injector,
-                       controller=controller, monitor=monitor,
-                       proxy=proxy, observe=observe, live=live,
-                       incidents=incidents, schedule=schedule,
-                       workload_start=workload_start)
+
+def run_drill(config: DrillConfig = DrillConfig(),
+              observe: Optional[Observability] = None,
+              sanitizer=None, slo=None) -> DrillResult:
+    """Execute one fault drill; deterministic per ``config.seed``.
+
+    ``observe`` and ``sanitizer`` only watch: the recovery report is
+    byte-identical with or without them (when no race fires).  With
+    ``slo`` the alerts are evaluated at sim-time while the faults
+    land, the detection scorecard grades fire-times against the
+    injected schedule, and the report gains an ``slo`` section.
+    """
+    return finish_drill(start_drill(config, observe, sanitizer, slo))
 
 
 def render_report_text(report: dict) -> str:

@@ -163,10 +163,11 @@ class ChaosInjector:
             self._note(fault, "skip", "slave left cluster while down")
             return
         slave.instance.restart()
-        try:
-            self.manager.resync_slave(slave)
-        except DatabaseError as error:
-            self._note(fault, "end", f"restart without resync: {error}")
+        if not self.manager.recover_slave(slave):
+            # The drill's health policy readmits it for reads.
+            self._note(fault, "end", f"slave={slave.name} restarted stale "
+                       f"at position {slave.received_position}: no "
+                       f"online master to re-sync from")
             return
         if self.proxy is not None:
             self.proxy.readmit(slave)

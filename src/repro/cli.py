@@ -535,7 +535,7 @@ def _run_chaos(args):
             include_master_crash=args.master_crash)
     config = DrillConfig(seed=args.seed, n_users=args.users,
                          n_slaves=args.slaves, schedule=schedule)
-    observe = Observability(monitor_period=None)
+    observe = Observability()
     sanitizer = None
     if args.sanitize:
         from .analysis.race import RaceSanitizer
@@ -590,7 +590,6 @@ def _run_slo(args):
     import json
 
     from .chaos import DrillConfig, run_drill
-    from .obs import Observability
     from .obs.live import (LiveSession, render_incidents_text,
                            write_incidents)
 
@@ -603,17 +602,14 @@ def _run_slo(args):
     config = DrillConfig(seed=args.seed, n_users=args.users,
                          n_slaves=args.slaves)
     session = LiveSession(spec)
-    # run_drill starts its own ClusterMonitor; a monitor-less
-    # Observability supplies the registry the stream tap rides on.
-    result = run_drill(config, observe=Observability(
-        monitor_period=None), slo=session)
+    result = run_drill(config, slo=session)
     document = result.incidents
     # The scorecard honours --tolerance; recompute when non-default.
     if args.tolerance != 30.0:
         from .obs.live import score_detection
         detection = score_detection(
             session.incidents, result.schedule,
-            offset=result.workload_start,
+            offset=result.deployment.workload_start,
             tolerance_s=args.tolerance)
         document = session.document(document["final_time_s"],
                                     detection=detection)
@@ -629,7 +625,6 @@ def _run_slo(args):
 
 
 def _run_watch(args):
-    from .obs import Observability
     from .obs.live import LiveSession
 
     spec, error = _load_spec_arg(args.spec, "watch")
@@ -654,8 +649,7 @@ def _run_watch(args):
                     "--cell", 2)
         config = DrillConfig(seed=args.seed, n_users=args.users,
                              n_slaves=args.slaves)
-        run_drill(config, observe=Observability(monitor_period=None),
-                  slo=session)
+        run_drill(config, slo=session)
     return session.render_watch()
 
 

@@ -1,16 +1,11 @@
 """Run one experiment cell end to end.
 
-The timeline of a run mirrors the paper's §III-B:
-
-1. build the cloud, launch the master, pre-load the Cloudstone data;
-2. attach the slaves (each from a fresh, fully-synchronized snapshot)
-   at the configured location; start NTP (sync every second) and the
-   heartbeat plug-in;
-3. collect an idle **baseline** heartbeat window (the reference the
-   relative-delay estimator subtracts);
-4. run the workload through ramp-up / steady / ramp-down;
-5. report steady-stage throughput, CPU utilizations, and the average
-   relative replication delay per slave.
+A cell is one :class:`~repro.experiments.deployment.Deployment` taken
+through the paper's §III-B steps with the cell's configuration; what
+this module adds is the measurement: CPU-utilization and relay-backlog
+probes around the steady stage, the average relative replication delay
+per slave (steady-stage heartbeats against the idle baseline window)
+and the bottleneck attribution.
 """
 
 from __future__ import annotations
@@ -18,22 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..cloud.instance import CpuModel
-from ..cloud.provisioner import Cloud
-from ..cloud.regions import MASTER_PLACEMENT
-from ..replication.heartbeat import (HeartbeatPlugin,
-                                     average_relative_delay_ms,
-                                     collect_delays)
 from ..obs import Observability
 from ..obs.analyze import CellSignals, attribute_bottleneck
-from ..replication.manager import ReplicationManager
-from ..replication.monitor import ClusterMonitor
-from ..replication.pool import ConnectionPool
-from ..sim import RandomStreams, Simulator
-from ..workloads.cloudstone import LoadGenerator, load_initial_data
+from ..replication.heartbeat import (average_relative_delay_ms,
+                                     collect_delays)
 from .config import ExperimentConfig
+from .deployment import Deployment
 
-__all__ = ["ExperimentResult", "run_experiment"]
+__all__ = ["ExperimentResult", "measure_workload", "run_experiment"]
 
 
 @dataclass
@@ -96,112 +83,52 @@ def run_experiment(config: ExperimentConfig,
                    sanitizer=None, slo=None) -> ExperimentResult:
     """Execute one cell and return its measurements.
 
-    Pass an :class:`~repro.obs.Observability` session to record spans,
-    metrics and a kernel profile for the run; observation is read-only,
-    so results are identical with or without it.  A
-    :class:`~repro.analysis.race.RaceSanitizer` likewise watches the
-    cell's shared surfaces without perturbing it.
-
-    ``slo`` (an :class:`~repro.obs.live.SLOSpec` or
-    :class:`~repro.obs.live.LiveSession`) turns the live telemetry
-    plane on: streaming aggregates over the metrics bus and SLO alert
-    evaluation at sim-time, with the incident timeline on
-    ``result.incidents``.  An observed registry is required for the
-    stream tap, so a bare ``slo`` implies a default
-    :class:`Observability`.
+    ``observe``, ``sanitizer`` and ``slo`` only watch (see
+    :class:`Deployment`): results are identical with or without them.
+    An observed run samples the cluster monitor every
+    ``observe.monitor_period``; ``slo`` fills ``result.incidents``.
     """
-    live = None
-    if slo is not None:
-        from ..obs.live import LiveSession
-        live = LiveSession.of(slo)
-        if observe is None:
-            observe = Observability()
-    sim = Simulator()
-    if observe is not None:
-        observe.attach(sim)
-    if sanitizer is not None:
-        sanitizer.attach(sim)
-    if live is not None:
-        live.attach(sim)
-    streams = RandomStreams(config.seed)
-    cloud = Cloud(sim, streams)
-    manager = ReplicationManager(sim, cloud, ntp_period=config.ntp_period)
-    master = manager.create_master(MASTER_PLACEMENT)
-    if config.validated_master:
-        master.instance.pin_hardware(
-            CpuModel("Intel Xeon E5430 2.66GHz", 1.0))
-    state = load_initial_data(master, config.data_size,
-                              streams.stream("loader"))
-    heartbeat = HeartbeatPlugin(sim, master,
-                                interval=config.heartbeat_interval)
-    heartbeat.install()
-    slave_placement = config.location.slave_placement()
-    for _ in range(config.n_slaves):
-        manager.add_slave(slave_placement)
-    heartbeat.start()
+    cell = Deployment(config.seed, observe, sanitizer, slo,
+                      ntp_period=config.ntp_period)
+    cell.provision(
+        config.data_size,
+        [config.location.slave_placement()] * config.n_slaves,
+        config.heartbeat_interval, pin_master=config.validated_master,
+        monitor_period=None if cell.observe is None
+        else cell.observe.monitor_period)
+    cell.run_baseline(config.baseline_duration)
+    cell.start_workload(config.mix, config.n_users,
+                        config.think_time_mean, config.phases,
+                        pool_size=config.pool_size)
+    return measure_workload(config, cell)
 
-    monitor = None
-    if observe is not None and observe.monitor_period is not None:
-        monitor = ClusterMonitor(sim, manager,
-                                 period=observe.monitor_period)
-        monitor.start()
 
-    # Idle baseline window for the relative-delay estimator.
-    with sim.tracer.span("phase.baseline", category="experiment",
-                         track="experiment"):
-        sim.run(until=config.baseline_duration)
-    workload_start = sim.now
-
-    proxy = manager.build_proxy(MASTER_PLACEMENT)
-    pool = ConnectionPool(sim, max_active=config.pool_size
-                          or config.n_users)
-    if sanitizer is not None:
-        from ..analysis.race import instrument_cluster
-        instrument_cluster(sanitizer, pool=pool, proxy=proxy,
-                           manager=manager)
-    generator = LoadGenerator(sim, proxy, pool, config.mix, state, streams,
-                              n_users=config.n_users,
-                              think_time_mean=config.think_time_mean,
-                              phases=config.phases)
-    generator.start()
-
-    # CPU utilization probes over the steady stage.
-    steady_start = workload_start + config.phases.steady_start
-    steady_end = workload_start + config.phases.steady_end
+def measure_workload(config: ExperimentConfig,
+                     cell: Deployment) -> ExperimentResult:
+    """Run a started workload to its end and measure the steady stage."""
+    sim, manager, generator = cell.sim, cell.manager, cell.generator
+    master, heartbeat = manager.master, cell.heartbeat
+    steady_start = cell.workload_start + config.phases.steady_start
+    steady_end = cell.workload_start + config.phases.steady_end
     instances = [master.instance] + [s.instance for s in manager.slaves]
-    busy_at_start: dict[str, float] = {}
-    busy_at_end: dict[str, float] = {}
-    backlog_at_start: dict[str, int] = {}
-    backlog_at_end: dict[str, int] = {}
+    # Two samples each: at the start and the end of the steady stage.
+    busy: list[dict[str, float]] = []
+    backlog: list[dict[str, int]] = []
 
     def cpu_probe(sim):
-        yield sim.timeout(steady_start - sim.now)
-        for instance in instances:
-            busy_at_start[instance.name] = instance.busy_time
-        for slave in manager.slaves:
-            backlog_at_start[slave.name] = slave.relay_backlog
-        yield sim.timeout(steady_end - sim.now)
-        for instance in instances:
-            busy_at_end[instance.name] = instance.busy_time
-        for slave in manager.slaves:
-            backlog_at_end[slave.name] = slave.relay_backlog
+        for when in (steady_start, steady_end):
+            yield sim.timeout(when - sim.now)
+            busy.append({i.name: i.busy_time for i in instances})
+            backlog.append({s.name: s.relay_backlog
+                            for s in manager.slaves})
 
     sim.process(cpu_probe(sim))
-    with sim.tracer.span("phase.workload", category="experiment",
-                         track="experiment", users=config.n_users,
-                         slaves=config.n_slaves,
-                         workload_start=workload_start,
-                         steady_start=steady_start,
-                         steady_end=steady_end):
-        sim.run(until=workload_start + config.phases.total)
-    heartbeat.stop()
-    if monitor is not None:
-        monitor.stop()
+    cell.run_workload()
 
     utilizations = {}
     window = steady_end - steady_start
     for instance in instances:
-        used = busy_at_end[instance.name] - busy_at_start[instance.name]
+        used = busy[1][instance.name] - busy[0][instance.name]
         utilizations[instance.name] = min(
             used / (window * instance.itype.cores), 1.0)
 
@@ -209,7 +136,7 @@ def run_experiment(config: ExperimentConfig,
     heartbeat_counts: list[int] = []
     for slave in manager.slaves:
         baseline = collect_delays(heartbeat, slave, window_start=0.0,
-                                  window_end=workload_start)
+                                  window_end=cell.workload_start)
         loaded = collect_delays(heartbeat, slave,
                                 window_start=steady_start,
                                 window_end=steady_end)
@@ -232,16 +159,15 @@ def run_experiment(config: ExperimentConfig,
     # Cell-level bottleneck attribution from the endpoint measurements
     # (ship share needs a recorded trace, so it is 0 here — network
     # verdicts come from ``repro analyze`` over the artifacts).
-    backlog_slopes = {
-        name: (backlog_at_end[name] - backlog_at_start[name]) / window
-        for name in backlog_at_start}
+    backlog_slopes = {name: (backlog[1][name] - at_start) / window
+                      for name, at_start in backlog[0].items()}
     signals = CellSignals(
         master_util=utilizations[master.instance.name],
         slave_utils={s.name: utilizations[s.instance.name]
                      for s in manager.slaves},
         backlog_slopes=backlog_slopes,
         pool_wait_share=min(
-            pool.mean_wait_time
+            cell.pool.mean_wait_time
             / max(generator.steady_mean_latency(), 1e-9), 1.0),
         ship_share=0.0,
         window=(steady_start, steady_end))
@@ -255,15 +181,7 @@ def run_experiment(config: ExperimentConfig,
         if relative_delay is not None:
             sim.metrics.gauge("result.relative_delay_ms").set(
                 relative_delay)
-    if observe is not None:
-        observe.finalize()
-
-    incidents = None
-    watch_text = ""
-    if live is not None:
-        incidents = live.document(sim.now,
-                                  bottleneck=diagnosis.as_dict())
-        watch_text = live.render_watch()
+    incidents = cell.finish(bottleneck=diagnosis.as_dict())
 
     return ExperimentResult(
         config=config,
@@ -279,5 +197,5 @@ def run_experiment(config: ExperimentConfig,
         latency_percentiles_s=generator.steady_latency_percentiles(),
         diagnosis=diagnosis.as_dict(),
         incidents=incidents,
-        watch_text=watch_text,
+        watch_text="" if cell.live is None else cell.live.render_watch(),
     )

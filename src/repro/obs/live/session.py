@@ -9,7 +9,7 @@ DAG, and starts the alert engine as a kernel process.  After the run,
 :meth:`document` produces the canonical ``incidents.json`` payload.
 
 A bare :class:`~repro.obs.live.slo.SLOSpec` is also accepted wherever
-a ``LiveSession`` is — the runners wrap it via :meth:`LiveSession.of`.
+a ``LiveSession`` is — the deployment wraps it (:meth:`LiveSession.of`).
 
 This module must not import :mod:`repro.sim` at module level (the
 kernel imports ``NULL_LIVE`` from this package).

@@ -62,12 +62,13 @@ def data_loss_window(dead_master: MasterServer,
 
 
 def best_candidate(manager: ReplicationManager) -> SlaveServer:
-    """The slave holding the longest binlog prefix (received, not
-    necessarily applied — the relay log is durable)."""
-    if not manager.slaves:
-        raise DatabaseError("no slave available for promotion")
-    return max(manager.slaves,
-               key=lambda s: (s.received_position, s.name))
+    """The live slave holding the longest binlog prefix (received, not
+    necessarily applied — the relay log is drained before promotion
+    while the VM is up)."""
+    live = [s for s in manager.slaves if s.online and s.instance.running]
+    if not live:
+        raise DatabaseError("no live slave available for promotion")
+    return max(live, key=lambda s: (s.received_position, s.name))
 
 
 def promote(manager: ReplicationManager,

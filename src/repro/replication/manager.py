@@ -29,7 +29,7 @@ from ..cloud.instance import InstanceType, SMALL
 from ..cloud.provisioner import Cloud
 from ..cloud.regions import Placement
 from ..db.errors import DatabaseError
-from ..sim import Simulator, Store
+from ..sim import Simulator
 from ..sql.plancache import PlanCache
 from .cost import CostModel, DEFAULT_COST_MODEL
 from .heartbeat import HEARTBEAT_DATABASE
@@ -63,11 +63,10 @@ def resync_slave_from(sim: Simulator, master: MasterServer,
     by a fresh master snapshot taken at the current binlog head, and a
     new dump thread starts from that position — the same procedure
     ``add_slave`` uses for a brand-new replica.  Shared between crash
-    recovery (ReplicationManager.resync_slave) and failover
+    recovery (ReplicationManager.recover_slave) and failover
     (promote re-syncs every survivor from the new master).
     """
-    slave.stop_replication()
-    slave.relay_log = Store(sim)
+    slave.discard_relay_log()
     _sync_and_attach(master, slave, network)
 
 
@@ -161,26 +160,31 @@ class ReplicationManager:
             raise DatabaseError("cluster has no master")
         self.master.channel_to(slave).resume()
 
-    def resync_slave(self, slave: SlaveServer) -> None:
-        """Re-synchronize a diverged or restarted slave from the master.
+    def recover_slave(self, slave: SlaveServer) -> bool:
+        """Bring a restarted slave back; True when it was re-synced.
 
         A crashed slave loses its replication position (its relay log
         and any half-applied transaction are gone with the VM), so the
         recovery path mirrors ``add_slave``: fresh snapshot at the
-        current binlog head, then stream from there.
+        current binlog head, then stream from there.  With no online
+        master to copy it comes back stale but promotable, having
+        received what it applied: failover counts the rest as lost.
         """
         if slave not in self.slaves:
             raise ValueError(f"{slave.name!r} is not part of this cluster")
-        if self.master is None or not self.master.online:
-            raise DatabaseError("cannot re-sync without an online master")
         if not slave.instance.running:
             raise DatabaseError(f"instance of {slave.name!r} is down; "
-                                f"restart it before re-syncing")
+                                f"restart it before recovering it")
+        slave.online = True
+        if self.master is None or not self.master.online:
+            slave.discard_relay_log()
+            slave.received_position = slave.applied_position
+            return False
         if any(attached is slave for attached in self.master.slaves):
             self.master.detach_slave(slave)
-        slave.online = True
         resync_slave_from(self.sim, self.master, slave,
                           self.cloud.network)
+        return True
 
     def build_proxy(self, client_placement: Placement,
                     policy: str = "round_robin",

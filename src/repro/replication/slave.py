@@ -42,12 +42,9 @@ class SlaveServer(DatabaseServer):
         self.start_position = 0
         self.applied_position = 0
         self.received_position = 0
-        #: True while the SQL thread holds an event it popped off the
-        #: relay log whose apply has not started (it is queued for a
-        #: core behind client reads): ``relay_backlog`` no longer
-        #: counts that event, yet stopping replication now would drop
-        #: it.  ``promote`` drains on both.
-        self.apply_pending = False
+        #: Events received whose apply has not started: those queued on
+        #: the relay log plus the one the SQL thread may be holding.
+        self._unstarted = 0
         self.events_applied = 0
         self.events_dropped = 0
         self.bytes_received = 0
@@ -73,9 +70,16 @@ class SlaveServer(DatabaseServer):
                 and self._sql_thread_process.is_alive:
             self._sql_thread_process.interrupt("stopped")
         self._sql_thread_process = None
-        # Whatever the thread held is gone with it; a stale flag
+        # Whatever the thread held is gone with it; still counting it
         # would make a later promotion of this slave drain forever.
-        self.apply_pending = False
+        self._unstarted = len(self.relay_log)
+
+    def discard_relay_log(self) -> None:
+        """Stop replicating and forget everything received but not
+        applied (the relay log lives in the VM's memory)."""
+        self.stop_replication()
+        self.relay_log = Store(self.sim)
+        self._unstarted = 0
 
     # -- observability ------------------------------------------------------
     def note_shipped(self, position: int, span) -> None:
@@ -107,6 +111,7 @@ class SlaveServer(DatabaseServer):
                 track=f"repl:{self.name}", position=event.position,
                 backlog=len(self.relay_log))
         self.relay_log.put(event)
+        self._unstarted += 1
         self.received_position = event.position
         self.bytes_received += event.size_bytes
         if master.semi_sync:
@@ -121,13 +126,12 @@ class SlaveServer(DatabaseServer):
         try:
             while True:
                 event: BinlogEvent = yield self.relay_log.get()
-                self.apply_pending = True
 
                 def apply_job(event=event):
                     # Runs when the SQL thread reaches a core: read
                     # queries queued ahead of it still see the
                     # pre-apply state (replication staleness).
-                    self.apply_pending = False
+                    self._unstarted -= 1
                     if event.row_ops is not None:
                         affected = apply_row_ops(self.engine,
                                                  event.row_ops)
@@ -159,6 +163,16 @@ class SlaveServer(DatabaseServer):
     def relay_backlog(self) -> int:
         """Events received but not yet applied."""
         return len(self.relay_log)
+
+    @property
+    def apply_pending(self) -> bool:
+        """True while the SQL thread holds an event off the relay log
+        whose apply has not started (it queues for a core behind client
+        reads): ``relay_backlog`` no longer counts it, yet stopping
+        replication now would drop it — ``promote`` drains on both.
+        Counted in the step the event arrives, not flagged when the
+        thread resumes: ``Store.put`` hands straight to a parked one."""
+        return self._unstarted > len(self.relay_log)
 
     def seconds_behind_master(self) -> float:
         """True replication lag in simulated seconds (oracle metric).

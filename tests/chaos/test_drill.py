@@ -54,7 +54,7 @@ def test_recovery_report_failover_fields(crash_drill):
     assert failover["lost_commits"] == (failover["dead_binlog_head"]
                                         - failover["candidate_received"])
     assert failover["lost_commits"] >= 0
-    assert crash_drill.manager.master.name == failover["promoted"]
+    assert crash_drill.deployment.manager.master.name == failover["promoted"]
 
 
 def test_recovery_report_sections(crash_drill):

@@ -2,6 +2,7 @@
 
 from repro.chaos import ChaosInjector, Fault, FaultSchedule
 from repro.cloud import MASTER_PLACEMENT
+from repro.db import DatabaseError
 from tests.chaos.conftest import EU_WEST, run_process
 
 
@@ -153,3 +154,52 @@ def test_injector_emits_fault_metrics(sim, cloud, manager, master):
     sim.run()
     assert "chaos.faults" in observe.metrics
     assert "chaos.fault.slave-slow" in observe.metrics
+
+
+def test_slave_restarting_without_a_master_is_promotable(sim, cloud,
+                                                         manager, master):
+    """Liveness (the master dies while every slave is down): the relay
+    log lives in the VM's memory, so the restarted slave stands at
+    what it *applied* — stale but online — and the failover controller
+    promotes it instead of polling a masterless cluster forever."""
+    from repro.chaos import FailoverController
+
+    slave = manager.add_slave(MASTER_PLACEMENT, name="s1")
+    slave.instance.slow_down(0.05)    # the relay log backs up
+    proxy = manager.build_proxy(MASTER_PLACEMENT)
+    injector = ChaosInjector(sim, manager, cloud.network, FaultSchedule([
+        Fault(at=1.0, kind="master-crash"),
+        Fault(at=1.1, kind="slave-crash", target="s1", duration=2.0),
+    ]), proxy=proxy)
+    injector.start()
+
+    def writer(sim):
+        yield sim.timeout(0.9)
+        try:
+            for i in range(20):
+                yield from master.perform(
+                    f"INSERT INTO t (v) VALUES ({i})")
+        except DatabaseError:
+            return  # the master died mid-stream
+
+    sim.process(writer(sim))
+    sim.run(until=3.2)                # restarted
+    assert slave.online and slave.instance.running
+    assert slave.relay_backlog == 0 and not slave.apply_pending
+    # The crash took a relay-log tail with it.
+    stood_at = slave.received_position
+    assert stood_at == slave.applied_position \
+        < master.binlog.head_position
+    controller = FailoverController(sim, manager, proxy, period=0.5)
+    controller.start()
+    sim.run(until=4.0)
+    controller.stop()
+    (failover,) = controller.failovers
+    assert failover["promoted"] == "s1"
+    assert failover["lost_commits"] \
+        == master.binlog.head_position - stood_at > 0
+    assert manager.master.online and manager.master is not master
+    assert [note for _, fault, action, note in injector.log
+            if fault.kind == "slave-crash" and action == "end"] \
+        == [f"slave=s1 restarted stale at position {stood_at}: "
+            f"no online master to re-sync from"]

@@ -16,11 +16,14 @@ from repro.workloads.cloudstone import Phases
 PHASES = Phases(ramp_up=15.0, steady=60.0, ramp_down=10.0)
 
 
+def cell_config(seed: int):
+    return PAPER_50_50(LocationConfig.DIFFERENT_ZONE, n_slaves=2,
+                       n_users=25, phases=PHASES, seed=seed,
+                       data_size=60, baseline_duration=20.0)
+
+
 def run_once(seed: int, observe=None):
-    config = PAPER_50_50(LocationConfig.DIFFERENT_ZONE, n_slaves=2,
-                         n_users=25, phases=PHASES, seed=seed,
-                         data_size=60, baseline_duration=20.0)
-    return run_experiment(config, observe=observe)
+    return run_experiment(cell_config(seed), observe=observe)
 
 
 def digest(result) -> bytes:
@@ -52,6 +55,39 @@ def test_different_seed_different_digest():
     # Sanity check that the digest actually captures the measurements
     # (a constant digest would make the test above vacuous).
     assert digest(run_once(seed=7)) != digest(run_once(seed=8))
+
+
+def test_stepping_the_deployment_by_hand_changes_nothing():
+    """``run_experiment`` is the ``Deployment`` steps plus
+    ``measure_workload``.  The same steps called one by one — with a
+    read-only sampling process of the caller's own started between two
+    of them — measure the same cell, digit for digit."""
+    from repro.experiments.deployment import Deployment
+    from repro.experiments.runner import measure_workload
+
+    config = cell_config(seed=7)
+    cell = Deployment(config.seed, ntp_period=config.ntp_period)
+    cell.provision(config.data_size,
+                   [config.location.slave_placement()] * config.n_slaves,
+                   config.heartbeat_interval,
+                   pin_master=config.validated_master,
+                   monitor_period=None)
+    cell.run_baseline(config.baseline_duration)
+    assert cell.workload_start == config.baseline_duration
+    heads = []
+
+    def sampler(sim):
+        while True:
+            yield sim.timeout(0.7)
+            heads.append(cell.manager.master.binlog.head_position)
+
+    cell.sim.process(sampler(cell.sim))
+    cell.start_workload(config.mix, config.n_users,
+                        config.think_time_mean, config.phases,
+                        pool_size=config.pool_size)
+    stepped = measure_workload(config, cell)
+    assert len(heads) > 100 and heads[-1] > heads[0]
+    assert digest(stepped) == digest(run_once(seed=7))
 
 
 def run_observed(seed: int):

@@ -322,3 +322,24 @@ def test_promote_waits_for_event_popped_but_not_yet_executed(
     assert rows(new_master) == 5
     # And the flag does not outlive the thread it described.
     assert not slave.apply_pending
+
+
+def test_event_handed_to_a_parked_sql_thread_is_pending_at_once(
+        sim, manager, master):
+    """The same-instant residual of the regression above: ``Store.put``
+    hands an event straight to a SQL thread parked on an empty relay
+    log, so the backlog never counts it — and until the thread resumes
+    (a later step of the same instant) nothing else did either, which
+    let a ``promote`` poll landing in between stop replication under a
+    received commit.  "Pending" moves in the step the event arrives."""
+    slave = manager.add_slave(MASTER_PLACEMENT)
+    sim.run()                         # SQL thread parked on the get
+    master.detach_slave(slave)        # the test plays the dump thread
+    master.admin("INSERT INTO items (grp, v) VALUES (0, 1)")
+    (event,) = master.binlog.read_from(slave.received_position)
+    slave.receive_event(event)        # the IO thread, sim not stepped
+    assert slave.received_position == event.position
+    assert slave.relay_backlog > 0 or slave.apply_pending
+    sim.run()
+    assert slave.applied_position == event.position
+    assert slave.relay_backlog == 0 and not slave.apply_pending

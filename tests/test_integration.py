@@ -6,55 +6,42 @@ behaviour the unit suites cannot see.
 """
 
 
-from repro.cloud import Cloud, MASTER_PLACEMENT
+from repro.cloud import MASTER_PLACEMENT
 from repro.db import DatabaseError
-from repro.replication import (ClusterMonitor, ConnectionPool,
-                               HeartbeatPlugin, ReplicationManager,
-                               collect_delays, detect_pressure,
+from repro.experiments.deployment import Deployment
+from repro.replication import (collect_delays, detect_pressure,
                                fail_master, promote)
-from repro.sim import RandomStreams, Simulator
-from repro.workloads.cloudstone import (LoadGenerator, MIX_50_50, MIX_80_20,
-                                        Phases, load_initial_data)
+from repro.workloads.cloudstone import MIX_50_50, MIX_80_20, Phases
 
 PHASES = Phases(ramp_up=20.0, steady=80.0, ramp_down=10.0)
 
 
 def build_stack(seed, n_slaves=2, data_size=60, mix=MIX_50_50, n_users=15,
-                think=2.0, slave_zone=None, binlog_format="statement"):
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    cloud = Cloud(sim, streams)
-    manager = ReplicationManager(sim, cloud, ntp_period=1.0,
-                                 binlog_format=binlog_format)
-    master = manager.create_master(MASTER_PLACEMENT)
-    state = load_initial_data(master, data_size, streams.stream("loader"))
-    heartbeat = HeartbeatPlugin(sim, master)
-    heartbeat.install()
-    placement = cloud.placement(slave_zone) if slave_zone \
+                think=2.0, slave_zone=None, binlog_format="statement",
+                pool_size=64, monitor_period=None):
+    """A provisioned deployment with its users started at t=0 (no
+    baseline window, lottery master)."""
+    cell = Deployment(seed, ntp_period=1.0, binlog_format=binlog_format)
+    placement = cell.cloud.placement(slave_zone) if slave_zone \
         else MASTER_PLACEMENT
-    for _ in range(n_slaves):
-        manager.add_slave(placement)
-    heartbeat.start()
-    proxy = manager.build_proxy(MASTER_PLACEMENT)
-    pool = ConnectionPool(sim, max_active=64)
-    generator = LoadGenerator(sim, proxy, pool, mix, state, streams,
-                              n_users=n_users, think_time_mean=think,
-                              phases=PHASES)
-    return sim, manager, master, heartbeat, proxy, pool, generator
+    cell.provision(data_size, [placement] * n_slaves,
+                   heartbeat_interval=1.0, pin_master=False,
+                   monitor_period=monitor_period)
+    cell.start_workload(mix, n_users, think, PHASES, pool_size=pool_size)
+    return cell
+
+
+CONVERGED = {"drained": True, "consistent": True}
 
 
 def test_full_run_converges_and_measures():
-    sim, manager, master, heartbeat, proxy, pool, generator = \
-        build_stack(seed=101)
-    generator.start()
-    sim.run(until=PHASES.total)
-    heartbeat.stop()
-    sim.run(until=PHASES.total + 120.0)
-    assert generator.steady_throughput() > 2.0
-    assert manager.all_caught_up()
-    assert manager.verify_consistency()
-    for slave in manager.slaves:
-        samples = collect_delays(heartbeat, slave)
+    cell = build_stack(seed=101)
+    cell.run_workload()
+    verdict = cell.drain_and_verify(timeout=120.0)
+    assert cell.generator.steady_throughput() > 2.0
+    assert verdict == {**CONVERGED, "slaves": 2}
+    for slave in cell.manager.slaves:
+        samples = collect_delays(cell.heartbeat, slave)
         assert len(samples) > 50
         # NTP-disciplined clocks + light load: small positive-ish delay.
         median = sorted(s.delay_ms for s in samples)[len(samples) // 2]
@@ -62,11 +49,8 @@ def test_full_run_converges_and_measures():
 
 
 def test_pool_bound_limits_concurrency_under_load():
-    sim, manager, master, heartbeat, proxy, pool, generator = \
-        build_stack(seed=102, n_users=30, think=0.5)
-    pool.max_active = 4
-    pool._slots.capacity = 4
-    generator.start()
+    cell = build_stack(seed=102, n_users=30, think=0.5, pool_size=4)
+    pool = cell.pool
     max_active = 0
 
     def watcher(sim):
@@ -75,107 +59,91 @@ def test_pool_bound_limits_concurrency_under_load():
             max_active = max(max_active, pool.active)
             yield sim.timeout(0.25)
 
-    sim.process(watcher(sim))
-    sim.run(until=PHASES.total)
+    cell.sim.process(watcher(cell.sim))
+    cell.run_workload()
     assert max_active <= 4
     assert pool.mean_wait_time >= 0.0
-    assert generator.steady_throughput() > 0.5
+    assert cell.generator.steady_throughput() > 0.5
 
 
-def test_failover_under_live_load():
-    """Kill the master mid-workload, promote, re-point the proxy, and
-    finish the run consistently."""
-    sim, manager, master, heartbeat, proxy, pool, generator = \
-        build_stack(seed=103, n_slaves=3)
-    generator.start()
-    outcome = {}
+def fail_over_at(cell, when, outcome):
+    """An operator process: kill the master at ``when``, promote the
+    best slave and re-point the proxy."""
+    manager, proxy = cell.manager, cell.proxy
 
     def chaos(sim):
-        yield sim.timeout(40.0)
-        heartbeat.stop()       # plugin writes to the dying master
+        yield sim.timeout(when)
+        cell.heartbeat.stop()       # plugin writes to the dying master
         fail_master(manager)
         new_master = yield from promote(manager)
         proxy.set_master(new_master)
         proxy.slaves = list(manager.slaves)
         outcome["master"] = new_master
 
-    sim.process(chaos(sim))
-    sim.run(until=PHASES.total + 120.0)
-    new_master = outcome["master"]
-    assert manager.master is new_master
-    assert manager.all_caught_up()
-    assert manager.verify_consistency()
+    cell.sim.process(chaos(cell.sim))
+
+
+def test_failover_under_live_load():
+    """Kill the master mid-workload, promote, re-point the proxy, and
+    finish the run consistently."""
+    cell = build_stack(seed=103, n_slaves=3)
+    outcome = {}
+    fail_over_at(cell, 40.0, outcome)
+    cell.run_workload()
+    verdict = cell.drain_and_verify(timeout=120.0)
+    assert cell.manager.master is outcome["master"]
+    assert verdict == {**CONVERGED, "slaves": 2}
     # The cluster kept serving after the failover.
-    post = generator.completions.count_in(45.0, PHASES.total)
+    post = cell.generator.completions.count_in(45.0, PHASES.total)
     assert post > 10
 
 
 def test_users_survive_master_outage_window():
     """Write operations fail while the master is down; the generator
     keeps running reads and recovers once a new master is in place."""
-    sim, manager, master, heartbeat, proxy, pool, generator = \
-        build_stack(seed=104, n_slaves=2, mix=MIX_80_20)
-    generator.start()
-
-    def chaos(sim):
-        yield sim.timeout(30.0)
-        heartbeat.stop()
-        fail_master(manager)
-        new_master = yield from promote(manager)
-        proxy.set_master(new_master)
-        proxy.slaves = list(manager.slaves)
-
-    sim.process(chaos(sim))
+    cell = build_stack(seed=104, n_slaves=2, mix=MIX_80_20)
+    fail_over_at(cell, 30.0, {})
     # Some users hit the dead master and crash their processes; the
     # kernel surfaces those errors — tolerate them, then verify the
     # system itself stayed consistent.
     interrupted = 0
     while True:
         try:
-            sim.run(until=PHASES.total)
+            cell.sim.run(until=PHASES.total)
             break
         except DatabaseError:
             interrupted += 1
+    manager = cell.manager
     assert manager.verify_consistency() or not manager.all_caught_up()
 
 
 def test_monitor_sees_saturation_during_overload():
-    sim, manager, master, heartbeat, proxy, pool, generator = \
-        build_stack(seed=105, n_slaves=1, n_users=60, think=0.5)
-    monitor = ClusterMonitor(sim, manager, period=5.0)
-    monitor.start()
-    generator.start()
-    sim.run(until=PHASES.total)
+    cell = build_stack(seed=105, n_slaves=1, n_users=60, think=0.5,
+                       monitor_period=5.0)
+    cell.run_workload()
     assert any(detect_pressure(s).slaves_overloaded
                or detect_pressure(s).replication_lagging
-               for s in monitor.samples)
+               for s in cell.monitor.samples)
 
 
 def test_row_format_full_stack_consistency():
-    sim, manager, master, heartbeat, proxy, pool, generator = \
-        build_stack(seed=106, binlog_format="row")
-    generator.start()
-    sim.run(until=PHASES.total)
-    heartbeat.stop()
-    sim.run(until=PHASES.total + 120.0)
-    assert manager.all_caught_up()
-    assert manager.verify_consistency()
+    cell = build_stack(seed=106, binlog_format="row")
+    cell.run_workload()
+    assert cell.drain_and_verify(timeout=120.0) \
+        == {**CONVERGED, "slaves": 2}
     # Row format also makes the heartbeat table identical (master's
     # timestamps replicate verbatim) — the raw engine checksums match.
-    for slave in manager.slaves:
+    master = cell.manager.master
+    for slave in cell.manager.slaves:
         assert slave.engine.checksum() == master.engine.checksum()
 
 
 def test_cross_region_cluster_full_run():
-    sim, manager, master, heartbeat, proxy, pool, generator = \
-        build_stack(seed=107, slave_zone="ap-southeast-1a")
-    generator.start()
-    sim.run(until=PHASES.total)
-    heartbeat.stop()
-    sim.run(until=PHASES.total + 180.0)
-    assert manager.all_caught_up()
-    assert manager.verify_consistency()
-    samples = collect_delays(heartbeat, manager.slaves[0],
+    cell = build_stack(seed=107, slave_zone="ap-southeast-1a")
+    cell.run_workload()
+    assert cell.drain_and_verify(timeout=180.0) \
+        == {**CONVERGED, "slaves": 2}
+    samples = collect_delays(cell.heartbeat, cell.manager.slaves[0],
                              window_start=0.0, window_end=30.0)
     # Idle-ish delay floor ~ one-way latency to ap-southeast.
     median = sorted(s.delay_ms for s in samples)[len(samples) // 2]
@@ -183,10 +151,9 @@ def test_cross_region_cluster_full_run():
 
 
 def test_elastic_growth_mid_run_keeps_ratio_and_consistency():
-    sim, manager, master, heartbeat, proxy, pool, generator = \
-        build_stack(seed=108, n_slaves=1, mix=MIX_80_20, n_users=25,
-                    think=1.0)
-    generator.start()
+    cell = build_stack(seed=108, n_slaves=1, mix=MIX_80_20, n_users=25,
+                       think=1.0)
+    manager, proxy = cell.manager, cell.proxy
 
     def grow(sim):
         for _ in range(3):
@@ -194,11 +161,8 @@ def test_elastic_growth_mid_run_keeps_ratio_and_consistency():
             slave = manager.add_slave(MASTER_PLACEMENT)
             proxy.add_slave(slave)
 
-    sim.process(grow(sim))
-    sim.run(until=PHASES.total)
-    heartbeat.stop()
-    sim.run(until=PHASES.total + 120.0)
-    assert len(manager.slaves) == 4
-    assert manager.all_caught_up()
-    assert manager.verify_consistency()
-    assert 0.7 < generator.steady_read_write_ratio() < 0.9
+    cell.sim.process(grow(cell.sim))
+    cell.run_workload()
+    assert cell.drain_and_verify(timeout=120.0) \
+        == {**CONVERGED, "slaves": 4}
+    assert 0.7 < cell.generator.steady_read_write_ratio() < 0.9
