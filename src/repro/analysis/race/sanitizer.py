@@ -6,7 +6,7 @@ routing table, replication positions, ...) get a shim subclass whose
 ``__getattribute__``/``__setattr__`` route reads and writes of the
 instrumented fields through the sanitizer, tagged with the currently
 active sim process and its *resumption epoch* (bumped by the kernel
-hook in ``Process._step`` each time the process re-enters).
+hook in ``Process._resume`` each time the process re-enters).
 
 What gets reported — **stale write-back / lost update**, the dynamic
 twin of RACE001: process A writes field F, and

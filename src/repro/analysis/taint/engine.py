@@ -85,7 +85,7 @@ SINK_TELEMETRY = "telemetry"
 SINK_ARTIFACT = "artifact"
 
 #: Receiver-method names that feed the kernel event queue.
-_SCHEDULE_ATTRS = frozenset(("timeout", "schedule", "_schedule"))
+_SCHEDULE_ATTRS = frozenset(("timeout", "schedule"))
 #: Bare constructors that carry a delay into the kernel.
 _SCHEDULE_NAMES = frozenset(("Timeout",))
 

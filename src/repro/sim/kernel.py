@@ -18,9 +18,9 @@ simulation.  All components agree on this unit.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..obs.live.streams import NULL_LIVE
@@ -91,11 +91,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         """True when the event fired via :meth:`succeed`."""
         if not self._triggered:
@@ -152,15 +147,23 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self._value = value
-        sim._schedule(self, delay)
+        if not delay >= 0:      # also rejects NaN
+            raise SimulationError(
+                f"timeout delay must be a number >= 0, got {delay!r}")
+        # The hottest constructor: Event.__init__ is inlined, and the
+        # event schedules itself.
+        self.sim, self.callbacks, self._value = sim, [], value
+        self._ok, self._triggered, self._defused = True, False, False
+        if sim.profiler is not None:
+            self._owner = owner = sim._owner_name()
+            sim.profiler.on_schedule(owner)
+        if delay == 0.0:
+            sim._immediate.append((next(sim._counter), self))
+        else:
+            heappush(sim._heap, (sim._now + delay, next(sim._counter), self))
 
 
 class _Condition(Event):
@@ -271,30 +274,29 @@ class Process(Event):
                 pass
         self._waiting_on = None
         hurler = Event(self.sim)
-        hurler.callbacks.append(
-            lambda _ev: self._step(Interrupt(cause), as_exception=True))
-        hurler.succeed()
+        hurler.callbacks.append(self._resume)
+        hurler.fail(Interrupt(cause))
 
     # -- internal ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
+        """Re-enter the generator with ``event``'s outcome: its value
+        sent on success, its exception thrown on failure."""
         self._waiting_on = None
-        if event._ok:
-            self._step(event._value, as_exception=False)
-        else:
-            event.defuse()
-            self._step(event._value, as_exception=True)
-
-    def _step(self, value: Any, as_exception: bool) -> None:
+        if not event._ok:
+            event._defused = True
         if self._triggered:
             return  # already finished (e.g. interrupt raced completion)
-        if self.sim.sanitizer is not None:
-            self.sim.sanitizer.on_resume(self)
-        self.sim._active_process = self
+        sim = self.sim
+        if sim.sanitizer is not None:
+            sim.sanitizer.on_resume(self)
+        # Still set while succeed()/fail() below schedule the exit, so
+        # the profiler charges that event to this process.
+        sim._active_process = self
         try:
-            if as_exception:
-                target = self.generator.throw(value)
+            if event._ok:
+                target = self.generator.send(event._value)
             else:
-                target = self.generator.send(value)
+                target = self.generator.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -302,7 +304,7 @@ class Process(Event):
             self.fail(exc)
             return
         finally:
-            self.sim._active_process = None
+            sim._active_process = None
         if not isinstance(target, Event):
             exc = SimulationError(
                 f"process {self.name!r} yielded {target!r}, not an Event")
@@ -401,16 +403,6 @@ class Simulator:
         process = self._active_process
         return process.name if process is not None else "<kernel>"
 
-    def _schedule(self, event: Event, delay: float) -> None:
-        if self.profiler is not None:
-            event._owner = owner = self._owner_name()
-            self.profiler.on_schedule(owner)
-        if delay == 0.0:
-            self._immediate.append((next(self._counter), event))
-        else:
-            heapq.heappush(self._heap,
-                           (self._now + delay, next(self._counter), event))
-
     def _post(self, event: Event) -> None:
         """Schedule a just-triggered event's callbacks to run now."""
         if self.profiler is not None:
@@ -432,12 +424,12 @@ class Simulator:
             heap = self._heap
             if heap and heap[0][0] <= self._now \
                     and heap[0][1] < immediate[0][0]:
-                when, _seq, event = heapq.heappop(heap)
+                when, _seq, event = heappop(heap)
             else:
                 _seq, event = immediate.popleft()
                 when = self._now
         else:
-            when, _seq, event = heapq.heappop(self._heap)
+            when, _seq, event = heappop(self._heap)
         if self.profiler is not None:
             # Attribute the clock advance this event causes to the
             # process that scheduled it; advances telescope, so the
@@ -462,13 +454,12 @@ class Simulator:
         When ``until`` is given, the clock is advanced exactly to
         ``until`` even if the last event fires earlier.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:   # NaN too
             raise SimulationError(
-                f"cannot run until {until!r}: clock already at {self._now!r}")
-        while self._heap or self._immediate:
-            when = self._now if self._immediate else self._heap[0][0]
-            if until is not None and when > until:
-                break
+                f"cannot run until {until!r}: the clock is at {self._now!r}")
+        heap, immediate = self._heap, self._immediate
+        # Entries due now never pass ``until``: the clock is at most it.
+        while immediate or (heap and (until is None or heap[0][0] <= until)):
             self.step()
         if until is not None and until > self._now:
             # Attribute the trailing idle advance (no event fires

@@ -8,16 +8,113 @@ change to one component's draw order never perturbs another component.
 Streams are derived from a root seed plus the stream name via
 ``numpy.random.SeedSequence``, which guarantees independent,
 well-distributed child states.
+
+A name is used one way for its whole life.  :meth:`RandomStreams.stream`
+and :meth:`~RandomStreams.spawn` hand its Generator out *raw*.  The
+scalar draws buffer it, with one of two kinds: ``normal`` and
+``lognormal_around`` read a block of standard normals, and
+``choice_weighted`` reads a block of uniforms.  A block is
+``_BLOCK`` variates fetched in one Generator call.  The draws then
+transform them with the same IEEE operations numpy's scalar methods
+perform, so every value equals the one the scalar call would have
+returned.  Using a buffered name raw, or with the other kind, raises:
+the block read ahead would silently shift what the other use sees.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
-from typing import Optional
+from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["RandomStreams"]
+__all__ = ["RandomStreams", "choice_cdf"]
+
+#: Variates fetched per Generator call for a buffered name.
+_BLOCK = 1024
+#: ``Generator.choice`` rejects probabilities whose sum is further than
+#: this from 1.
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def choice_cdf(probabilities) -> list[float]:
+    """The cdf ``Generator.choice(n, p=probabilities)`` searches: the
+    running sum, divided by its last entry.  ``bisect_right(cdf, u)``
+    on one uniform ``u`` then picks the index ``choice`` picks."""
+    cdf = np.cumsum(probabilities, dtype=float)
+    return (cdf / cdf[-1]).tolist()
+
+
+def _weighted_cdf(weights) -> list[float]:
+    """``choice_cdf`` of ``w / sum(weights)``, checked as ``choice``
+    checks its ``p``."""
+    total = float(sum(weights))
+    probabilities = [w / total for w in weights]
+    if not probabilities \
+            or not all(p >= 0.0 for p in probabilities) \
+            or abs(math.fsum(probabilities) - 1.0) > _SUM_ATOL:
+        raise ValueError(f"weights must be non-negative with a positive "
+                         f"finite sum, got {weights!r}")
+    return choice_cdf(probabilities)
+
+
+class _Block:
+    """One buffered name: its current block and how far it is read."""
+
+    __slots__ = ("draw", "values", "index")
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.index = _BLOCK          # nothing unread: the first draw refills
+
+    def refill(self) -> None:
+        self.values = self.draw(_BLOCK).tolist()
+        self.index = 0
+
+
+class _Uniforms(_Block):
+    """A name ``choice_weighted`` draws: uniforms, and the cdf of the
+    weights it was last called with."""
+
+    __slots__ = ("weights", "cdf")
+
+    def __init__(self, gen: np.random.Generator):
+        super().__init__(gen.random)
+        self.weights = None
+
+
+class _Normals(_Block):
+    """A name ``normal`` and ``lognormal_around`` draw: standard
+    normals, kept as an array too for :meth:`exponentiate`."""
+
+    __slots__ = ("array", "sigma", "exps")
+
+    def __init__(self, gen: np.random.Generator):
+        super().__init__(gen.standard_normal)
+        self.sigma = None
+
+    def refill(self) -> None:
+        self.array = self.draw(_BLOCK)
+        self.values = self.array.tolist()
+        self.index = 0
+        self.sigma = None            # ``exps`` is stale
+
+    def exponentiate(self, sigma: float) -> None:
+        """What ``np.exp(Generator.normal(0.0, sigma))`` computes, for
+        each unread variate of the block; ``exps[i]`` belongs to
+        ``values[i]``."""
+        if sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {sigma!r}")
+        index = self.index
+        self.exps = [0.0] * index \
+            + np.exp(0.0 + sigma * self.array[index:]).tolist()
+        self.sigma = sigma
+
+
+#: How each kind of entry in ``RandomStreams._names`` was drawn.
+_USES = {np.random.Generator: "raw", _Normals: "as normals",
+         _Uniforms: "as uniforms"}
 
 
 class RandomStreams:
@@ -25,47 +122,84 @@ class RandomStreams:
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
+        #: Each name's one use: its raw Generator or its buffered block.
+        self._names: dict[str, object] = {}
+
+    def _generator(self, name: str) -> np.random.Generator:
+        tag = zlib.crc32(name.encode("utf-8"))
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(tag,))
+        return np.random.Generator(np.random.PCG64(seq))
+
+    def _claim(self, name: str, use: type):
+        """``name``'s entry of type ``use`` (a key of ``_USES``),
+        created on first use; a name first used another way raises."""
+        entry = self._names.get(name)
+        if entry is None:
+            gen = self._generator(name)
+            entry = self._names[name] = \
+                gen if use is np.random.Generator else use(gen)
+        elif type(entry) is not use:
+            raise ValueError(f"stream {name!r} is already drawn "
+                             f"{_USES[type(entry)]}; it cannot be drawn "
+                             f"{_USES[use]}")
+        return entry
 
     def stream(self, name: str) -> np.random.Generator:
         """The generator for ``name``, created on first use.
 
         The same ``(seed, name)`` pair always yields the same sequence.
         """
-        gen = self._streams.get(name)
-        if gen is None:
-            tag = zlib.crc32(name.encode("utf-8"))
-            seq = np.random.SeedSequence(entropy=self.seed,
-                                         spawn_key=(tag,))
-            gen = np.random.Generator(np.random.PCG64(seq))
-            self._streams[name] = gen
-        return gen
+        return self._claim(name, np.random.Generator)
 
     def spawn(self, name: str, index: int) -> np.random.Generator:
         """A per-index child stream, e.g. one per emulated user."""
         return self.stream(f"{name}[{index}]")
 
-    # Convenience draws -----------------------------------------------------
-    def exponential(self, name: str, mean: float) -> float:
-        return float(self.stream(name).exponential(mean))
+    def _refilled(self, name: str, kind: type) -> _Block:
+        """``name``'s block of ``kind`` with a fresh block of variates
+        (the caller found none unread, or no block of that kind)."""
+        block = self._claim(name, kind)
+        block.refill()
+        return block
 
+    # Scalar draws --------------------------------------------------------
     def lognormal_around(self, name: str, median: float,
                          sigma: float) -> float:
-        """Lognormal sample with the given median (scale) and shape."""
-        return float(median * np.exp(self.stream(name).normal(0.0, sigma)))
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        return float(self.stream(name).uniform(low, high))
+        """Lognormal sample with the given median (scale) and shape:
+        ``median * exp(normal(0.0, sigma))``."""
+        block = self._names.get(name)
+        if block.__class__ is not _Normals or block.index == _BLOCK:
+            block = self._refilled(name, _Normals)
+        if sigma != block.sigma:
+            block.exponentiate(sigma)
+        index = block.index
+        block.index = index + 1
+        return float(median * block.exps[index])
 
     def normal(self, name: str, mean: float, std: float) -> float:
-        return float(self.stream(name).normal(mean, std))
+        """``mean + std * z`` for the name's next standard normal ``z``."""
+        if std < 0:
+            raise ValueError(f"std must be >= 0, got {std!r}")
+        block = self._names.get(name)
+        if block.__class__ is not _Normals or block.index == _BLOCK:
+            block = self._refilled(name, _Normals)
+        index = block.index
+        block.index = index + 1
+        return float(mean + std * block.values[index])
 
-    def choice_weighted(self, name: str, options: list,
-                        weights: Optional[list[float]] = None):
-        """Pick one of ``options`` with optional relative ``weights``."""
-        gen = self.stream(name)
-        if weights is None:
-            return options[int(gen.integers(len(options)))]
-        total = float(sum(weights))
-        probabilities = [w / total for w in weights]
-        return options[int(gen.choice(len(options), p=probabilities))]
+    def choice_weighted(self, name: str, options: list, weights: list):
+        """Pick one of ``options`` with relative ``weights``, as
+        ``Generator.choice(len(options), p=...)`` does."""
+        block = self._names.get(name)
+        if block.__class__ is not _Uniforms or block.index == _BLOCK:
+            block = self._refilled(name, _Uniforms)
+        key = tuple(weights)
+        if key != block.weights:
+            block.cdf = _weighted_cdf(key)
+            block.weights = key
+        if len(options) != len(block.cdf):
+            raise ValueError(f"{len(options)} options but "
+                             f"{len(block.cdf)} weights")
+        index = block.index
+        block.index = index + 1
+        return options[bisect_right(block.cdf, block.values[index])]

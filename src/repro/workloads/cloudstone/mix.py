@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...sim.rng import choice_cdf
 from .operations import (Operation, READ_OPERATIONS, WRITE_OPERATIONS)
 
 __all__ = ["OperationMix", "MIX_50_50", "MIX_80_20"]
@@ -21,8 +22,7 @@ __all__ = ["OperationMix", "MIX_50_50", "MIX_80_20"]
 def _cdf(table) -> list[float]:
     """Cumulative weights, normalised as ``rng.choice(n, p=...)`` does."""
     weights = np.array([w for _op, w in table], dtype=float)
-    cdf = (weights / weights.sum()).cumsum()
-    return (cdf / cdf[-1]).tolist()
+    return choice_cdf(weights / weights.sum())
 
 
 _READ_CDF, _WRITE_CDF = _cdf(READ_OPERATIONS), _cdf(WRITE_OPERATIONS)

@@ -274,3 +274,83 @@ def test_event_and_process_reprs_describe_state():
     assert repr(process) == "<Process 'worker' alive>"
     sim.run()
     assert repr(process) == "<Process 'worker' finished>"
+
+
+def test_nan_delay_and_nan_until_are_rejected():
+    """NaN compares False with everything: a ``delay < 0`` guard let it
+    through, the clock became NaN and then "advanced" past it."""
+    nan = float("nan")
+    sim = Simulator()
+    fired = []
+
+    def sleeper(sim, delay):
+        yield sim.timeout(delay)
+        fired.append(sim.now)
+
+    for delay in (5.0, nan, 1.0, 3.0):
+        sim.process(sleeper(sim, delay))
+    with pytest.raises(SimulationError, match="nan"):
+        sim.run()
+    with pytest.raises(SimulationError):
+        sim.run(until=nan)
+    sim.run()
+    assert fired == [1.0, 3.0, 5.0]
+    assert sim.now == 5.0
+
+
+class _Tally:
+    """A stand-in for the kernel's sequence counter that counts the
+    entries it numbers: one per scheduled event."""
+
+    def __init__(self):
+        self.issued = 0
+
+    def __next__(self):
+        self.issued += 1
+        return self.issued
+
+
+def test_every_executed_event_passes_through_step(monkeypatch):
+    """The artifact benchmark counts a pass's kernel events by replacing
+    ``Simulator.step`` on the class; an event run by any other path
+    would be missing from ``events_per_pass``."""
+    steps = 0
+    original = Simulator.__dict__["step"]
+
+    def counting_step(self):
+        nonlocal steps
+        steps += 1
+        return original(self)
+
+    monkeypatch.setattr(Simulator, "step", counting_step)
+    sim = Simulator()
+    sim._counter = tally = _Tally()
+    log = []
+
+    def sleeper(sim):
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt as interrupt:
+            log.append((interrupt.cause, sim.now))
+        yield sim.timeout(0.0)
+
+    def poker(sim, victim):
+        yield sim.timeout(1.0)
+        posted = sim.event()
+        posted.succeed("posted")
+        log.append((yield posted))
+        first = yield AnyOf(sim, [sim.timeout(2.0, "fast"),
+                                  sim.timeout(3.0, "slow")])
+        log.append(sorted(first.values()))
+        victim.interrupt("stop")
+        yield sim.timeout(5.0)
+
+    victim = sim.process(sleeper(sim))
+    sim.process(poker(sim, victim))
+    sim.run(until=2.5)
+    pending = len(sim._heap) + len(sim._immediate)
+    assert steps > 0 and pending > 0
+    assert steps == tally.issued - pending
+    sim.run()
+    assert log == ["posted", ["fast"], ("stop", 3.0)]
+    assert steps == tally.issued

@@ -1,8 +1,14 @@
 """Tests for deterministic named RNG streams."""
 
+import zlib
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import RandomStreams
+from repro.sim.rng import _BLOCK
 
 
 def test_same_seed_same_name_reproduces():
@@ -51,20 +57,138 @@ def test_choice_weighted_respects_weights():
     assert 0.85 < read_fraction < 0.95
 
 
-def test_choice_unweighted():
-    streams = RandomStreams(seed=5)
-    picks = {streams.choice_weighted("c", [1, 2, 3]) for _ in range(100)}
-    assert picks == {1, 2, 3}
+# -- buffered draws equal the scalar Generator calls ------------------------
+class _ScalarReference:
+    """The scalar formulas, one fresh Generator per name, as the
+    streams computed them before draws were buffered."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.generators = {}
+
+    def generator(self, name):
+        if name not in self.generators:
+            seq = np.random.SeedSequence(
+                entropy=self.seed,
+                spawn_key=(zlib.crc32(name.encode("utf-8")),))
+            self.generators[name] = np.random.Generator(np.random.PCG64(seq))
+        return self.generators[name]
+
+    def normal(self, name, mean, std):
+        return float(self.generator(name).normal(mean, std))
+
+    def lognormal_around(self, name, median, sigma):
+        return float(median * np.exp(self.generator(name).normal(0.0, sigma)))
+
+    def choice_weighted(self, name, options, weights):
+        total = float(sum(weights))
+        probabilities = [w / total for w in weights]
+        return options[int(self.generator(name).choice(
+            len(options), p=probabilities))]
 
 
-def test_exponential_mean():
-    streams = RandomStreams(seed=6)
-    samples = [streams.exponential("think", 5.0) for _ in range(5000)]
-    assert abs(np.mean(samples) - 5.0) < 0.3
+_NAMES = ["network.latency", "ntp.a", "cloud.lottery", "cloud.lottery.noise"]
+_finite = dict(allow_nan=False, allow_infinity=False)
+_normal_call = st.one_of(
+    st.tuples(st.just("normal"), st.floats(-1e3, 1e3, **_finite),
+              st.floats(0.0, 50.0, **_finite)),
+    st.tuples(st.just("lognormal_around"), st.floats(0.01, 1e3, **_finite),
+              st.sampled_from([0.0, 0.08, 0.3, 1.0, 2.5])))
+_choice_call = st.tuples(
+    st.just("choice_weighted"),
+    st.lists(st.floats(0.0, 10.0, **_finite), min_size=1,
+             max_size=5).filter(lambda ws: sum(ws) > 0))
 
 
-def test_uniform_bounds():
-    streams = RandomStreams(seed=8)
-    for _ in range(100):
-        x = streams.uniform("u", 2.0, 3.0)
-        assert 2.0 <= x < 3.0
+@st.composite
+def _programs(draw):
+    """(seed, [(name, call, count)]): runs of one call on one name,
+    interleaved across 1-4 names of fixed kind; the first name is
+    topped up past two block boundaries."""
+    n_names = draw(st.integers(1, 4))
+    kinds = [draw(st.booleans()) for _ in range(n_names)]  # True: choice
+    runs = []
+    for _ in range(draw(st.integers(1, 8))):
+        index = draw(st.integers(0, n_names - 1))
+        call = draw(_choice_call if kinds[index] else _normal_call)
+        runs.append((_NAMES[index], call, draw(st.integers(1, 700))))
+    first = sum(count for name, _c, count in runs if name == _NAMES[0])
+    if first <= 2 * _BLOCK:
+        call = draw(_choice_call if kinds[0] else _normal_call)
+        runs.append((_NAMES[0], call, 2 * _BLOCK + 1 - first))
+    return draw(st.integers(0, 2**32 - 1)), runs
+
+
+def _replay(streams, runs):
+    values = []
+    for name, (method, *args), count in runs:
+        if method == "choice_weighted":
+            weights = args[0]
+            args = (list(range(len(weights))), weights)
+        draw = getattr(streams, method)
+        values.extend(draw(name, *args) for _ in range(count))
+    return values
+
+
+@given(_programs())
+@settings(max_examples=40, deadline=None)
+def test_buffered_draws_equal_the_scalar_calls(program):
+    seed, runs = program
+    drawn = _replay(RandomStreams(seed), runs)
+    expected = _replay(_ScalarReference(seed), runs)
+    assert all(type(value) is type(want)
+               for value, want in zip(drawn, expected))
+    assert drawn == expected
+
+
+def test_sigma_change_mid_block_equals_the_scalar_calls():
+    runs = [("lat", ("lognormal_around", 16.0, 0.08), 300),
+            ("lat", ("normal", 2.0, 3.0), 10),
+            ("lat", ("lognormal_around", 16.0, 0.5), 1500),
+            ("lat", ("lognormal_around", 21.0, 0.08), 700)]
+    assert _replay(RandomStreams(9), runs) \
+        == _replay(_ScalarReference(9), runs)
+
+
+def test_a_buffered_name_cannot_be_drawn_raw():
+    streams = RandomStreams(0)
+    streams.normal("ntp.a", 0.0, 1.0)
+    with pytest.raises(ValueError, match="cannot be drawn raw"):
+        streams.stream("ntp.a")
+    streams.choice_weighted("cloud.lottery", ["a", "b"], [1.0, 1.0])
+    with pytest.raises(ValueError, match="cannot be drawn raw"):
+        streams.stream("cloud.lottery")
+
+
+def test_a_buffered_name_keeps_its_kind():
+    streams = RandomStreams(0)
+    streams.normal("x", 0.0, 1.0)
+    streams.lognormal_around("x", 1.0, 0.2)     # same kind: fine
+    with pytest.raises(ValueError, match="cannot be drawn as uniforms"):
+        streams.choice_weighted("x", ["a", "b"], [1.0, 1.0])
+    streams.choice_weighted("y", ["a", "b"], [1.0, 1.0])
+    with pytest.raises(ValueError, match="cannot be drawn as normals"):
+        streams.normal("y", 0.0, 1.0)
+
+
+def test_a_raw_name_cannot_be_buffered():
+    streams = RandomStreams(0)
+    streams.stream("loader")
+    with pytest.raises(ValueError, match="already drawn raw"):
+        streams.normal("loader", 0.0, 1.0)
+
+
+def test_invalid_parameters_raise_like_numpy_and_draw_nothing():
+    streams = RandomStreams(5)
+    reference = _ScalarReference(5)
+    with pytest.raises(ValueError):
+        streams.normal("n", 0.0, -1.0)
+    with pytest.raises(ValueError):
+        streams.lognormal_around("n", 1.0, -0.5)
+    with pytest.raises(ValueError):
+        streams.choice_weighted("c", ["a", "b"], [2.0, -1.0])
+    with pytest.raises(ValueError):
+        streams.choice_weighted("c", ["a", "b", "c"], [1.0, 1.0])
+    assert streams.normal("n", 0.0, 1.0) == reference.normal("n", 0.0, 1.0)
+    assert streams.choice_weighted("c", ["a", "b"], [1.0, 3.0]) \
+        == reference.choice_weighted("c", ["a", "b"], [1.0, 3.0])
