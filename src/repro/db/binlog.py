@@ -10,17 +10,15 @@ events arrive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..sim import Event, Simulator
 
 __all__ = ["BinlogEvent", "Binlog"]
 
 
-@dataclass(frozen=True, slots=True)
-class BinlogEvent:
-    """One replicated statement (or row-image batch)."""
+class BinlogEvent(NamedTuple):
+    """One replicated statement (or row-image batch); immutable."""
 
     position: int          # 1-based, dense
     statement: str         # SQL text to re-execute on the replica
@@ -58,15 +56,9 @@ class Binlog:
     def append(self, statement: str, database: str,
                commit_wallclock: float,
                row_ops: Optional[tuple] = None) -> BinlogEvent:
-        event = BinlogEvent(
-            position=len(self.events) + 1,
-            statement=statement,
-            database=database,
-            server_id=self.server_id,
-            commit_wallclock=commit_wallclock,
-            commit_simtime=self.sim.now,
-            row_ops=row_ops,
-        )
+        event = BinlogEvent(len(self.events) + 1, statement, database,
+                            self.server_id, commit_wallclock, self.sim.now,
+                            row_ops)
         self.events.append(event)
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:

@@ -385,7 +385,8 @@ class StorageEngine:
         profile = ExecutionProfile("select")
         functions = self.functions
         if statement.table is None:
-            # Table-less select: SELECT 1, SELECT USEC_NOW(), ...
+            # Table-less select (SELECT 1, SELECT USEC_NOW(), ...): one
+            # empty row, which WHERE and grouping see like any other.
             rows = [()]
             plan = plan_for(statement)
         else:
@@ -402,11 +403,10 @@ class StorageEngine:
                 rows, examined = self._join(rows, right, join, params)
                 profile.rows_examined += examined
                 profile.joined_tables += 1
-            # WHERE residual filtering (join rows need every table).
-            if plan.where is not None:
-                where = plan.where
-                rows = [row for row in rows if where(row, params, functions)]
-
+        # WHERE residual filtering (join rows need every table).
+        if plan.where is not None:
+            where = plan.where
+            rows = [row for row in rows if where(row, params, functions)]
         if plan.grouped:  # from here on a "row" is a group of rows
             rows = self._groups(plan, rows, params)
         # ORDER BY before projection (keys may not be projected); stable
@@ -481,7 +481,7 @@ class StorageEngine:
 
     # ------------------------------------------------------------ planning
     def _candidates(self, table: Table, plan: Plan, params: Sequence[Any]
-                    ) -> tuple[list, int, bool]:
+                    ) -> tuple[Sequence, int, bool]:
         """Choose an access path; returns (pks, rows_examined, used_index).
 
         The plan names the probes the WHERE allows; whether the schema
@@ -499,9 +499,10 @@ class StorageEngine:
                 return ([pk_value] if pk_value in table.rows else []), 1, True
             index = table.index_on(column)
             if index is not None and len(index.columns) == 1:
-                # lookup() returns a frozenset; sort so unordered
-                # SELECTs return rows in pk order, not hash order.
-                pks = sorted(index.lookup((value,)))
+                # Buckets are immutable and in pk order, so unordered
+                # SELECTs return rows in pk order, and a write may walk
+                # the bucket while replacing it.
+                pks = index.lookup((value,))
                 return pks, len(pks), True
         # Range probe on a single-column index.
         for column, low_of, high_of, incl_low, incl_high in plan.probes[1]:
@@ -559,12 +560,10 @@ def _sort_key(value: Any) -> tuple:
     return (2, 0.0, str(value))
 
 
-def _lookup_by_column(table: Table, column: str, value: Any) -> list:
+def _lookup_by_column(table: Table, column: str, value: Any) -> Sequence:
     if column == table.primary_key_column:
         return [value] if value in table.rows else []
     index = table.index_on(column)
     if index is not None and len(index.columns) == 1:
-        # Sorted like _candidates' lookup: a bucket's set order is not
-        # the same on a replica that cloned it.
-        return sorted(index.lookup((value,)))
+        return index.lookup((value,))
     return list(table.rows)

@@ -1,9 +1,14 @@
 """Secondary indexes.
 
-An index maps a key tuple (one or more column values) to the set of
-primary keys whose rows carry that key, and keeps keys in sorted order
-for range scans.  ``None`` keys are indexed (MySQL indexes NULLs too)
-but excluded from range scans.
+An index maps a key tuple (one or more column values) to the primary
+keys whose rows carry that key, and keeps keys in sorted order for
+range scans.  ``None`` keys are indexed (MySQL indexes NULLs too) but
+excluded from range scans.
+
+A bucket is the *sorted tuple* of the primary keys under one key, and
+buckets are replace-on-write like rows: a write stores a new tuple and
+none is ever edited, so clones share them and :meth:`Index.lookup`
+hands out the bucket itself, already in pk order.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ class Index:
         self.name = name
         self.columns = columns
         self.unique = unique
-        self._buckets: dict[tuple, set] = {}
+        self._buckets: dict[tuple, tuple] = {}
         self._sorted_keys: list[tuple] = []
 
     def __len__(self) -> int:
@@ -34,59 +39,86 @@ class Index:
         return tuple(row[c] for c in self.columns)
 
     # -- maintenance ---------------------------------------------------------
+    def check(self, row: dict[str, Any], pk: Any) -> None:
+        """Raise :class:`DuplicateKeyError` when a unique index holds
+        ``row``'s key for a primary key other than ``pk``."""
+        if self.unique:
+            key = self.key_of(row)
+            if any(other != pk for other in self._buckets.get(key, ())):
+                raise self._duplicate(key)
+
     def add(self, row: dict[str, Any], pk: Any) -> None:
         key = self.key_of(row)
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = set()
-            self._buckets[key] = bucket
+            self._buckets[key] = (pk,)
             if not _has_none(key):
                 bisect.insort(self._sorted_keys, key)
-        elif self.unique and bucket:
-            raise DuplicateKeyError(
-                f"duplicate entry {key!r} for unique index {self.name!r}")
-        bucket.add(pk)
+            return
+        if self.unique:
+            raise self._duplicate(key)
+        position = bisect.bisect_left(bucket, pk)
+        if position == len(bucket) or bucket[position] != pk:
+            self._buckets[key] = bucket[:position] + (pk,) + bucket[position:]
 
     def remove(self, row: dict[str, Any], pk: Any) -> None:
         key = self.key_of(row)
-        bucket = self._buckets.get(key)
-        if bucket is None or pk not in bucket:
+        bucket = self._buckets.get(key, ())
+        position = bisect.bisect_left(bucket, pk)
+        if position == len(bucket) or bucket[position] != pk:
             raise KeyError(f"pk {pk!r} not present under key {key!r} "
                            f"in index {self.name!r}")
-        bucket.discard(pk)
-        if not bucket:
-            del self._buckets[key]
-            if not _has_none(key):
-                position = bisect.bisect_left(self._sorted_keys, key)
-                if position < len(self._sorted_keys) \
-                        and self._sorted_keys[position] == key:
-                    self._sorted_keys.pop(position)
+        if len(bucket) > 1:
+            self._buckets[key] = bucket[:position] + bucket[position + 1:]
+            return
+        del self._buckets[key]
+        if not _has_none(key):
+            position = bisect.bisect_left(self._sorted_keys, key)
+            if position < len(self._sorted_keys) \
+                    and self._sorted_keys[position] == key:
+                self._sorted_keys.pop(position)
 
     def rebuild(self, rows: Iterable[tuple[Any, dict[str, Any]]]) -> None:
-        """Rebuild from scratch from ``(pk, row)`` pairs."""
-        self._buckets.clear()
-        self._sorted_keys = []
+        """Rebuild from scratch from ``(pk, row)`` pairs: each bucket is
+        gathered once and sorted once, so backfilling a low-cardinality
+        index costs a sort, not a tuple copy per row."""
+        gathered: dict[tuple, list] = {}
         for pk, row in rows:
-            self.add(row, pk)
+            key = self.key_of(row)
+            pks = gathered.get(key)
+            if pks is None:
+                gathered[key] = [pk]
+            elif self.unique:
+                raise self._duplicate(key)
+            else:
+                pks.append(pk)
+        self._buckets = {key: tuple(sorted(pks))
+                         for key, pks in gathered.items()}
+        self._sorted_keys = sorted(key for key in self._buckets
+                                   if not _has_none(key))
 
     def clone(self) -> "Index":
-        """An independent index with the same contents."""
+        """An independent index with the same contents; the (immutable)
+        buckets are shared."""
         twin = Index(self.name, self.columns, self.unique)
-        twin._buckets = {key: set(bucket)
-                         for key, bucket in self._buckets.items()}
+        twin._buckets = dict(self._buckets)
         twin._sorted_keys = list(self._sorted_keys)
         return twin
 
+    def _duplicate(self, key: tuple) -> DuplicateKeyError:
+        return DuplicateKeyError(
+            f"duplicate entry {key!r} for unique index {self.name!r}")
+
     # -- lookups ---------------------------------------------------------------
-    def lookup(self, key: tuple) -> frozenset:
-        """Primary keys whose rows match ``key`` exactly."""
-        return frozenset(self._buckets.get(key, ()))
+    def lookup(self, key: tuple) -> tuple:
+        """Primary keys whose rows match ``key`` exactly, in pk order."""
+        return self._buckets.get(key, ())
 
     def range_scan(self, low: Optional[tuple] = None,
                    high: Optional[tuple] = None,
                    include_low: bool = True,
                    include_high: bool = True) -> Iterator[Any]:
-        """Primary keys with keys in [low, high], in key order."""
+        """Primary keys with keys in [low, high], in (key, pk) order."""
         if low is None:
             start = 0
         elif include_low:
@@ -99,10 +131,9 @@ class Index:
             stop = bisect.bisect_right(self._sorted_keys, high)
         else:
             stop = bisect.bisect_left(self._sorted_keys, high)
+        buckets = self._buckets
         for position in range(start, stop):
-            # Buckets are sets; yield them sorted so the scan order is
-            # a pure function of the data, not of hash/insertion order.
-            yield from sorted(self._buckets[self._sorted_keys[position]])
+            yield from buckets[self._sorted_keys[position]]
 
     def keys_in_order(self) -> list[tuple]:
         return list(self._sorted_keys)

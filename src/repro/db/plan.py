@@ -81,9 +81,7 @@ def _select(statement: SelectStatement, schemas: tuple) -> Plan:
         + [order.expression for order in statement.order_by]
     if statement.having is not None:
         clauses.append(statement.having)
-    # A table-less SELECT has no rows to group: its aggregates fail.
-    grouped = statement.table is not None and (
-        bool(statement.group_by) or any(map(has_aggregate, clauses)))
+    grouped = bool(statement.group_by) or any(map(has_aggregate, clauses))
     columns, items = [], []
     for item in statement.items:
         star = item.expression

@@ -85,8 +85,11 @@ class Table:
         # Maintain auto-increment high-water mark (MySQL semantics).
         if isinstance(pk, int) and pk >= self._next_auto_increment:
             self._next_auto_increment = pk + 1
-        for index in self.indexes.values():
-            index.add(row, pk)  # may raise DuplicateKeyError for unique
+        indexes = self.indexes.values()
+        for index in indexes:  # refuse before touching any index
+            index.check(row, pk)
+        for index in indexes:
+            index.add(row, pk)
         self.rows[pk] = row
         return pk
 
@@ -101,15 +104,19 @@ class Table:
             if new_row[column] is None and not col.nullable:
                 raise SchemaError(f"column {column!r} cannot be NULL")
         new_pk = new_row[self.primary_key_column]
-        if new_pk != pk:
-            if new_pk in self.rows:
-                raise DuplicateKeyError(
-                    f"duplicate primary key {new_pk!r} in {self.name!r}")
+        moved = new_pk != pk
+        if moved and new_pk in self.rows:
+            raise DuplicateKeyError(
+                f"duplicate primary key {new_pk!r} in {self.name!r}")
+        # Only an index whose key or pk moved has anything to change.
+        changed = [index for index in self.indexes.values()
+                   if moved or index.key_of(row) != index.key_of(new_row)]
+        for index in changed:  # refuse before touching anything
+            index.check(new_row, pk)
+        if moved:
             del self.rows[pk]
-            self.rows[new_pk] = new_row
-        else:
-            self.rows[pk] = new_row
-        for index in self.indexes.values():
+        self.rows[new_pk] = new_row
+        for index in changed:
             index.remove(old_row, pk)
             index.add(new_row, new_pk)
         return old_row

@@ -27,15 +27,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..tracer import NULL_TRACER
+from .incidents import canonical_round
 from .slo import AlertRule, SLOSpec
 from .streams import Ewma, LivePipeline, Mapped, WindowedMean
 
 __all__ = ["AlertEngine", "AlertState", "Incident"]
-
-
-def _round(value: float, places: int = 6) -> float:
-    """Canonical float rounding (matches the export plane)."""
-    return round(value + 0.0, places)
 
 
 @dataclass
@@ -63,13 +59,13 @@ class Incident:
             "rule": self.rule,
             "stream": self.stream,
             "severity": self.severity,
-            "fired_at_s": _round(self.fired_at_s),
+            "fired_at_s": canonical_round(self.fired_at_s),
             "resolved_at_s": (None if self.resolved_at_s is None
-                              else _round(self.resolved_at_s)),
+                              else canonical_round(self.resolved_at_s)),
             "open": self.open,
             "peak": (None if self.peak is None
-                     else _round(self.peak)),
-            "evidence": {name: _round(value)
+                     else canonical_round(self.peak)),
+            "evidence": {name: canonical_round(value)
                          for name, value in self.evidence.items()},
         }
 

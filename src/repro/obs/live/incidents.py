@@ -22,12 +22,14 @@ import hashlib
 import json
 from typing import Optional
 
-__all__ = ["incidents_document", "render_incidents_text",
+__all__ = ["canonical_round", "incidents_document", "render_incidents_text",
            "write_incidents"]
 
 
-def _round(value: float, places: int = 6) -> float:
-    return round(float(value) + 0.0, places)
+def canonical_round(value: float) -> float:
+    """The live plane's one float form: six places, ``-0.0`` as ``0.0``
+    (shared by alerts, incidents and detection scores)."""
+    return round(float(value) + 0.0, 6)
 
 
 def incidents_document(engine, final_time: float,
@@ -46,9 +48,9 @@ def incidents_document(engine, final_time: float,
             "name": spec.name,
             "digest": spec.digest(),
             "rules": len(spec.rules),
-            "period_s": _round(spec.period_s),
+            "period_s": canonical_round(spec.period_s),
         },
-        "final_time_s": _round(final_time),
+        "final_time_s": canonical_round(final_time),
         "evaluations": engine.evaluations,
         "fired": engine.fired,
         "resolved": engine.resolved,

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .incidents import canonical_round
+
 __all__ = ["FAULT_ALERTS", "score_detection"]
 
 #: fault kind -> alert rule names that should catch it (default spec).
@@ -31,10 +33,6 @@ FAULT_ALERTS = {
     "master-crash": ("master-unavailable",),
     "latency": (),
 }
-
-
-def _round(value: float, places: int = 6) -> float:
-    return round(float(value) + 0.0, places)
 
 
 def _matches_target(fault, stream: str) -> bool:
@@ -66,7 +64,7 @@ def score_detection(incidents: list, schedule, offset: float = 0.0,
         row = {
             "kind": fault.kind,
             "target": fault.target,
-            "at_s": _round(injected_at),
+            "at_s": canonical_round(injected_at),
             "mapped_rules": mapped,
             "detected": False,
             "matched_rule": None,
@@ -101,12 +99,12 @@ def score_detection(incidents: list, schedule, offset: float = 0.0,
                 row["detected"] = True
                 row["matched_rule"] = incident.rule
                 row["matched_stream"] = incident.stream
-                row["time_to_detect_s"] = _round(ttd)
+                row["time_to_detect_s"] = canonical_round(ttd)
                 kind_stats = per_kind.setdefault(
                     fault.kind, {"scored": 0, "detected": 0,
                                  "ttd_s": []})
                 kind_stats["detected"] += 1
-                kind_stats["ttd_s"].append(_round(ttd))
+                kind_stats["ttd_s"].append(canonical_round(ttd))
                 kind_stats["scored"] += 1
             else:
                 kind_stats = per_kind.setdefault(
@@ -125,7 +123,7 @@ def score_detection(incidents: list, schedule, offset: float = 0.0,
             "max_ttd_s": max(ttds) if ttds else None,
         }
     return {
-        "tolerance_s": _round(tolerance_s),
+        "tolerance_s": canonical_round(tolerance_s),
         "scored": scored,
         "detected": detected_count,
         "missed": scored - detected_count,

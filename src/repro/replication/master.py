@@ -50,15 +50,18 @@ class MasterServer(DatabaseServer):
 
     # -- binlog production ------------------------------------------------------
     def _on_commit(self, statements: list) -> None:
-        tracer = self.sim.tracer
+        """Binlog ``statements``, all committed at this sim instant (one
+        transaction, or the dataset image's whole load), so they share
+        one clock reading."""
+        tracer, append = self.sim.tracer, self.binlog.append
+        wallclock = self.clock.now()
         for payload, database in statements:
             if isinstance(payload, str):
-                event = self.binlog.append(payload, database,
-                                           self.clock.now())
+                event = append(payload, database, wallclock)
             else:
-                event = self.binlog.append(
+                event = append(
                     f"/* row-based event: {len(payload)} row(s) */",
-                    database, self.clock.now(), row_ops=payload)
+                    database, wallclock, row_ops=payload)
             if tracer.enabled:
                 tracer.instant("repl.binlog", category="replication",
                                track=f"repl:{self.name}",

@@ -110,12 +110,15 @@ def load_initial_data(master, data_size: int,
     engine.tables.update((name, table.clone())
                          for name, table in tables.items())
     cache, listener = engine.plan_cache, engine.commit_listener
-    for template, params, committed in statements:
+    if cache is not None:
         # Same content, LRU order and hit/miss counters as executing.
-        if cache is not None:
+        for template, params, _committed in statements:
             cache.prepare(template, params)
-        if listener is not None:
-            listener(list(committed))
+    if listener is not None:
+        # Every commit of the load happens at this one sim instant: one
+        # call hands the listener (the master's binlog) all of them.
+        listener([commit for _template, _params, committed in statements
+                  for commit in committed])
     engine.statements_executed += len(statements)
     rng.bit_generator.state = rng_state
     return state

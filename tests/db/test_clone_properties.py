@@ -1,9 +1,9 @@
 """Property tests for ``Table.clone`` / ``Index.clone``.
 
 Slave sync and the cached dataset image rest on one invariant: a clone
-owns its row map and its indexes but *shares the row dicts* with its
-source, which is only sound while every mutation replaces a row dict
-instead of editing it.  ``copy.deepcopy`` (what ``snapshot`` and
+owns its row map and its indexes but *shares the row dicts and the
+index buckets* with its source, which is only sound while every
+mutation replaces a row dict or a bucket instead of editing it.  ``copy.deepcopy`` (what ``snapshot`` and
 ``restore`` used before) is the reference: a clone must equal a deep
 copy structurally, and stay equal to it whatever happens to the source
 afterwards — and the other way round.
@@ -112,8 +112,12 @@ def test_clone_equals_deepcopy(script):
             twin = clone.indexes[name]
             assert twin is not index
             assert twin._sorted_keys is not index._sorted_keys
-            assert all(twin._buckets[key] is not bucket
-                       for key, bucket in index._buckets.items())
+            # Buckets are sorted tuples (so never mutated), shared.
+            assert twin._buckets is not index._buckets
+            for key, bucket in index._buckets.items():
+                assert type(bucket) is tuple
+                assert list(bucket) == sorted(set(bucket))
+                assert twin._buckets[key] is bucket
 
 
 @given(before=scripts, after=scripts, mutate_clone=st.booleans(),

@@ -1,5 +1,7 @@
 """Storage-engine execution tests."""
 
+import sqlite3
+
 import pytest
 
 from repro.db import (DatabaseError, DuplicateKeyError, SchemaError,
@@ -125,6 +127,22 @@ def test_tableless_select(engine):
     assert rows(engine, "SELECT 2 + 3") == [(5,)]
     assert engine.execute("SELECT USEC_NOW()").result.scalar() == \
         pytest.approx(1000.123456)
+
+
+@pytest.mark.parametrize("sql", ["SELECT 1 WHERE 1 = 0",
+                                 "SELECT COUNT(*) WHERE 1 = 0",
+                                 "SELECT COUNT(*)",
+                                 "SELECT 1 WHERE 1 = 1",
+                                 "SELECT COUNT(*), 7 WHERE 2 > 1"])
+def test_tableless_select_agrees_with_sqlite(engine, sql):
+    # WHERE and grouping apply to the one empty row a FROM-less SELECT
+    # has: a false WHERE leaves no row, and COUNT(*) counts 0 or 1.
+    reference = sqlite3.connect(":memory:")
+    try:
+        expected = reference.execute(sql).fetchall()
+    finally:
+        reference.close()
+    assert rows(engine, sql) == expected
 
 
 def test_select_unknown_table(engine):

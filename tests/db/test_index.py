@@ -12,12 +12,12 @@ def test_add_lookup_remove():
     index.add({"a": 1, "b": "x"}, pk=10)
     index.add({"a": 1, "b": "y"}, pk=11)
     index.add({"a": 2, "b": "z"}, pk=12)
-    assert index.lookup((1,)) == {10, 11}
-    assert index.lookup((2,)) == {12}
-    assert index.lookup((3,)) == frozenset()
+    assert index.lookup((1,)) == (10, 11)
+    assert index.lookup((2,)) == (12,)
+    assert index.lookup((3,)) == ()
     assert len(index) == 3
     index.remove({"a": 1, "b": "x"}, pk=10)
-    assert index.lookup((1,)) == {11}
+    assert index.lookup((1,)) == (11,)
 
 
 def test_remove_missing_raises():
@@ -38,14 +38,14 @@ def test_unique_allows_reinsert_after_remove():
     index.add({"a": 1}, pk=10)
     index.remove({"a": 1}, pk=10)
     index.add({"a": 1}, pk=11)
-    assert index.lookup((1,)) == {11}
+    assert index.lookup((1,)) == (11,)
 
 
 def test_composite_key():
     index = Index("idx", ("a", "b"))
     index.add({"a": 1, "b": 2}, pk=10)
-    assert index.lookup((1, 2)) == {10}
-    assert index.lookup((1, 3)) == frozenset()
+    assert index.lookup((1, 2)) == (10,)
+    assert index.lookup((1, 3)) == ()
 
 
 def test_range_scan_inclusive():
@@ -78,18 +78,18 @@ def test_null_keys_indexed_but_not_in_ranges():
     index = Index("idx", ("a",))
     index.add({"a": None}, pk=1)
     index.add({"a": 5}, pk=2)
-    assert index.lookup((None,)) == {1}
+    assert index.lookup((None,)) == (1,)
     assert list(index.range_scan()) == [2]
     index.remove({"a": None}, pk=1)
-    assert index.lookup((None,)) == frozenset()
+    assert index.lookup((None,)) == ()
 
 
 def test_rebuild():
     index = Index("idx", ("a",))
     index.add({"a": 1}, pk=1)
     index.rebuild([(10, {"a": 5}), (11, {"a": 6})])
-    assert index.lookup((1,)) == frozenset()
-    assert index.lookup((5,)) == {10}
+    assert index.lookup((1,)) == ()
+    assert index.lookup((5,)) == (10,)
     assert index.keys_in_order() == [(5,), (6,)]
 
 

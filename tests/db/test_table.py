@@ -89,19 +89,40 @@ def test_indexes_maintained_through_mutations():
     index = table.create_index("idx_karma", ("karma",))
     a = table.insert({"name": "a", "karma": 1})
     b = table.insert({"name": "b", "karma": 1})
-    assert index.lookup((1,)) == {a, b}
+    assert index.lookup((1,)) == (a, b)
     table.update(a, {"karma": 7})
-    assert index.lookup((1,)) == {b}
-    assert index.lookup((7,)) == {a}
+    assert index.lookup((1,)) == (b,)
+    assert index.lookup((7,)) == (a,)
     table.delete(b)
-    assert index.lookup((1,)) == frozenset()
+    assert index.lookup((1,)) == ()
+
+
+def test_refused_unique_write_leaves_every_index_untouched():
+    # The unique index comes second: a refusal found there must not
+    # leave the first index holding a pk the table does not have.
+    table = make_table()
+    karma = table.create_index("idx_karma", ("karma",))
+    names = table.create_index("ux_name", ("name",), unique=True)
+    a = table.insert({"name": "a", "karma": 1})
+    b = table.insert({"name": "b", "karma": 2})
+    before = (dict(table.rows), dict(karma._buckets), dict(names._buckets))
+    with pytest.raises(DuplicateKeyError):
+        table.insert({"id": 9, "name": "a", "karma": 1})
+    with pytest.raises(DuplicateKeyError):
+        table.update(b, {"karma": 1, "name": "a"})
+    with pytest.raises(DuplicateKeyError):
+        table.update(b, {"id": 7, "name": "a"})
+    assert (table.rows, karma._buckets, names._buckets) == before
+    # A pk move that keeps its unique key is not a conflict.
+    table.update(a, {"id": 5})
+    assert names.lookup(("a",)) == (5,) and karma.lookup((1,)) == (5,)
 
 
 def test_create_index_backfills_existing_rows():
     table = make_table()
     pk = table.insert({"name": "a", "karma": 4})
     index = table.create_index("idx", ("karma",))
-    assert index.lookup((4,)) == {pk}
+    assert index.lookup((4,)) == (pk,)
 
 
 def test_create_index_duplicate_name():

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cloud import Cloud, MASTER_PLACEMENT
 from repro.db import SchemaError
+from repro.obs.tracer import Tracer
 from repro.replication import ReplicationManager
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.cloudstone import CLOUDSTONE_DATABASE, loader
@@ -28,12 +29,19 @@ def no_cached_images():
     loader._IMAGES.clear()
 
 
-def make_master(binlog_format="statement"):
+def make_master(binlog_format="statement", traced=False):
+    """A master; ``traced`` attaches a tracer and starts it at a sim
+    instant where its drifting clock reads neither 0 nor sim time."""
     sim = Simulator()
+    if traced:
+        sim.tracer = Tracer(sim)
     manager = ReplicationManager(sim, Cloud(sim, RandomStreams(9)),
                                  ntp_period=None,
                                  binlog_format=binlog_format)
-    return manager.create_master(MASTER_PLACEMENT)
+    master = manager.create_master(MASTER_PLACEMENT)
+    if traced:
+        sim.run(until=7.25)
+    return master
 
 
 def observed(master, state, rng):
@@ -44,19 +52,26 @@ def observed(master, state, rng):
         "tables": list(master.engine.tables),
         "databases": sorted(master.engine.databases),
         "statements_executed": master.engine.statements_executed,
-        "binlog": [(e.position, e.statement, e.database, e.commit_wallclock,
-                    e.commit_simtime, e.row_ops)
-                   for e in master.binlog.events],
+        # Every BinlogEvent field; the id is the one masters differ in.
+        "binlog": [event._replace(server_id=None)
+                   for event in master.binlog.events],
+        "own_server_id": all(event.server_id == master.server_id
+                             for event in master.binlog.events),
         "plan_cache": (cache.hits, cache.misses, cache.evictions,
                        list(cache._exact), list(cache._templates)),
         "rng": rng.bit_generator.state,
         "state": (state.n_users, state.n_events, state.n_tags,
                   state.time_horizon),
+        "binlog_instants": [
+            (span.name, span.category, span.track, span.start,
+             span.attributes)
+            for span in getattr(master.sim.tracer, "spans", ())
+            if span.name == "repl.binlog"],
     }
 
 
-def load(data_size, seed, binlog_format):
-    master = make_master(binlog_format)
+def load(data_size, seed, binlog_format, traced=False):
+    master = make_master(binlog_format, traced)
     rng = RandomStreams(seed).stream("loader")
     state = load_initial_data(master, data_size, rng)
     return master, observed(master, state, rng)
@@ -80,16 +95,26 @@ def test_cached_install_equals_building_install(data_size, seed,
 
 @pytest.mark.parametrize("binlog_format", ["statement", "row"])
 def test_install_equals_executing_the_statements(binlog_format):
-    """The reference: the load's statements run on the master itself."""
-    _, installed = load(150, 4, binlog_format)
+    """The reference: the load's statements run on the master itself,
+    one commit listener call each where the install makes one in all —
+    invisible in the binlog and in the trace's ``repl.binlog`` marks."""
+    _, installed = load(150, 4, binlog_format, traced=True)
     (_tables, statements, rng_state), = loader._IMAGES.values()
-    reference = make_master(binlog_format)
+    reference = make_master(binlog_format, traced=True)
     for template, params, _committed in statements:
         reference.admin(template, params, database=CLOUDSTONE_DATABASE)
     rng = RandomStreams(4).stream("loader")
     rng.bit_generator.state = rng_state
     state = loader.WorkloadState(150, 150, loader.TAG_COUNT)
     assert observed(reference, state, rng) == installed
+    # One mark per event, at its position and sim time.
+    events = installed["binlog"]
+    assert [(start, attributes["position"])
+            for _n, _c, _t, start, attributes
+            in installed["binlog_instants"]] \
+        == [(event.commit_simtime, event.position) for event in events]
+    assert len(events) > 1000 and events[-1].commit_simtime == 7.25
+    assert events[-1].commit_wallclock != 7.25
     # Row order and index contents too, not just the sorted checksum.
     master, _ = load(150, 4, binlog_format)
     for name, table in reference.engine.tables.items():
@@ -180,3 +205,16 @@ def test_loading_twice_into_one_master_is_refused():
     with pytest.raises(SchemaError):
         load_initial_data(master, 20, RandomStreams(0).stream("loader"))
     assert master.binlog.head_position == head
+
+
+@pytest.mark.parametrize("binlog_format", ["statement", "row"])
+def test_a_transaction_s_events_share_one_commit_wallclock(binlog_format):
+    master, _ = load(20, 0, binlog_format, traced=True)
+    head = master.binlog.head_position
+    for sql in ("BEGIN", "INSERT INTO tags (name) VALUES ('late')",
+                "UPDATE users SET username = 'renamed' WHERE id = 3",
+                "DELETE FROM comments WHERE id = 1", "COMMIT"):
+        master.admin(sql, database=CLOUDSTONE_DATABASE)
+    events = master.binlog.events[head:]
+    assert [(event.commit_wallclock, event.commit_simtime)
+            for event in events] == [(master.clock.now(), 7.25)] * 3
