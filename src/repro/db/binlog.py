@@ -39,6 +39,9 @@ class BinlogEvent(NamedTuple):
         return 60 + len(self.statement)
 
 
+_new_event = tuple.__new__
+
+
 class Binlog:
     """Append-only event log with change notification."""
 
@@ -56,13 +59,17 @@ class Binlog:
     def append(self, statement: str, database: str,
                commit_wallclock: float,
                row_ops: Optional[tuple] = None) -> BinlogEvent:
-        event = BinlogEvent(len(self.events) + 1, statement, database,
-                            self.server_id, commit_wallclock, self.sim.now,
-                            row_ops)
-        self.events.append(event)
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter.succeed()
+        events = self.events
+        # ``tuple.__new__`` skips the NamedTuple constructor's argument
+        # handling: the dataset install appends thousands at once.
+        event = _new_event(BinlogEvent, (
+            len(events) + 1, statement, database, self.server_id,
+            commit_wallclock, self.sim.now, row_ops))
+        events.append(event)
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            for waiter in waiters:
+                waiter.succeed()
         return event
 
     def read_from(self, position: int,

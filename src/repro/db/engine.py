@@ -75,8 +75,15 @@ class ExecutionResult:
 
     result: ResultSet
     profile: ExecutionProfile
-    #: (text, database) pairs committed by this call (autocommit or COMMIT).
-    committed: list[tuple[str, str]] = field(default_factory=list)
+    #: What this call committed (autocommit or COMMIT), as the
+    #: transaction recorded it: ``(payload, params, database)``.
+    commits: Sequence[tuple] = ()
+
+    @property
+    def committed(self) -> list[tuple[Any, str]]:
+        """``(text, database)`` pairs committed by this call (row
+        images instead of text in row format), rendered on read."""
+        return _rendered(self.commits)
 
 
 class StorageEngine:
@@ -187,12 +194,11 @@ class StorageEngine:
     def _commit(self) -> ExecutionResult:
         if self.transaction is None:
             raise TransactionError("COMMIT without open transaction")
-        committed = self.transaction.binlog_statements
+        commits = self.transaction.binlog_statements
         self.transaction = None
-        if committed and self.commit_listener is not None:
-            self.commit_listener(committed)
-        return ExecutionResult(ResultSet(), ExecutionProfile("txn"),
-                               committed=list(committed))
+        if commits and self.commit_listener is not None:
+            self.commit_listener(_rendered(commits))
+        return ExecutionResult(ResultSet(), ExecutionProfile("txn"), commits)
 
     def _rollback(self) -> ExecutionResult:
         if self.transaction is None:
@@ -237,17 +243,18 @@ class StorageEngine:
                 self.transaction = None
             raise
         if profile.rows_affected > 0:
+            # Row images must be taken now; statement text is rendered
+            # only if someone reads it (a slave applying events never
+            # does).
             if self.binlog_format == "row":
-                ops = self._row_ops_since(undo_start)
-                self.transaction.record_statement(ops,
-                                                  self.default_database)
+                self.transaction.record_statement(
+                    self._row_ops_since(undo_start), None,
+                    self.default_database)
             else:
-                text = render_statement(statement, params)
-                self.transaction.record_statement(text,
-                                                  self.default_database)
+                self.transaction.record_statement(
+                    statement, tuple(params), self.default_database)
         if implicit:
-            return ExecutionResult(result, profile,
-                                   committed=self._commit().committed)
+            return ExecutionResult(result, profile, self._commit().commits)
         return ExecutionResult(result, profile)
 
     def _row_ops_since(self, undo_start: int) -> tuple:
@@ -311,11 +318,10 @@ class StorageEngine:
             else:
                 del self.tables[qualified]
             profile.table = qualified
-        text = render_statement(statement)
-        committed = [(text, self.default_database)]
+        commits = [(statement, None, self.default_database)]
         if self.commit_listener is not None:
-            self.commit_listener(committed)
-        return ExecutionResult(ResultSet(), profile, committed=committed)
+            self.commit_listener(_rendered(commits))
+        return ExecutionResult(ResultSet(), profile, commits)
 
     # ----------------------------------------------------------------- DML
     # Expressions arrive compiled (:mod:`.plan`) to closures over ``(row,
@@ -520,7 +526,8 @@ class StorageEngine:
     # ------------------------------------------------------------ snapshot
     def snapshot(self) -> dict:
         """A clone of all data — the slave initial-sync payload; later
-        writes to this engine never show in it.
+        writes to this engine never show in it.  Tables are cloned
+        copy-on-write (:meth:`Table.clone`), so this costs O(tables).
 
         ``databases`` is a *sorted list*, not a set: the payload must
         serialize identically across runs (and across hosts with
@@ -551,6 +558,14 @@ class StorageEngine:
 
 
 # ------------------------------------------------------------------ helpers
+def _rendered(commits: Sequence[tuple]) -> list[tuple[Any, str]]:
+    """Binlog payloads of transaction entries: a statement rendered to
+    text with its params inlined, row images as they are."""
+    return [(render_statement(payload, params)
+             if isinstance(payload, Statement) else payload, database)
+            for payload, params, database in commits]
+
+
 def _sort_key(value: Any) -> tuple:
     """Total order over SQL values: NULLs first, then numbers, then text."""
     if value is None:

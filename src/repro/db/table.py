@@ -22,6 +22,10 @@ class Table:
         self.rows: dict[Any, dict[str, Any]] = {}
         self.indexes: dict[str, Index] = {}
         self._next_auto_increment = 1
+        #: Set by :meth:`clone` on both sides: :attr:`rows` and
+        #: :attr:`indexes` may be another table's too, and the first
+        #: write takes private copies (:meth:`_own`).
+        self._shared = False
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -35,17 +39,29 @@ class Table:
         return self.schema.primary_key.name
 
     def clone(self) -> "Table":
-        """An independent table with the same contents.
+        """An independent table with the same contents, copied on write.
 
-        Own row map, own indexes; the row dicts (see :attr:`rows`) and
-        the schema (never altered after CREATE TABLE) are shared.
+        The twin starts on this table's row map and indexes, and both
+        are marked shared: whichever side writes first copies the map
+        and the indexes before it does (the row dicts, see
+        :attr:`rows`, and the schema, never altered after CREATE TABLE,
+        stay shared).  A clone costs O(1); a replica nobody writes to
+        never copies at all.
         """
         twin = Table(self.schema)
-        twin.rows = dict(self.rows)
-        twin.indexes = {name: index.clone()
-                        for name, index in self.indexes.items()}
+        twin.rows = self.rows
+        twin.indexes = self.indexes
         twin._next_auto_increment = self._next_auto_increment
+        twin._shared = self._shared = True
         return twin
+
+    def _own(self) -> None:
+        """Trade the shared row map and indexes for private copies;
+        every mutator calls this first while :attr:`_shared` is set."""
+        self.rows = dict(self.rows)
+        self.indexes = {name: index.clone()
+                        for name, index in self.indexes.items()}
+        self._shared = False
 
     # -- indexes ---------------------------------------------------------------
     def create_index(self, name: str, columns: tuple[str, ...],
@@ -57,6 +73,8 @@ class Table:
             self.schema.column(column)  # validates existence
         index = Index(name, columns, unique)
         index.rebuild(self.rows.items())
+        if self._shared:
+            self._own()
         self.indexes[name] = index
         return index
 
@@ -70,6 +88,8 @@ class Table:
     # -- mutations ---------------------------------------------------------------
     def insert(self, values: dict[str, Any]) -> Any:
         """Insert a row from partial column values; returns the pk."""
+        if self._shared:
+            self._own()
         pk_column = self.primary_key_column
         auto_value = None
         if self.schema.primary_key.auto_increment \
@@ -95,6 +115,8 @@ class Table:
 
     def update(self, pk: Any, changes: dict[str, Any]) -> dict[str, Any]:
         """Apply ``changes`` to the row at ``pk``; returns the OLD row."""
+        if self._shared:
+            self._own()
         row = self.rows[pk]
         old_row = dict(row)
         new_row = dict(row)
@@ -123,6 +145,8 @@ class Table:
 
     def delete(self, pk: Any) -> dict[str, Any]:
         """Remove the row at ``pk``; returns it."""
+        if self._shared:
+            self._own()
         row = self.rows.pop(pk)
         for index in self.indexes.values():
             index.remove(row, pk)
@@ -130,6 +154,8 @@ class Table:
 
     def restore(self, pk: Any, row: dict[str, Any]) -> None:
         """Undo helper: put a previously deleted row back verbatim."""
+        if self._shared:
+            self._own()
         if pk in self.rows:
             raise DuplicateKeyError(f"pk {pk!r} already present")
         self.rows[pk] = dict(row)

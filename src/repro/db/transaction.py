@@ -27,11 +27,15 @@ class Transaction:
     """An open transaction on one engine session."""
 
     undo: list[UndoRecord] = field(default_factory=list)
-    #: (statement_text, database) pairs, binlogged on commit.
-    binlog_statements: list[tuple[str, str]] = field(default_factory=list)
+    #: ``(payload, params, database)`` per write, binlogged on commit:
+    #: a statement and its bound params (statement format, rendered to
+    #: text only where it is read) or row images with ``None``.
+    binlog_statements: list[tuple[Any, Any, str]] = field(
+        default_factory=list)
 
     def record(self, record: UndoRecord) -> None:
         self.undo.append(record)
 
-    def record_statement(self, text: str, database: str) -> None:
-        self.binlog_statements.append((text, database))
+    def record_statement(self, payload: Any, params: Any,
+                         database: str) -> None:
+        self.binlog_statements.append((payload, params, database))

@@ -152,7 +152,7 @@ class MasterServer(DatabaseServer):
     def perform(self, statement: Union[str, Statement],
                 params: Optional[Sequence[Any]] = None):
         result = yield from super().perform(statement, params)
-        if self.semi_sync and result.committed:
+        if self.semi_sync and result.commits:
             yield self._wait_for_ack(self.binlog.head_position)
         return result
 

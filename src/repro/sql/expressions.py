@@ -160,6 +160,17 @@ def _param(index: int) -> Compiled:
     return param
 
 
+def _modulo(a, b):
+    """MySQL's ``%``: the remainder takes the dividend's sign (it
+    truncates toward zero, where Python's floors): ``-7 % 3`` is -1."""
+    if b == 0:
+        return None
+    remainder = a % b
+    if remainder and (remainder < 0) != (a < 0):
+        remainder -= b   # floored past zero: step back toward it
+    return remainder
+
+
 #: Applied to non-NULL operands; MySQL semantics: division (and
 #: modulo) by zero yields NULL.
 _OPERATORS = {
@@ -167,7 +178,7 @@ _OPERATORS = {
     "<=": operator.le, ">=": operator.ge,
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": lambda a, b: None if b == 0 else a / b,
-    "%": lambda a, b: None if b == 0 else a % b,
+    "%": _modulo,
 }
 _NOT_TRUE = (None, False, 0)
 
@@ -251,10 +262,14 @@ def _in_list(operand: Compiled, options: list[Compiled],
         value = operand(row, params, functions)
         if value is None:
             return None
+        unknown = False   # no match, but a NULL option might have been
         for option in options:
-            if option(row, params, functions) == value:
+            candidate = option(row, params, functions)
+            if candidate == value:
                 return not negated
-        return negated
+            if candidate is None:
+                unknown = True
+        return None if unknown else negated
     return in_list
 
 
@@ -265,9 +280,21 @@ def _between(operand: Compiled, low: Compiled, high: Compiled,
         lower = low(row, params, functions)
         upper = high(row, params, functions)
         if value is None or lower is None or upper is None:
-            return None
+            return _between_null(value, lower, upper, negated)
         return (lower <= value <= upper) != negated
     return between
+
+
+def _between_null(value, lower, upper, negated: bool):
+    """BETWEEN with a NULL somewhere: ``lower <= value AND value <=
+    upper`` in three-valued logic, so a bound the value is already
+    outside of decides it (``5 NOT BETWEEN NULL AND 3`` is TRUE)."""
+    if value is None:
+        return None
+    if (lower is not None and not lower <= value) \
+            or (upper is not None and not value <= upper):
+        return negated
+    return None
 
 
 def _like(operand: Compiled, pattern: Compiled, negated: bool) -> Compiled:

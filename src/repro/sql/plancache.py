@@ -28,18 +28,20 @@ comments bypass fingerprinting, and only DML/queries are templated
 The cache is pure text-in / frozen-AST-out: same statement sequence ->
 same hits, misses and plans, so cached runs stay byte-deterministic
 per seed.  AST nodes are immutable (what the executor compiles from a
-statement rides on its ``plan`` slot and is evicted with it), which is
-what makes one cache shareable by a whole replication cluster (master,
-every slave's apply thread, and the routing proxy).  Hit/miss/eviction
-counters can be published through a metrics registry via
-:meth:`attach_metrics`; the registry is duck-typed so this module
-keeps the sql layer free of obs imports.
+statement rides on its ``plan`` slot and lives as long as the tree),
+which is what makes one cache shareable by a whole replication cluster
+(master, every slave's apply thread, and the routing proxy), and one
+parse of a text shareable by every cache in the process (``_parse``).
+Hit/miss/eviction counters can be published through a metrics
+registry via :meth:`attach_metrics`; the registry is duck-typed so
+this module keeps the sql layer free of obs imports.
 """
 
 from __future__ import annotations
 
 import re
 from collections import OrderedDict
+from functools import lru_cache
 from typing import Any, Optional, Sequence
 
 from .ast import Statement
@@ -69,6 +71,12 @@ _LITERAL_RE = re.compile(r"""
 
 #: Fingerprint-level sentinel: this template was tried and must not be used.
 _UNCACHEABLE = object()
+
+#: One parse per text per process, under every cache's misses: ``parse``
+#: is pure and ASTs are immutable, so caches (one per cluster, many per
+#: grid) share the trees; each still counts its own miss.  A text that
+#: fails to parse raises again every time — exceptions are not memoised.
+_parse = lru_cache(maxsize=1024)(parse)
 
 
 def fingerprint(text: str) -> tuple[str, list[str]]:
@@ -168,6 +176,25 @@ class PlanCache:
                 return plan, [_literal_value(raw) for raw in literals]
         return self._exact_miss(text), ()
 
+    def credit_hits(self, texts: Sequence[str], hits: int) -> bool:
+        """Account for ``hits`` exact-level hits on ``texts``, all
+        already cached: what preparing them with caller-bound params
+        would do, with ``texts`` in order of last use.  Every text
+        moves to the MRU end and the counters (a registry's too, one
+        increment per hit) advance; when one of ``texts`` is not
+        cached nothing changes and the answer is False."""
+        exact = self._exact
+        if any(text not in exact for text in texts):
+            return False
+        for text in texts:
+            exact.move_to_end(text)
+        self.hits += hits
+        counter = self._hit_counter
+        if counter is not None:
+            for _hit in range(hits):
+                counter.inc()
+        return True
+
     # -- internals ---------------------------------------------------------
     def _build_template(self, text: str, template: str,
                         literals: list[str]
@@ -185,7 +212,7 @@ class PlanCache:
         plan = parse(text)
         adopted = self._exact.get(template)
         try:
-            templated = parse(template) if adopted is None else adopted
+            templated = _parse(template) if adopted is None else adopted
             values = [_literal_value(raw) for raw in literals]
             proven = (render_statement(templated, values)
                       == render_statement(plan))
@@ -206,7 +233,7 @@ class PlanCache:
         return plan, ()
 
     def _exact_miss(self, text: str) -> Statement:
-        return self._store_miss(text, parse(text))
+        return self._store_miss(text, _parse(text))
 
     def _store_miss(self, text: str, plan: Statement) -> Statement:
         self._miss()

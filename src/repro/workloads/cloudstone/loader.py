@@ -7,8 +7,9 @@ fixed tag vocabulary, and realistic per-event attendee/comment/tag
 fan-out.  The paper's runs start "with a pre-loaded, fully-synchronized
 database": the dataset is a pure function of the data size, the binlog
 format and the generator's state, so it is built once on a private
-scratch engine and cached as an *image*; every master gets a clone of
-it **before** slaves attach, so slaves inherit the data via snapshot.
+scratch engine and cached as an *image*; every master gets a
+copy-on-write clone of it **before** slaves attach, so slaves inherit
+the data via snapshot.
 """
 
 from __future__ import annotations
@@ -27,19 +28,45 @@ from .state import WorkloadState
 
 __all__ = ["load_initial_data"]
 
-#: The newest few images by (data size, binlog format, generator
-#: state): ``(tables, [(template, params, what it committed)],
-#: generator end state)``.  An image must reference nothing
+#: The newest few images (:class:`_Image`) by (data size, binlog
+#: format, generator state).  An image must reference nothing
 #: simulator-bound, or caching it would pin a whole finished run.
-_IMAGES: dict[tuple, tuple] = {}
+_IMAGES: dict[tuple, "_Image"] = {}
 _MAX_IMAGES = 4
 
 _INSERT_TAG = "INSERT INTO tags (name) VALUES (?)"
 _SET_ATTENDEE_COUNT = "UPDATE events SET attendee_count = ? WHERE id = ?"
 
 
+class _Image(tuple):
+    """``(tables, statements, generator end state)`` of one built
+    dataset, each statement ``(template, params, what it committed)``,
+    with what every install needs derived from it once."""
+
+    def __new__(cls, tables: dict, statements: list, rng_state: dict):
+        image = super().__new__(cls, (tables, statements, rng_state))
+        #: Everything the load committed, in order: the binlog's input.
+        image.commits = [commit for _template, _params, committed
+                         in statements for commit in committed]
+        # Every template has been prepared once by ``split``: only
+        # before it can a replay onto a plan cache miss or evict, and
+        # each statement from it on is a hit on a cached template.
+        seen: set[str] = set()
+        image.split = 0
+        for position, (template, _params, _committed) \
+                in enumerate(statements):
+            if template not in seen:
+                seen.add(template)
+                image.split = position + 1
+        #: The templates from ``split`` on, in order of last use.
+        image.tail = list(dict.fromkeys(
+            template for template, _params, _committed
+            in reversed(statements[image.split:])))[::-1]
+        return image
+
+
 def _build_image(data_size: int, binlog_format: str,
-                 rng: np.random.Generator, time_horizon: float) -> tuple:
+                 rng: np.random.Generator, time_horizon: float) -> _Image:
     """Create the schema and load ``data_size`` events on a scratch
     engine — one without SQL functions: a server's functions close
     over its clock and simulator, and the loader's statements call
@@ -77,7 +104,7 @@ def _build_image(data_size: int, binlog_format: str,
             admin(INSERT_COMMENT, event_id,
                   int(rng.integers(1, data_size + 1)),
                   f"A comment on event {event_id}", 0.0)
-    return engine.tables, statements, rng.bit_generator.state
+    return _Image(engine.tables, statements, rng.bit_generator.state)
 
 
 def load_initial_data(master, data_size: int,
@@ -101,24 +128,31 @@ def load_initial_data(master, data_size: int,
             del _IMAGES[next(iter(_IMAGES))]  # the oldest
         _IMAGES[key] = _build_image(data_size, engine.binlog_format, rng,
                                     state.time_horizon)
-    tables, statements, rng_state = _IMAGES[key]
+    image = _IMAGES[key]
+    tables, statements, rng_state = image
 
     for name in tables:
         if name in engine.tables:
             raise SchemaError(f"table {name!r} already exists")
     engine.databases.add(CLOUDSTONE_DATABASE)
-    engine.tables.update((name, table.clone())
+    engine.tables.update((name, table.clone())  # copy-on-write: O(1)
                          for name, table in tables.items())
     cache, listener = engine.plan_cache, engine.commit_listener
     if cache is not None:
-        # Same content, LRU order and hit/miss counters as executing.
-        for template, params, _committed in statements:
+        # Same content, LRU order and hit/miss counters as executing:
+        # the statements that can miss run through ``prepare``, the
+        # hits after them are credited at once — or, should a template
+        # have gone missing (a tiny cache), replayed one by one too.
+        for template, params, _committed in statements[:image.split]:
             cache.prepare(template, params)
+        if not cache.credit_hits(image.tail,
+                                 len(statements) - image.split):
+            for template, params, _committed in statements[image.split:]:
+                cache.prepare(template, params)
     if listener is not None:
         # Every commit of the load happens at this one sim instant: one
         # call hands the listener (the master's binlog) all of them.
-        listener([commit for _template, _params, committed in statements
-                  for commit in committed])
+        listener(image.commits)
     engine.statements_executed += len(statements)
     rng.bit_generator.state = rng_state
     return state

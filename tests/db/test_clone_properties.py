@@ -1,9 +1,10 @@
 """Property tests for ``Table.clone`` / ``Index.clone``.
 
 Slave sync and the cached dataset image rest on one invariant: a clone
-owns its row map and its indexes but *shares the row dicts and the
-index buckets* with its source, which is only sound while every
-mutation replaces a row dict or a bucket instead of editing it.  ``copy.deepcopy`` (what ``snapshot`` and
+shares its source's row map and indexes until either side first
+writes (copy-on-write), and even then *shares the row dicts and the
+index buckets* with it, which is only sound while every mutation
+replaces a row dict or a bucket instead of editing it.  ``copy.deepcopy`` (what ``snapshot`` and
 ``restore`` used before) is the reference: a clone must equal a deep
 copy structurally, and stay equal to it whatever happens to the source
 afterwards — and the other way round.
@@ -98,18 +99,25 @@ def structures(engine):
     return {name: structure(table) for name, table in engine.tables.items()}
 
 
-@given(script=scripts)
+@given(script=scripts, clone_writes=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_clone_equals_deepcopy(script):
+def test_clone_equals_deepcopy(script, clone_writes):
     engine = fresh_engine()
     run(engine, script)
     for table in engine.tables.values():
         clone, deep = table.clone(), copy.deepcopy(table)
         assert structure(clone) == structure(deep) == structure(table)
         assert clone.schema is table.schema
-        assert clone.rows is not table.rows
-        for name, index in table.indexes.items():
-            twin = clone.indexes[name]
+        # Shared until the first write on either side ...
+        assert clone.rows is table.rows
+        assert clone.indexes is table.indexes
+        writer, reader = (clone, table) if clone_writes else (table, clone)
+        writer.insert({writer.primary_key_column: 10 ** 6})  # NULL keys
+        assert structure(reader) == structure(deep)
+        # ... private after it, down to each index's own containers.
+        assert writer.rows is not reader.rows
+        for name, index in reader.indexes.items():
+            twin = writer.indexes[name]
             assert twin is not index
             assert twin._sorted_keys is not index._sorted_keys
             # Buckets are sorted tuples (so never mutated), shared.

@@ -145,6 +145,48 @@ def test_tableless_select_agrees_with_sqlite(engine, sql):
     assert rows(engine, sql) == expected
 
 
+@pytest.mark.parametrize("sql", [
+    # x [NOT] IN (..., NULL) without a match is NULL, not FALSE / TRUE.
+    "SELECT 2 IN (1, NULL)", "SELECT 2 NOT IN (1, NULL)",
+    "SELECT 1 IN (1, NULL)", "SELECT 1 NOT IN (NULL, 1)",
+    "SELECT NULL IN (1, 2)", "SELECT 3 NOT IN (1, 2)",
+    # [NOT] BETWEEN with a NULL bound is a three-valued AND.
+    "SELECT 5 NOT BETWEEN NULL AND 3", "SELECT 5 BETWEEN NULL AND 3",
+    "SELECT 5 BETWEEN NULL AND 7", "SELECT 5 NOT BETWEEN NULL AND 7",
+    "SELECT 5 NOT BETWEEN 7 AND NULL", "SELECT 5 BETWEEN 1 AND NULL",
+    "SELECT NULL BETWEEN 1 AND 2", "SELECT 5 NOT BETWEEN 1 AND 9",
+    # % truncates toward zero: the remainder has the dividend's sign.
+    "SELECT -7 % 3", "SELECT 7 % -3", "SELECT -7 % -3", "SELECT 7 % 3",
+    "SELECT 7 % 0",
+])
+def test_null_and_sign_rules_agree_with_sqlite(engine, sql):
+    reference = sqlite3.connect(":memory:")
+    try:
+        expected = reference.execute(sql).fetchall()
+    finally:
+        reference.close()
+    assert rows(engine, sql) == expected  # TRUE/FALSE compare as 1/0
+
+
+@pytest.mark.parametrize("where", ["v NOT IN (5, 7, NULL)",
+                                   "v IN (5, NULL)",
+                                   "v NOT BETWEEN NULL AND 6",
+                                   "v % 4 = -1"])
+def test_null_and_sign_rules_filter_rows_like_sqlite(where):
+    engine = StorageEngine(default_database="app")
+    reference = sqlite3.connect(":memory:")
+    try:
+        for sql in ("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)",
+                    "INSERT INTO t (id, v) VALUES (1, 5), (2, -9), "
+                    "(3, NULL), (4, 8), (5, -5)"):
+            engine.execute(sql)
+            reference.execute(sql)
+        sql = f"SELECT id FROM t WHERE {where} ORDER BY id"
+        assert rows(engine, sql) == reference.execute(sql).fetchall()
+    finally:
+        reference.close()
+
+
 def test_select_unknown_table(engine):
     with pytest.raises(TableNotFoundError):
         engine.execute("SELECT * FROM nope")
@@ -300,6 +342,41 @@ def test_commit_publishes_statements(engine):
     assert len(out.committed) == 2
     assert log == out.committed
     assert all(database == "app" for _text, database in log)
+
+
+def test_committed_text_is_rendered_on_read(engine, monkeypatch):
+    # Without a commit listener nothing renders until a result's
+    # ``committed`` is read, and then it reads as the statements ran:
+    # a params list the caller reuses afterwards does not reach it.
+    from repro.db import engine as engine_module
+    rendered = []
+    render = engine_module.render_statement
+    monkeypatch.setattr(engine_module, "render_statement",
+                        lambda *args: rendered.append(args) or render(*args))
+    params = ["x", 7]
+    engine.execute("BEGIN")
+    assert engine.execute("INSERT INTO users (name, karma) VALUES (?, ?)",
+                          params).committed == []
+    params[:] = ["y", 8]
+    engine.execute("UPDATE users SET karma = karma + 1 WHERE name = 'x'")
+    engine.execute("UPDATE users SET karma = USEC_NOW() WHERE name = 'nobody'")
+    out = engine.execute("COMMIT")
+    assert rendered == []
+    assert out.committed == [
+        ("INSERT INTO users (name, karma) VALUES ('x', 7)", "app"),
+        ("UPDATE users SET karma = (karma + 1) WHERE (name = 'x')", "app")]
+    assert engine.execute("INSERT INTO users (name, karma) VALUES (?, ?)",
+                          ("o'k", 15)).committed \
+        == [("INSERT INTO users (name, karma) VALUES ('o''k', 15)", "app")]
+    assert engine.execute("DELETE FROM users WHERE karma IN (8, 9) AND "
+                          "name LIKE 'x%'").committed \
+        == [("DELETE FROM users WHERE ((karma IN (8, 9)) AND "
+             "(name LIKE 'x%'))", "app")]
+    assert engine.execute("CREATE INDEX idx_karma ON users (karma)"
+                          ).committed \
+        == [("CREATE INDEX idx_karma ON users (karma)", "app")]
+    assert engine.execute("SELECT * FROM users").committed == []
+    assert len(rendered) == 5
 
 
 def test_rollback_restores_state(engine):

@@ -1,27 +1,34 @@
 """``Index`` against a model: two tables that clone each other, under
-any interleaving of writes, clones and rebuilds.
+any interleaving of writes, clones, rebuilds, ``CREATE INDEX`` and
+rolled-back transactions.
 
 The model is the obvious one — rows as a dict, each index as a dict
 of key -> set of pks — and after every step each index must say the
 same: buckets are the sorted tuples of those sets, ``NULL`` keys are
 absent from the ordered keys and from range scans, a scan yields in
 (key, pk) order, and a unique index refuses exactly the writes the
-model refuses, leaving every index untouched.  Clones share buckets,
-so a write on one side showing on the other fails here.
+model refuses, leaving every index untouched.  Clones share their row
+map and indexes until either side writes (copy-on-write) and buckets
+for good, so a write on one side showing on the other fails here —
+whichever of the five mutators (insert, update, delete, the undo's
+restore, create_index) it came through.
 """
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (RuleBasedStateMachine, invariant,
-                                 precondition, rule)
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
 
-from repro.db import DuplicateKeyError, Index, Table, schema_from_ast
+from repro.db import (DuplicateKeyError, Index, SchemaError, Table,
+                      schema_from_ast)
 from repro.sql.ast import ColumnDef
 
 #: index name -> (columns, unique)
 INDEXES = {"idx_a": (("a",), False), "idx_ab": (("a", "b"), False),
            "ux_u": (("u",), True)}
+#: Indexes a ``CREATE INDEX`` rule may add later: name -> columns.
+LATE_INDEXES = {"idx_b": ("b",), "idx_ba": ("b", "a")}
 
 pks = st.sampled_from([f"k{n}" for n in range(8)])   # VARCHAR pks
 a_values = st.one_of(st.none(), st.integers(0, 3))
@@ -59,6 +66,25 @@ class ClonedIndexes(RuleBasedStateMachine):
         super().__init__()
         self.tables = [make_table(), make_table()]
         self.models = [{}, {}]
+        #: Per side: the late indexes it has, and the open transaction —
+        #: there always is one — as the model at its start and the undo
+        #: log since.
+        self.late = [{}, {}]
+        self.begun = [{}, {}]
+        self.undo: list = [[], []]
+
+    def logged(self, side, kind, pk, old_row=None):
+        self.undo[side].append((kind, pk, old_row))
+
+    @initialize(rows=st.dictionaries(pks, u_values, max_size=4))
+    def shared_start(self, rows):
+        """Start shared: side 1 a clone of a side 0 holding ``rows``,
+        so the first write on either side must copy."""
+        for n, (pk, u) in enumerate(rows.items()):
+            if not conflicts(self.models[0], u, pk):
+                self.insert(0, pk, n % 4, None, u)
+        self.commit(0)
+        self.clone(0)
 
     @rule(side=sides, pk=pks, a=a_values, b=b_values, u=u_values)
     def insert(self, side, pk, a, b, u):
@@ -70,19 +96,21 @@ class ClonedIndexes(RuleBasedStateMachine):
         else:
             assert table.insert(row) == pk
             rows[pk] = row
+            self.logged(side, "insert", pk)
 
-    def occupied(self, data) -> tuple[Table, dict, str]:
+    def occupied(self, data) -> tuple[int, Table, dict, str]:
         """A side holding rows, and one of its pks."""
         side = data.draw(st.sampled_from(
             [side for side in (0, 1) if self.models[side]]))
         rows = self.models[side]
-        return self.tables[side], rows, data.draw(st.sampled_from(sorted(rows)))
+        return (side, self.tables[side], rows,
+                data.draw(st.sampled_from(sorted(rows))))
 
     @precondition(lambda self: self.models[0] or self.models[1])
     @rule(data=st.data(), new_pk=st.one_of(st.none(), pks),
           a=a_values, b=b_values)
     def update(self, data, new_pk, a, b):
-        table, rows, pk = self.occupied(data)
+        side, table, rows, pk = self.occupied(data)
         # Often another row's unique key: the update must be refused.
         u = data.draw(st.one_of(u_values, st.sampled_from(
             sorted(row["u"] for row in rows.values()))))
@@ -97,20 +125,57 @@ class ClonedIndexes(RuleBasedStateMachine):
                 table.update(pk, changes)
             return
         assert table.update(pk, changes) == rows[pk]
-        del rows[pk]
+        self.logged(side, "update", new_row["id"], rows.pop(pk))
         rows[new_row["id"]] = new_row
 
     @precondition(lambda self: self.models[0] or self.models[1])
     @rule(data=st.data())
     def delete(self, data):
-        table, rows, pk = self.occupied(data)
-        assert table.delete(pk) == rows.pop(pk)
+        side, table, rows, pk = self.occupied(data)
+        assert table.delete(pk) == rows[pk]
+        self.logged(side, "delete", pk, rows.pop(pk))
 
     @rule(source=sides)
     def clone(self, source):
         target = 1 - source
         self.tables[target] = self.tables[source].clone()
         self.models[target] = dict(self.models[source])
+        self.late[target] = dict(self.late[source])
+        # The open transaction comes along: its undo fits the clone too.
+        self.begun[target] = dict(self.begun[source])
+        self.undo[target] = list(self.undo[source])
+
+    @rule(side=sides, name=st.sampled_from(sorted(LATE_INDEXES)))
+    def create_index(self, side, name):
+        table, columns = self.tables[side], LATE_INDEXES[name]
+        if name in self.late[side]:
+            with pytest.raises(SchemaError):
+                table.create_index(name, columns)
+            return
+        table.create_index(name, columns)
+        self.late[side][name] = columns
+
+    @rule(side=sides)
+    def commit(self, side):
+        self.begun[side] = dict(self.models[side])
+        self.undo[side] = []
+
+    @rule(side=sides, share=st.booleans())
+    def rollback(self, side, share):
+        """Undo the side's writes the way the engine does — the last
+        first, an update by delete + restore of the old row — after
+        cloning the side first when ``share``: a rollback on a table
+        shared with another."""
+        if share:
+            self.clone(side)
+        table = self.tables[side]
+        for kind, pk, old_row in reversed(self.undo[side]):
+            if kind != "delete":
+                table.delete(pk)
+            if kind != "insert":
+                table.restore(old_row["id"], old_row)
+        self.models[side] = self.begun[side]
+        self.commit(side)
 
     @rule(side=sides, name=st.sampled_from(sorted(INDEXES)))
     def rebuild(self, side, name):
@@ -139,9 +204,13 @@ class ClonedIndexes(RuleBasedStateMachine):
 
     @invariant()
     def indexes_match_the_model(self):
-        for table, rows in zip(self.tables, self.models):
+        for table, rows, late in zip(self.tables, self.models, self.late):
             assert dict(table.rows) == rows
-            for name, (columns, _unique) in INDEXES.items():
+            columns_of = {name: columns
+                          for name, (columns, _unique) in INDEXES.items()}
+            columns_of.update(late)
+            assert sorted(table.indexes) == sorted(columns_of)
+            for name, columns in columns_of.items():
                 index = table.indexes[name]
                 model = reference(rows, columns)
                 assert index._buckets == {key: tuple(sorted(pks))

@@ -1,8 +1,10 @@
 """The reference evaluator: a per-row walk over the AST.
 
 This was ``repro.sql.expressions`` until expressions were compiled to
-closures; it stays here, unchanged, as the oracle of
-``test_compiled_differential.py``.  Expressions are evaluated against
+closures; it stays here as the oracle of
+``test_compiled_differential.py``, changed only where both shared a
+mistake against SQL: ``IN`` and ``BETWEEN`` with NULLs, and the sign
+of ``%``.  Expressions are evaluated against
 an :class:`EvalContext` that provides the current row's column values
 (a flat ``alias.column`` mapping), the bound parameter list and the
 scalar-function registry.
@@ -85,16 +87,34 @@ def evaluate(expr: Expression, ctx: EvalContext) -> Any:
         value = evaluate(expr.operand, ctx)
         if value is None:
             return None
-        found = any(evaluate(option, ctx) == value
-                    for option in expr.options)
+        # ``v IN (a, b)`` is ``v = a OR v = b``, evaluated left to right
+        # up to the first TRUE: a NULL option makes a miss UNKNOWN.
+        found = False
+        for option in expr.options:
+            candidate = evaluate(option, ctx)
+            if candidate is None:
+                found = None
+            elif candidate == value:
+                found = True
+                break
+        if found is None:
+            return None
         return (not found) if expr.negated else found
     if isinstance(expr, BetweenOp):
         value = evaluate(expr.operand, ctx)
         low = evaluate(expr.low, ctx)
         high = evaluate(expr.high, ctx)
-        if value is None or low is None or high is None:
+        if value is None:
             return None
-        result = low <= value <= high
+        # ``low <= v AND v <= high``, three-valued, left to right.
+        above = None if low is None else low <= value
+        below = None if above is False or high is None else value <= high
+        if above is False or below is False:
+            result = False
+        elif above is None or below is None:
+            return None
+        else:
+            result = True
         return (not result) if expr.negated else result
     if isinstance(expr, LikeOp):
         value = evaluate(expr.operand, ctx)
@@ -163,7 +183,12 @@ def _binary(expr: BinaryOp, ctx: EvalContext) -> Any:
     if op == "%":
         if right == 0:
             return None
-        return left % right
+        # Python's % floors; MySQL's and sqlite's truncate, so a
+        # nonzero remainder takes the dividend's sign.
+        result = left % right
+        if result != 0 and (result < 0) != (left < 0):
+            result -= right
+        return result
     raise EvaluationError(f"unknown operator {op!r}")
 
 

@@ -183,6 +183,32 @@ def test_malformed_sql_raises_the_parsers_error():
         cache.prepare("SELECT FROM WHERE")
 
 
+# -- one parse per text, whichever cache asks ------------------------------
+def test_caches_share_one_parse_per_text_and_each_counts_its_miss():
+    one, two = PlanCache(), PlanCache()
+    text = "SELECT name FROM users WHERE id = ? AND karma > ?"
+    first, _ = one.prepare(text, (1, 2))
+    second, _ = two.prepare(text, (3, 4))
+    assert first is second
+    assert (one.hits, one.misses) == (two.hits, two.misses) == (0, 1)
+    # Literal-only variants: both caches bind to one template tree.
+    third, _ = one.prepare("SELECT name FROM users WHERE karma = 5")
+    fourth, _ = two.prepare("SELECT name FROM users WHERE karma = 9")
+    assert third is fourth
+
+
+def test_a_parse_error_is_not_memoised():
+    from repro.sql import ParseError, plancache
+    before = plancache._parse.cache_info()
+    for cache in (PlanCache(), PlanCache()):
+        with pytest.raises(ParseError):
+            cache.prepare("SELECT FROM WHERE twice", ())
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+    after = plancache._parse.cache_info()
+    # Both attempts parsed (missed the memo); neither was answered by it.
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+
 # -- correctness over the full Cloudstone mix -------------------------------
 def test_cached_plans_render_identically_over_the_full_mix():
     corpus = statement_corpus(seed=0, n_operations=60)

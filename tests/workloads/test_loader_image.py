@@ -14,9 +14,11 @@ import pytest
 
 from repro.cloud import Cloud, MASTER_PLACEMENT
 from repro.db import SchemaError
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.replication import ReplicationManager
 from repro.sim import RandomStreams, Simulator
+from repro.sql.plancache import PlanCache
 from repro.workloads.cloudstone import CLOUDSTONE_DATABASE, loader
 from repro.workloads.cloudstone.loader import load_initial_data
 
@@ -125,6 +127,61 @@ def test_install_equals_executing_the_statements(binlog_format):
             assert twin.indexes[index_name]._buckets == index._buckets
             assert twin.indexes[index_name].keys_in_order() \
                 == index.keys_in_order()
+
+
+def hits_published(master):
+    """Attach a metrics registry to ``master``'s plan cache; returns the
+    registry and every value its hits counter is updated to."""
+    registry, updates = MetricsRegistry(), []
+    registry.on_update(lambda name, _kind, value: updates.append(value)
+                       if name == "sql.plancache.hits" else None)
+    master.engine.plan_cache.attach_metrics(registry)
+    return registry, updates
+
+
+@pytest.mark.parametrize("binlog_format", ["statement", "row"])
+def test_install_with_metrics_equals_executing_the_statements(
+        binlog_format):
+    # The install credits the load's trailing hits at once; a registry
+    # still sees one counter update per hit, as executing makes.
+    load(150, 4, binlog_format)                     # build the image
+    (_tables, statements, rng_state), = loader._IMAGES.values()
+    master = make_master(binlog_format)
+    registry, updates = hits_published(master)
+    rng = RandomStreams(4).stream("loader")
+    state = load_initial_data(master, 150, rng)
+    reference = make_master(binlog_format)
+    reference_registry, reference_updates = hits_published(reference)
+    for template, params, _committed in statements:
+        reference.admin(template, params, database=CLOUDSTONE_DATABASE)
+    hits = reference_registry.counter("sql.plancache.hits").value
+    assert hits > 1000
+    assert registry.counter("sql.plancache.hits").value == hits
+    assert updates == reference_updates and len(updates) == hits
+    reference_rng = RandomStreams(4).stream("loader")
+    reference_rng.bit_generator.state = rng_state
+    assert observed(master, state, rng) == observed(reference, state,
+                                                    reference_rng)
+
+
+@pytest.mark.parametrize("capacity", [0, 3])
+def test_install_on_a_tiny_plan_cache_equals_executing(capacity):
+    # Templates evicted before the load ends cannot be credited: the
+    # install replays them one by one, misses and evictions included.
+    load(150, 4, "statement")
+    (_tables, statements, _rng_state), = loader._IMAGES.values()
+    master, reference = make_master(), make_master()
+    master.engine.plan_cache = PlanCache(capacity=capacity)
+    reference.engine.plan_cache = PlanCache(capacity=capacity)
+    load_initial_data(master, 150, RandomStreams(4).stream("loader"))
+    for template, params, _committed in statements:
+        reference.admin(template, params, database=CLOUDSTONE_DATABASE)
+    cache, reference_cache = (server.engine.plan_cache
+                              for server in (master, reference))
+    assert (cache.hits, cache.misses, cache.evictions, list(cache._exact)) \
+        == (reference_cache.hits, reference_cache.misses,
+            reference_cache.evictions, list(reference_cache._exact))
+    assert cache.misses > len({template for template, _p, _c in statements})
 
 
 def test_no_install_strips_a_literal(monkeypatch):
