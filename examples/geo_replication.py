@@ -42,8 +42,8 @@ def main():
     print("ping from the master's zone (1/2 RTT, median of 100 probes):")
     import numpy as np
     for zone, slave in slaves.items():
-        probes = [cloud.network.ping(MASTER_PLACEMENT, slave.placement) / 2
-                  for _ in range(100)]
+        probes = cloud.network.ping(MASTER_PLACEMENT, slave.placement,
+                                    100) / 2
         print(f"  {zone:18s} {float(np.median(probes)):7.1f} ms")
 
     # Light write load, then heavy write load.

@@ -317,19 +317,30 @@ def _run_grid_command(args) -> str:
     return "\n\n".join(blocks)
 
 
-def _run_fig4(args) -> str:
-    series = run_fig4_clock_sync(duration=args.duration, seed=args.seed)
+def _run_fig4(args):
+    try:
+        series = run_fig4_clock_sync(duration=args.duration, seed=args.seed)
+    except ValueError as error:
+        return f"repro fig4: error: {error}", 2
     return render_fig4(series)
 
 
-def _run_rtt(args) -> str:
-    return render_rtt_table(run_rtt_characterization(probes=args.probes,
-                                                     seed=args.seed))
+def _run_rtt(args):
+    try:
+        half_rtts = run_rtt_characterization(probes=args.probes,
+                                             seed=args.seed)
+    except ValueError as error:
+        return f"repro rtt: error: {error}", 2
+    return render_rtt_table(half_rtts)
 
 
-def _run_variation(args) -> str:
-    return render_instance_variation(
-        run_instance_variation(launches=args.launches, seed=args.seed))
+def _run_variation(args):
+    try:
+        stats = run_instance_variation(launches=args.launches,
+                                       seed=args.seed)
+    except ValueError as error:
+        return f"repro variation: error: {error}", 2
+    return render_instance_variation(stats)
 
 
 def _run_saturation(args) -> str:

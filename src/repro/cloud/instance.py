@@ -18,8 +18,13 @@ region.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
+
+import numpy as np
 
 from ..sim import RandomStreams, Resource, Simulator
+from ..sim.rng import weighted_cdf
 from .clock import LocalClock
 from .regions import Placement
 
@@ -200,14 +205,29 @@ class Instance:
                 f"{self.placement.zone}, cpu={self.cpu_model.name!r})")
 
 
+@lru_cache(maxsize=None)
+def _lottery_cdf(weights: tuple[float, ...]) -> np.ndarray:
+    """The cdf ``choice_weighted`` searches for these weights."""
+    return np.array(weighted_cdf(weights))
+
+
 def draw_instance_hardware(streams: RandomStreams, itype: InstanceType,
-                           stream_name: str = "cloud.lottery"
-                           ) -> tuple[CpuModel, float]:
-    """Run the physical-host lottery for one launch."""
+                           stream_name: str = "cloud.lottery",
+                           count: Optional[int] = None):
+    """Run the physical-host lottery for one launch: ``(model, noise)``.
+
+    With ``count``, run it for that many launches at once and return
+    ``(models, noises)``, a list and an array whose ``i``-th entries are
+    what the ``i``-th of ``count`` single launches would draw.
+    """
+    n = 1 if count is None else count
     lottery = itype.lottery()
-    models = [model for model, _weight in lottery]
-    weights = [weight for _model, weight in lottery]
-    model = streams.choice_weighted(stream_name, models, weights)
-    noise = max(0.5, streams.normal(stream_name + ".noise", 1.0,
-                                    itype.host_noise_sigma))
-    return model, noise
+    cdf = _lottery_cdf(tuple(weight for _model, weight in lottery))
+    u = streams.variates(stream_name, "uniform", n)
+    models = [lottery[pick][0]
+              for pick in cdf.searchsorted(u, side="right").tolist()]
+    z = streams.variates(stream_name + ".noise", "normal", n)
+    noises = np.maximum(0.5, 1.0 + itype.host_noise_sigma * z)
+    if count is None:
+        return models[0], float(noises[0])
+    return models, noises

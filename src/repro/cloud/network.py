@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from ..sim import Event, RandomStreams, Simulator
 from .regions import Placement
 
@@ -186,11 +188,24 @@ class Network:
         rtt = self.sample_one_way(src, dst) + self.sample_one_way(dst, src)
         return self.sim.timeout(rtt, value=rtt)
 
-    def ping(self, src: Placement, dst: Placement) -> float:
-        """An instantaneous RTT probe in **milliseconds** (no sim time).
+    def ping(self, src: Placement, dst: Placement,
+             count: int = 1) -> np.ndarray:
+        """``count`` instantaneous RTT probes in **milliseconds** (no
+        sim time), like ``ping -c count``.
 
         Used by characterization code that, like the paper, runs ping
-        once a second and reports the distribution of 1/2 RTT.
+        once a second and reports the distribution of 1/2 RTT.  Probe
+        ``i`` is what two :meth:`sample_one_way` calls (there, then
+        back) would sum to, times 1000: the legs read the latency
+        stream's next ``2 * count`` normals in turn.
         """
-        one_way = self.sample_one_way(src, dst) + self.sample_one_way(dst, src)
-        return one_way * 1000.0
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count!r}")
+        model = self.model
+        z = self.streams.variates("network.latency", "normal", 2 * count)
+        jitter = np.exp(0.0 + model.jitter_sigma * z)
+        there_ms = model.median_one_way_ms(src, dst) + self.surge_ms(src, dst)
+        back_ms = model.median_one_way_ms(dst, src) + self.surge_ms(dst, src)
+        there = np.maximum(there_ms * jitter[0::2], model.floor_ms) / 1000.0
+        back = np.maximum(back_ms * jitter[1::2], model.floor_ms) / 1000.0
+        return (there + back) * 1000.0

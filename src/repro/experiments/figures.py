@@ -178,6 +178,10 @@ def run_fig4_clock_sync(duration: float = 1200.0,
     The pair is pinned to the paper's observed anecdote: ~7 ms initial
     difference and ~36 ppm relative drift (7 -> 50 ms over 20 min).
     """
+    if not 0 < sample_period <= duration:
+        raise ValueError(f"need 0 < sample_period <= duration, got "
+                         f"sample_period={sample_period!r}, "
+                         f"duration={duration!r}")
     series: dict[str, list[float]] = {}
     for policy, period in (("sync_once", None), ("sync_every_second", 1.0)):
         sim = Simulator()
@@ -218,21 +222,21 @@ def run_rtt_characterization(probes: int = 1200,
                              seed: int = 0) -> dict[str, float]:
     """§IV-B.2: median 1/2 round-trip (ms) per location configuration
     (paper: 16 / 21 / 173 ms), ping once a second for 20 minutes."""
+    if probes < 1:
+        raise ValueError(f"need probes >= 1, got probes={probes!r}")
     sim = Simulator()
     network = Network(sim, RandomStreams(seed), PAPER_LATENCY)
     half_rtts: dict[str, float] = {}
     for location in LOCATIONS:
         destination = location.slave_placement()
         if location is LocationConfig.SAME_ZONE:
-            # ping between two distinct hosts in the master's zone
-            samples = [
-                2 * network.streams.lognormal_around(
-                    "rtt.same_zone", PAPER_LATENCY.same_zone_ms,
-                    PAPER_LATENCY.jitter_sigma)
-                for _ in range(probes)]
+            # ping between two distinct hosts in the master's zone: one
+            # same-zone leg per probe, counted twice
+            z = network.streams.variates("rtt.same_zone", "normal", probes)
+            samples = 2 * (PAPER_LATENCY.same_zone_ms
+                           * np.exp(0.0 + PAPER_LATENCY.jitter_sigma * z))
         else:
-            samples = [network.ping(MASTER_PLACEMENT, destination)
-                       for _ in range(probes)]
+            samples = network.ping(MASTER_PLACEMENT, destination, probes)
         half_rtts[location.value] = float(np.median(samples)) / 2.0
     return half_rtts
 
@@ -252,19 +256,16 @@ def run_instance_variation(launches: int = 2000,
                            seed: int = 0) -> dict[str, float]:
     """§IV-A: the coefficient of variation of small-instance CPU
     performance (Schad et al. report ~21 %)."""
-    streams = RandomStreams(seed)
-    speeds = []
-    models: dict[str, int] = {}
-    for _ in range(launches):
-        model, noise = draw_instance_hardware(streams, SMALL)
-        speeds.append(model.speed_factor * noise)
-        models[model.name] = models.get(model.name, 0) + 1
-    arr = np.asarray(speeds)
+    if launches < 1:
+        raise ValueError(f"need launches >= 1, got launches={launches!r}")
+    models, noises = draw_instance_hardware(RandomStreams(seed), SMALL,
+                                            count=launches)
+    arr = np.array([model.speed_factor for model in models]) * noises
     return {
         "cov": float(arr.std() / arr.mean()),
         "mean_speed": float(arr.mean()),
         "launches": float(launches),
-        "distinct_models": float(len(models)),
+        "distinct_models": float(len({model.name for model in models})),
     }
 
 

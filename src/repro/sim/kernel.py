@@ -38,6 +38,8 @@ __all__ = [
     "SimulationError",
 ]
 
+_INF = float("inf")
+
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
@@ -231,7 +233,7 @@ class Process(Event):
     (or the event's exception is thrown into it).
     """
 
-    __slots__ = ("generator", "name", "_waiting_on")
+    __slots__ = ("generator", "name", "_waiting_on", "_wake")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator,
                  name: Optional[str] = None):
@@ -239,9 +241,13 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
+        #: ``_resume`` bound once: the callback every wait registers.
+        #: Dropped when the process finishes, so that a finished
+        #: process is not kept alive by a reference to itself.
+        self._wake = self._resume
         # Kick off the process via an immediately-scheduled init event.
         init = Event(sim)
-        init.callbacks.append(self._resume)
+        init.callbacks.append(self._wake)
         init.succeed()
 
     def __repr__(self) -> str:
@@ -269,12 +275,12 @@ class Process(Event):
         target = self._waiting_on
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._wake)
             except ValueError:
                 pass
         self._waiting_on = None
         hurler = Event(self.sim)
-        hurler.callbacks.append(self._resume)
+        hurler.callbacks.append(self._wake)
         hurler.fail(Interrupt(cause))
 
     # -- internal ----------------------------------------------------------
@@ -298,9 +304,11 @@ class Process(Event):
             else:
                 target = self.generator.throw(event._value)
         except StopIteration as stop:
+            self._wake = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
+            self._wake = None
             self.fail(exc)
             return
         finally:
@@ -309,13 +317,14 @@ class Process(Event):
             exc = SimulationError(
                 f"process {self.name!r} yielded {target!r}, not an Event")
             self.generator.close()
+            self._wake = None
             self.fail(exc)
             return
         if target.callbacks is None:
             # Already processed: resume immediately via a fresh event so
             # ordering stays deterministic.
             relay = Event(self.sim)
-            relay.callbacks.append(self._resume)
+            relay.callbacks.append(self._wake)
             if target._ok:
                 relay.succeed(target._value)
             else:
@@ -323,7 +332,7 @@ class Process(Event):
                 relay.fail(target._value)
             self._waiting_on = relay
         else:
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self._wake)
             self._waiting_on = target
 
 
@@ -458,9 +467,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until {until!r}: the clock is at {self._now!r}")
         heap, immediate = self._heap, self._immediate
+        limit = _INF if until is None else until
+        step = self.step
         # Entries due now never pass ``until``: the clock is at most it.
-        while immediate or (heap and (until is None or heap[0][0] <= until)):
-            self.step()
+        while immediate or (heap and heap[0][0] <= limit):
+            step()
         if until is not None and until > self._now:
             # Attribute the trailing idle advance (no event fires
             # between the last one and ``until``) so the profiler's

@@ -19,6 +19,12 @@ transform them with the same IEEE operations numpy's scalar methods
 perform, so every value equals the one the scalar call would have
 returned.  Using a buffered name raw, or with the other kind, raises:
 the block read ahead would silently shift what the other use sees.
+
+:meth:`RandomStreams.variates` reads a name's next *n* variates of its
+kind as one array, sliced from the same blocks; the name is then where
+*n* scalar draws would have left it.  A batch caller applies the
+scalar formula elementwise (``median * np.exp(0.0 + sigma * z)``,
+``np.searchsorted(cdf, u, side="right")``) and gets the scalar values.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["RandomStreams", "choice_cdf"]
+__all__ = ["RandomStreams", "choice_cdf", "weighted_cdf"]
 
 #: Variates fetched per Generator call for a buffered name.
 _BLOCK = 1024
@@ -46,7 +52,7 @@ def choice_cdf(probabilities) -> list[float]:
     return (cdf / cdf[-1]).tolist()
 
 
-def _weighted_cdf(weights) -> list[float]:
+def weighted_cdf(weights) -> list[float]:
     """``choice_cdf`` of ``w / sum(weights)``, checked as ``choice``
     checks its ``p``."""
     total = float(sum(weights))
@@ -60,16 +66,18 @@ def _weighted_cdf(weights) -> list[float]:
 
 
 class _Block:
-    """One buffered name: its current block and how far it is read."""
+    """One buffered name: its current block (as an array, and as a
+    list for the scalar draws) and how far it is read."""
 
-    __slots__ = ("draw", "values", "index")
+    __slots__ = ("draw", "array", "values", "index")
 
     def __init__(self, draw):
         self.draw = draw
         self.index = _BLOCK          # nothing unread: the first draw refills
 
     def refill(self) -> None:
-        self.values = self.draw(_BLOCK).tolist()
+        self.array = self.draw(_BLOCK)
+        self.values = self.array.tolist()
         self.index = 0
 
 
@@ -86,18 +94,16 @@ class _Uniforms(_Block):
 
 class _Normals(_Block):
     """A name ``normal`` and ``lognormal_around`` draw: standard
-    normals, kept as an array too for :meth:`exponentiate`."""
+    normals."""
 
-    __slots__ = ("array", "sigma", "exps")
+    __slots__ = ("sigma", "exps")
 
     def __init__(self, gen: np.random.Generator):
         super().__init__(gen.standard_normal)
         self.sigma = None
 
     def refill(self) -> None:
-        self.array = self.draw(_BLOCK)
-        self.values = self.array.tolist()
-        self.index = 0
+        super().refill()
         self.sigma = None            # ``exps`` is stale
 
     def exponentiate(self, sigma: float) -> None:
@@ -115,6 +121,8 @@ class _Normals(_Block):
 #: How each kind of entry in ``RandomStreams._names`` was drawn.
 _USES = {np.random.Generator: "raw", _Normals: "as normals",
          _Uniforms: "as uniforms"}
+#: The kinds :meth:`RandomStreams.variates` reads.
+_KINDS = {"normal": _Normals, "uniform": _Uniforms}
 
 
 class RandomStreams:
@@ -162,6 +170,34 @@ class RandomStreams:
         block.refill()
         return block
 
+    # Batch reads ----------------------------------------------------------
+    def variates(self, name: str, kind: str, n: int) -> np.ndarray:
+        """``name``'s next ``n`` standard normals (``kind="normal"``) or
+        uniforms (``"uniform"``) as one array.
+
+        Element ``i`` is the variate the ``i``-th of ``n`` scalar draws
+        of that kind would read, and the name is left where those draws
+        would leave it.  Reading the kind a name is not drawn as raises,
+        as a scalar draw does.
+        """
+        use = _KINDS.get(kind)
+        if use is None:
+            raise ValueError(f"kind must be one of {sorted(_KINDS)}, "
+                             f"got {kind!r}")
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n!r}")
+        block = self._claim(name, use)
+        parts = []
+        while n:
+            if block.index == _BLOCK:
+                block.refill()
+            start = block.index
+            stop = min(_BLOCK, start + n)
+            parts.append(block.array[start:stop])
+            block.index = stop
+            n -= stop - start
+        return np.concatenate(parts) if parts else np.empty(0)
+
     # Scalar draws --------------------------------------------------------
     def lognormal_around(self, name: str, median: float,
                          sigma: float) -> float:
@@ -195,7 +231,7 @@ class RandomStreams:
             block = self._refilled(name, _Uniforms)
         key = tuple(weights)
         if key != block.weights:
-            block.cdf = _weighted_cdf(key)
+            block.cdf = weighted_cdf(key)
             block.weights = key
         if len(options) != len(block.cdf):
             raise ValueError(f"{len(options)} options but "

@@ -55,6 +55,26 @@ def test_small_lottery_cov_near_paper():
     assert 0.14 < cov < 0.28
 
 
+@pytest.mark.parametrize("itype", [SMALL, LARGE])
+def test_batched_lottery_equals_scalar_launches(itype):
+    """``count`` launches at once draw what ``count`` single launches
+    draw, and those are the weighted choice plus the clipped normal
+    noise, each from its own stream."""
+    batched, single, reference = (RandomStreams(13) for _ in range(3))
+    models, noises = draw_instance_hardware(batched, itype, count=2500)
+    launches = [draw_instance_hardware(single, itype) for _ in range(2500)]
+    lottery = itype.lottery()
+    expected = [
+        (reference.choice_weighted("cloud.lottery",
+                                   [model for model, _w in lottery],
+                                   [weight for _m, weight in lottery]),
+         max(0.5, reference.normal("cloud.lottery.noise", 1.0,
+                                   itype.host_noise_sigma)))
+        for _ in range(2500)]
+    assert list(zip(models, noises.tolist())) == launches == expected
+    assert all(type(noise) is float for _model, noise in launches)
+
+
 def test_large_lottery_tighter_than_small():
     streams = RandomStreams(12)
     small_speeds = [m.speed_factor * n for m, n in

@@ -104,6 +104,26 @@ def test_ping_rtt_half_matches_paper_classes():
     assert abs(half_rtts["cross_region"] - 173.0) < 6.0
 
 
+def test_ping_batch_equals_the_per_probe_formula():
+    """``ping(count)`` is ``count`` probes of two one-way samples
+    (there, then back), summed and turned into milliseconds."""
+    model = LatencyModel(floor_ms=20.0)      # the floor clips some legs
+    _sim, batched = make_network(seed=8, model=model)
+    _sim, scalar = make_network(seed=8, model=model)
+    for net in (batched, scalar):
+        net.add_latency(5.0, "us-east-1", "eu-west-1")
+    for src, dst, count in ((SAME_A, EU, 700), (SAME_A, SAME_A, 1),
+                            (SAME_B, SAME_A, 0), (EU, SAME_B, 1500)):
+        probes = batched.ping(src, dst, count)
+        expected = [(scalar.sample_one_way(src, dst)
+                     + scalar.sample_one_way(dst, src)) * 1000.0
+                    for _ in range(count)]
+        assert probes.tolist() == expected
+    # the stream is left where the scalar probes left it
+    assert batched.sample_one_way(SAME_A, EU) \
+        == scalar.sample_one_way(SAME_A, EU)
+
+
 def test_round_trip_event():
     sim, net = make_network(seed=6)
     done = []

@@ -34,6 +34,20 @@ def test_variation_command(capsys):
     assert "CoV" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fig4", "--duration", "0"], "0 < sample_period <= duration"),
+    (["rtt", "--probes", "0"], "probes >= 1"),
+    (["rtt", "--probes", "-3"], "probes >= 1"),
+    (["variation", "--launches", "0"], "launches >= 1"),
+])
+def test_bad_figure_inputs_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"repro {argv[0]}: error: ")
+    assert message in out
+    assert "nan" not in out
+
+
 def test_cell_command(capsys):
     assert main(["cell", "--ratio", "50/50", "--slaves", "1",
                  "--users", "10", "--scale", "quick"]) == 0

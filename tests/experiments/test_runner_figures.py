@@ -112,6 +112,25 @@ def test_instance_variation_cov():
     assert "CoV" in render_instance_variation(stats)
 
 
+@pytest.mark.parametrize("duration, sample_period",
+                         [(5.0, 0.0), (0.0, 10.0), (5.0, 10.0), (5.0, -1.0)])
+def test_fig4_rejects_a_sample_period_outside_the_run(duration,
+                                                      sample_period):
+    with pytest.raises(ValueError, match="0 < sample_period <= duration"):
+        run_fig4_clock_sync(duration=duration, sample_period=sample_period)
+
+
+@pytest.mark.parametrize("probes", [0, -3])
+def test_rtt_rejects_fewer_than_one_probe(probes):
+    with pytest.raises(ValueError, match="probes >= 1"):
+        run_rtt_characterization(probes=probes)
+
+
+def test_instance_variation_rejects_no_launches():
+    with pytest.raises(ValueError, match="launches >= 1"):
+        run_instance_variation(launches=0)
+
+
 def test_bench_scale_env(monkeypatch):
     monkeypatch.delenv("REPRO_SCALE", raising=False)
     assert bench_scale().name == "quick"

@@ -86,6 +86,11 @@ class _ScalarReference:
         return options[int(self.generator(name).choice(
             len(options), p=probabilities))]
 
+    def variates(self, name, kind, n):
+        draw = {"normal": self.generator(name).standard_normal,
+                "uniform": self.generator(name).random}[kind]
+        return np.array([draw() for _ in range(n)])
+
 
 _NAMES = ["network.latency", "ntp.a", "cloud.lottery", "cloud.lottery.noise"]
 _finite = dict(allow_nan=False, allow_infinity=False)
@@ -98,21 +103,34 @@ _choice_call = st.tuples(
     st.just("choice_weighted"),
     st.lists(st.floats(0.0, 10.0, **_finite), min_size=1,
              max_size=5).filter(lambda ws: sum(ws) > 0))
+#: Batch lengths around one block: empty, one, and across its edges.
+_BATCH_LENGTHS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2500]
+
+
+def _call(draw, choice):
+    """One scalar call of a name's kind, or a batch read of it."""
+    if draw(st.integers(0, 3)) == 0:
+        kind = "uniform" if choice else "normal"
+        return ("variates", kind, draw(st.sampled_from(_BATCH_LENGTHS)))
+    return draw(_choice_call if choice else _normal_call)
 
 
 @st.composite
 def _programs(draw):
     """(seed, [(name, call, count)]): runs of one call on one name,
-    interleaved across 1-4 names of fixed kind; the first name is
-    topped up past two block boundaries."""
+    interleaved across 1-4 names of fixed kind; a call is a scalar
+    draw or a batch read.  The first name is topped up past two block
+    boundaries."""
     n_names = draw(st.integers(1, 4))
     kinds = [draw(st.booleans()) for _ in range(n_names)]  # True: choice
     runs = []
     for _ in range(draw(st.integers(1, 8))):
         index = draw(st.integers(0, n_names - 1))
-        call = draw(_choice_call if kinds[index] else _normal_call)
-        runs.append((_NAMES[index], call, draw(st.integers(1, 700))))
-    first = sum(count for name, _c, count in runs if name == _NAMES[0])
+        call = _call(draw, kinds[index])
+        count = draw(st.integers(1, 2 if call[0] == "variates" else 700))
+        runs.append((_NAMES[index], call, count))
+    first = sum(count * (call[2] if call[0] == "variates" else 1)
+                for name, call, count in runs if name == _NAMES[0])
     if first <= 2 * _BLOCK:
         call = draw(_choice_call if kinds[0] else _normal_call)
         runs.append((_NAMES[0], call, 2 * _BLOCK + 1 - first))
@@ -126,7 +144,11 @@ def _replay(streams, runs):
             weights = args[0]
             args = (list(range(len(weights))), weights)
         draw = getattr(streams, method)
-        values.extend(draw(name, *args) for _ in range(count))
+        for _ in range(count):
+            if method == "variates":
+                values.extend(draw(name, *args).tolist())
+            else:
+                values.append(draw(name, *args))
     return values
 
 
@@ -169,6 +191,34 @@ def test_a_buffered_name_keeps_its_kind():
     streams.choice_weighted("y", ["a", "b"], [1.0, 1.0])
     with pytest.raises(ValueError, match="cannot be drawn as normals"):
         streams.normal("y", 0.0, 1.0)
+
+
+def test_a_batch_read_keeps_the_kind_rules():
+    streams = RandomStreams(0)
+    streams.normal("n", 0.0, 1.0)
+    with pytest.raises(ValueError, match="cannot be drawn as uniforms"):
+        streams.variates("n", "uniform", 3)
+    streams.variates("u", "uniform", 0)           # claims the kind
+    with pytest.raises(ValueError, match="cannot be drawn as normals"):
+        streams.normal("u", 0.0, 1.0)
+    with pytest.raises(ValueError, match="cannot be drawn raw"):
+        streams.stream("u")
+    streams.stream("loader")
+    with pytest.raises(ValueError, match="already drawn raw"):
+        streams.variates("loader", "normal", 1)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        streams.variates("other", "gamma", 1)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        streams.variates("n", "normal", -1)
+
+
+def test_a_batch_read_is_a_copy():
+    streams = RandomStreams(2)
+    reference = _ScalarReference(2)
+    streams.variates("n", "normal", 5)[:] = 0.0
+    reference.variates("n", "normal", 5)
+    assert streams.lognormal_around("n", 16.0, 0.08) \
+        == reference.lognormal_around("n", 16.0, 0.08)
 
 
 def test_a_raw_name_cannot_be_buffered():

@@ -30,9 +30,11 @@ def wrappers_left() -> list[str]:
     return left
 
 
-def test_a_traced_bootstrap_cell_crosses_every_boundary_it_measures():
-    workload = WORKLOADS["bootstrap"]
-    inputs = workload.build(0, True)            # one smoke cell
+def traced_smoke_pass(name: str):
+    """One smoke pass of workload ``name`` with every boundary wrapped:
+    ``(workload, inputs, raw output, per-layer counts)``."""
+    workload = WORKLOADS[name]
+    inputs = workload.build(0, True)
     recorder = spans.Recorder()
     patches = spans.install(recorder)
     try:
@@ -42,6 +44,11 @@ def test_a_traced_bootstrap_cell_crosses_every_boundary_it_measures():
         patches.restore()
     assert wrappers_left() == []
     metrics = spans.aggregate(recorder, pass_wall_s=0.0)  # counts only
+    return workload, inputs, raw, metrics
+
+
+def test_a_traced_bootstrap_cell_crosses_every_boundary_it_measures():
+    workload, inputs, raw, metrics = traced_smoke_pass("bootstrap")
     for name in ("sim.step.calls", "db.binlog_append.calls",
                  "db.binlog_append.bytes", "sql.prepare.calls",
                  "db.snapshot.calls", "db.restore.calls"):
@@ -49,3 +56,12 @@ def test_a_traced_bootstrap_cell_crosses_every_boundary_it_measures():
     assert metrics["experiments.cells"] == 1
     assert [cell.failures for cell in workload.cells(inputs, raw)] == [[]]
 
+
+def test_a_traced_clock_net_pass_crosses_every_boundary_it_measures():
+    workload, inputs, raw, metrics = traced_smoke_pass("clock_net")
+    for name in ("sim.step.calls", "cloud.ping.calls",
+                 "cloud.clock_step.calls", "cloud.draw_hardware.calls"):
+        assert metrics[name] > 0, name
+    assert metrics["experiments.figure.calls"] == 3
+    assert [cell.failures for cell in workload.cells(inputs, raw)] \
+        == [[], [], []]
