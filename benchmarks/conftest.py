@@ -8,7 +8,10 @@ density and run durations; ``full`` is the paper's exact 35-minute
 grid and takes hours.
 
 Each bench prints its table (run pytest with ``-s`` to see them live)
-and saves it under ``benchmarks/results/``.
+and saves it under ``benchmarks/results/``.  A figure table is a
+section of the report registry (:mod:`repro.experiments.report`): its
+file holds the text ``repro report --section NAME`` prints.  The
+other files are shape-assertion outputs only these benches write.
 """
 
 from __future__ import annotations
@@ -18,22 +21,28 @@ import pathlib
 
 import pytest
 
-from repro.experiments import (LocationConfig, bench_scale,
-                               run_throughput_delay_grid)
+from repro.experiments import LocationConfig, bench_scale
+from repro.experiments.report import SECTIONS
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-_GRID_CACHE: dict = {}
+_CACHE: dict = {}
+
+
+def produce(name: str):
+    """Run (or fetch) report section ``name``'s producer, seed 0;
+    sections on one grid share one run per session."""
+    profile = bench_scale()  # simtaint: blessed=REPRO_SCALE-sizes-the-benchmark-not-the-result
+    key = (SECTIONS[name].produce, profile.name)
+    if key not in _CACHE:
+        _CACHE[key] = SECTIONS[name].produce(profile, 0)
+    return _CACHE[key]
 
 
 def get_grid(ratio: str, location: LocationConfig):
     """Run (or fetch) the sweep grid for one sub-figure."""
-    profile = bench_scale()  # simtaint: blessed=REPRO_SCALE-sizes-the-benchmark-not-the-result
-    key = (ratio, location, profile.name)
-    if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = run_throughput_delay_grid(ratio, location,
-                                                     profile)
-    return _GRID_CACHE[key]
+    figure = 2 if ratio == "50/50" else 3
+    return produce(f"fig{figure}_{location.value}")
 
 
 @pytest.fixture(scope="session")
@@ -78,6 +87,11 @@ def publish(results_dir: pathlib.Path, name: str, text: str) -> None:
     (results_dir / f"{name}.txt").write_text(text + "\n")
     (results_dir / f"{name}.json").write_text(
         table_as_json(name, text) + "\n")
+
+
+def publish_section(results_dir: pathlib.Path, name: str, data) -> None:
+    """Publish report section ``name`` rendered from ``data``."""
+    publish(results_dir, name, SECTIONS[name].render(data))
 
 
 def run_once(benchmark, fn):

@@ -9,9 +9,9 @@ slave yields no further throughput because the master saturates.
 
 import pytest
 
-from repro.experiments import LocationConfig, render_throughput_table
+from repro.experiments import LocationConfig
 
-from conftest import get_grid, publish, run_once
+from conftest import get_grid, publish_section, run_once
 
 
 @pytest.mark.parametrize("location", [LocationConfig.SAME_ZONE,
@@ -20,10 +20,7 @@ from conftest import get_grid, publish, run_once
                          ids=lambda loc: loc.value)
 def test_fig2_throughput_5050(benchmark, results_dir, location):
     grids = run_once(benchmark, lambda: get_grid("50/50", location))
-    table = render_throughput_table(
-        grids, f"Fig.2 ({location.value}) end-to-end throughput "
-               f"(ops/s), 50/50, data size 300")
-    publish(results_dir, f"fig2_{location.value}", table)
+    publish_section(results_dir, f"fig2_{location.value}", grids)
 
     # Shape assertions (who wins, where the ceiling is):
     by_slaves = {g.n_slaves: g for g in grids}

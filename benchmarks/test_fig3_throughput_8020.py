@@ -8,9 +8,9 @@ than at 50/50, until the master's write load caps throughput around
 
 import pytest
 
-from repro.experiments import LocationConfig, render_throughput_table
+from repro.experiments import LocationConfig
 
-from conftest import get_grid, publish, run_once
+from conftest import get_grid, publish, publish_section, run_once
 
 
 @pytest.mark.parametrize("location", [LocationConfig.SAME_ZONE,
@@ -19,10 +19,7 @@ from conftest import get_grid, publish, run_once
                          ids=lambda loc: loc.value)
 def test_fig3_throughput_8020(benchmark, results_dir, location):
     grids = run_once(benchmark, lambda: get_grid("80/20", location))
-    table = render_throughput_table(
-        grids, f"Fig.3 ({location.value}) end-to-end throughput "
-               f"(ops/s), 80/20, data size 600")
-    publish(results_dir, f"fig3_{location.value}", table)
+    publish_section(results_dir, f"fig3_{location.value}", grids)
 
     by_slaves = {g.n_slaves: g for g in grids}
     few, many = min(by_slaves), max(by_slaves)

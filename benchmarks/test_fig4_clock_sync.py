@@ -10,17 +10,14 @@ Paper's Fig. 4 over a 20-minute window:
 
 import numpy as np
 
-from repro.experiments import render_fig4, run_fig4_clock_sync
+from repro.experiments import run_fig4_clock_sync
 
-from conftest import publish, run_once
+from conftest import produce, publish, publish_section, run_once
 
 
 def test_fig4_clock_sync(benchmark, results_dir):
-    series = run_once(benchmark, run_fig4_clock_sync)
-    text = render_fig4(series)
-    paper = ("paper reference: sync-once median 28.23 ms (std 12.31), "
-             "7 -> 50 ms; every-second median 3.30 ms (std 1.19)")
-    publish(results_dir, "fig4_clock_sync", text + "\n" + paper)
+    series = run_once(benchmark, lambda: produce("fig4_clock_sync"))
+    publish_section(results_dir, "fig4_clock_sync", series)
 
     once = np.asarray(series["sync_once"])
     periodic = np.asarray(series["sync_every_second"])

@@ -7,9 +7,9 @@ magnitude at saturation.  Rendered from the same runs as FIG2.
 
 import pytest
 
-from repro.experiments import LocationConfig, render_delay_table
+from repro.experiments import LocationConfig
 
-from conftest import get_grid, publish, run_once
+from conftest import get_grid, publish, publish_section, run_once
 
 
 @pytest.mark.parametrize("location", [LocationConfig.SAME_ZONE,
@@ -18,10 +18,7 @@ from conftest import get_grid, publish, run_once
                          ids=lambda loc: loc.value)
 def test_fig5_delay_5050(benchmark, results_dir, location):
     grids = run_once(benchmark, lambda: get_grid("50/50", location))
-    table = render_delay_table(
-        grids, f"Fig.5 ({location.value}) average relative replication "
-               f"delay (ms), 50/50, data size 300")
-    publish(results_dir, f"fig5_{location.value}", table)
+    publish_section(results_dir, f"fig5_{location.value}", grids)
 
     # Delay surges with workload: for the single-slave curve, the
     # heaviest load must exceed the lightest by orders of magnitude.

@@ -9,9 +9,9 @@ moves the delay by orders of magnitude.
 
 import pytest
 
-from repro.experiments import LocationConfig, render_delay_table
+from repro.experiments import LocationConfig
 
-from conftest import get_grid, publish, run_once
+from conftest import get_grid, publish, publish_section, run_once
 
 
 @pytest.mark.parametrize("location", [LocationConfig.SAME_ZONE,
@@ -20,10 +20,7 @@ from conftest import get_grid, publish, run_once
                          ids=lambda loc: loc.value)
 def test_fig6_delay_8020(benchmark, results_dir, location):
     grids = run_once(benchmark, lambda: get_grid("80/20", location))
-    table = render_delay_table(
-        grids, f"Fig.6 ({location.value}) average relative replication "
-               f"delay (ms), 80/20, data size 600")
-    publish(results_dir, f"fig6_{location.value}", table)
+    publish_section(results_dir, f"fig6_{location.value}", grids)
 
     largest = next(g for g in grids if g.n_slaves == max(
         g.n_slaves for g in grids))

@@ -7,18 +7,14 @@ vs. an E5507 2.27 GHz, making the *nearer* slave the *slower* one.
 """
 
 from repro.cloud import Cloud, MASTER_PLACEMENT, SMALL
-from repro.experiments import (render_instance_variation,
-                               run_instance_variation)
 from repro.sim import RandomStreams, Simulator
 
-from conftest import publish, run_once
+from conftest import produce, publish, publish_section, run_once
 
 
 def test_instance_variation_cov(benchmark, results_dir):
-    stats = run_once(benchmark,
-                     lambda: run_instance_variation(launches=4000))
-    publish(results_dir, "instance_variation",
-            render_instance_variation(stats))
+    stats = run_once(benchmark, lambda: produce("instance_variation"))
+    publish_section(results_dir, "instance_variation", stats)
     assert 0.15 < stats["cov"] < 0.27   # paper cites ~21 %
     assert stats["distinct_models"] >= 3
 

@@ -7,16 +7,13 @@ regions, respectively" (ping once a second for 20 minutes).
 
 import pytest
 
-from repro.experiments import render_rtt_table, run_rtt_characterization
-
-from conftest import publish, run_once
+from conftest import produce, publish_section, run_once
 
 
 def test_rtt_characterization(benchmark, results_dir):
     half_rtts = run_once(benchmark,
-                         lambda: run_rtt_characterization(probes=1200))
-    publish(results_dir, "rtt_characterization",
-            render_rtt_table(half_rtts))
+                         lambda: produce("rtt_characterization"))
+    publish_section(results_dir, "rtt_characterization", half_rtts)
     assert half_rtts["same_zone"] == pytest.approx(16.0, abs=2.0)
     assert half_rtts["different_zone"] == pytest.approx(21.0, abs=2.0)
     assert half_rtts["different_region"] == pytest.approx(173.0, abs=7.0)

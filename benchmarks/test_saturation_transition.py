@@ -8,18 +8,15 @@ achieved."  At 50/50 the master is the saturated resource from the 3rd
 slave; adding slaves past that point buys no throughput.
 """
 
-from repro.experiments import (LocationConfig, render_saturation_schedule,
-                               saturation_point)
+from repro.experiments import LocationConfig, saturation_point
 
-from conftest import get_grid, publish, run_once
+from conftest import get_grid, publish, publish_section, run_once
 
 
 def test_saturation_transition_5050(benchmark, results_dir):
     grids = run_once(benchmark,
                      lambda: get_grid("50/50", LocationConfig.SAME_ZONE))
-    schedule = render_saturation_schedule(grids)
-    publish(results_dir, "saturation_5050",
-            "50/50 saturation schedule (same zone)\n" + schedule)
+    publish_section(results_dir, "saturation_5050_same_zone", grids)
 
     by_slaves = {g.n_slaves: g for g in grids}
     counts = sorted(by_slaves)

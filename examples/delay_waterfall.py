@@ -20,16 +20,15 @@ Run:  python examples/delay_waterfall.py
 byte-identical reports.)
 """
 
-from repro.experiments import (LocationConfig, PAPER_50_50,
+from repro.experiments import (LocationConfig, PAPER_50_50, PROFILES,
                                run_experiment)
-from repro.experiments.figures import _PROFILES
 from repro.obs import Observability
 from repro.obs.analyze import (analyze_trace, from_session,
                                render_analysis_text)
 
 
 def main():
-    profile = _PROFILES["quick"]
+    profile = PROFILES["quick"]
     config = PAPER_50_50(LocationConfig.SAME_ZONE, n_slaves=2,
                          n_users=150, phases=profile.phases, seed=0,
                          baseline_duration=profile.baseline_duration)

@@ -31,8 +31,6 @@ tests use.  A rule earns its place by having fired on a committed
 tree outside its own fixtures; retired ids are never reused.
 """
 
-from .baseline import (filter_new, fingerprint, load_baseline,
-                       render_baseline, write_baseline)
 from .config import DEFAULT_CONFIG, LintConfig, load_config
 from .findings import Finding
 from .runner import (LintStats, check_paths, format_findings_text,
@@ -53,9 +51,4 @@ __all__ = [
     "check_paths",
     "format_findings_text",
     "format_merged_sarif",
-    "fingerprint",
-    "render_baseline",
-    "write_baseline",
-    "load_baseline",
-    "filter_new",
 ]

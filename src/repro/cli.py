@@ -2,14 +2,13 @@
 
 Usage::
 
-    python -m repro fig4
-    python -m repro rtt
-    python -m repro fig2 --location same_zone --scale quick
+    python -m repro report --section fig4_clock_sync
+    python -m repro report --output run.md
     python -m repro cell --ratio 80/20 --location different_region \
         --slaves 4 --users 250
 
-Every subcommand prints the same table the corresponding bench writes
-to ``benchmarks/results/``.
+``repro report --section NAME`` prints the same text the benchmark
+writes to ``benchmarks/results/NAME.txt``.
 """
 
 from __future__ import annotations
@@ -17,15 +16,9 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
-from .experiments import (LOCATIONS, LocationConfig, PAPER_50_50,
-                          PAPER_80_20, render_delay_table, render_fig4,
-                          render_instance_variation, render_rtt_table,
-                          render_saturation_schedule,
-                          render_throughput_table, run_experiment,
-                          run_fig4_clock_sync, run_instance_variation,
-                          run_rtt_characterization,
-                          run_throughput_delay_grid)
-from .experiments.figures import _PROFILES
+from .experiments import (LocationConfig, PAPER_50_50, PAPER_80_20,
+                          PROFILES, run_experiment)
+from .experiments.report import SECTIONS
 
 __all__ = ["main", "build_parser"]
 
@@ -47,57 +40,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "Environments' (ICDE 2012)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid_command(name, ratio, render, what):
-        cmd = sub.add_parser(name, help=f"{what} ({ratio})")
-        cmd.add_argument("--location", type=_location, default=None,
-                         help="one placement (default: all three)")
-        cmd.add_argument("--scale", choices=sorted(_PROFILES),
-                         default="quick")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.set_defaults(ratio=ratio, render=render, what=what,
-                         handler=_run_grid_command)
-
-    add_grid_command("fig2", "50/50", render_throughput_table,
-                     "end-to-end throughput")
-    add_grid_command("fig3", "80/20", render_throughput_table,
-                     "end-to-end throughput")
-    add_grid_command("fig5", "50/50", render_delay_table,
-                     "average relative replication delay")
-    add_grid_command("fig6", "80/20", render_delay_table,
-                     "average relative replication delay")
-
-    fig4 = sub.add_parser("fig4", help="inter-instance clock differences")
-    fig4.add_argument("--duration", type=float, default=1200.0)
-    fig4.add_argument("--seed", type=int, default=0)
-    fig4.set_defaults(handler=_run_fig4)
-
-    rtt = sub.add_parser("rtt", help="half-RTT characterization")
-    rtt.add_argument("--probes", type=int, default=1200)
-    rtt.add_argument("--seed", type=int, default=0)
-    rtt.set_defaults(handler=_run_rtt)
-
-    var = sub.add_parser("variation",
-                         help="small-instance performance variation")
-    var.add_argument("--launches", type=int, default=2000)
-    var.add_argument("--seed", type=int, default=0)
-    var.set_defaults(handler=_run_variation)
-
-    sat = sub.add_parser("saturation",
-                         help="saturation-transition schedule (50/50)")
-    sat.add_argument("--location", type=_location,
-                     default=LocationConfig.SAME_ZONE)
-    sat.add_argument("--scale", choices=sorted(_PROFILES),
-                     default="quick")
-    sat.add_argument("--seed", type=int, default=0)
-    sat.set_defaults(handler=_run_saturation)
-
     report = sub.add_parser(
-        "report", help="full Markdown report of every artefact")
-    report.add_argument("--scale", choices=sorted(_PROFILES),
+        "report", help="the paper's tables, one section per artefact "
+                       "(Markdown; a single --section prints bare)")
+    report.add_argument("--section", action="append", default=None,
+                        choices=list(SECTIONS), metavar="NAME",
+                        help="only this section (repeatable; default: "
+                             "every section)")
+    report.add_argument("--scale", choices=sorted(PROFILES),
                         default="quick")
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--output", default=None,
-                        help="write to this path instead of stdout")
+                        help="write to this path instead of stdout; a "
+                             "file that already holds <!-- section: "
+                             "NAME --> markers gets only those blocks "
+                             "rewritten")
     report.set_defaults(handler=_run_report)
 
     cell = sub.add_parser("cell", help="run a single experiment cell")
@@ -107,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default=LocationConfig.SAME_ZONE)
     cell.add_argument("--slaves", type=int, default=2)
     cell.add_argument("--users", type=int, default=100)
-    cell.add_argument("--scale", choices=sorted(_PROFILES),
+    cell.add_argument("--scale", choices=sorted(PROFILES),
                       default="quick")
     cell.add_argument("--seed", type=int, default=0)
     cell.set_defaults(handler=_run_cell)
@@ -122,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=LocationConfig.SAME_ZONE)
     trace.add_argument("--slaves", type=int, default=1)
     trace.add_argument("--users", type=int, default=25)
-    trace.add_argument("--scale", choices=sorted(_PROFILES),
+    trace.add_argument("--scale", choices=sorted(PROFILES),
                        default="quick")
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--out", default="traces",
@@ -242,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--list", action="store_true",
                        help="list registered benchmarks and exit")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--scale", choices=sorted(_PROFILES),
+    bench.add_argument("--scale", choices=sorted(PROFILES),
                        default="quick",
                        help="workload size per bench (quick/standard/"
                             "full, mirroring the experiment grids)")
@@ -290,94 +247,47 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--stats", action="store_true",
                        help="print per-rule finding counts and "
                             "wall-time (to stderr for json/sarif)")
-    check.add_argument("--baseline", default=None, metavar="FILE",
-                       help="only report findings not present in "
-                            "this baseline snapshot; exit 1 only "
-                            "on new ones")
-    check.add_argument("--write-baseline", default=None,
-                       metavar="FILE",
-                       help="snapshot the current findings to FILE "
-                            "(canonical JSON, byte-stable) and "
-                            "exit 0")
     check.set_defaults(handler=_run_check)
 
     return parser
 
 
-def _run_grid_command(args) -> str:
-    profile = _PROFILES[args.scale]
-    locations = [args.location] if args.location else list(LOCATIONS)
-    blocks = []
-    for location in locations:
-        grids = run_throughput_delay_grid(args.ratio, location, profile,
-                                          seed=args.seed)
-        blocks.append(args.render(
-            grids, f"{args.what} — {args.ratio}, {location.value}, "
-                   f"scale={profile.name}"))
-    return "\n\n".join(blocks)
+def _run_report(args):
+    import os
 
-
-def _run_fig4(args):
-    try:
-        series = run_fig4_clock_sync(duration=args.duration, seed=args.seed)
-    except ValueError as error:
-        return f"repro fig4: error: {error}", 2
-    return render_fig4(series)
-
-
-def _run_rtt(args):
-    try:
-        half_rtts = run_rtt_characterization(probes=args.probes,
-                                             seed=args.seed)
-    except ValueError as error:
-        return f"repro rtt: error: {error}", 2
-    return render_rtt_table(half_rtts)
-
-
-def _run_variation(args):
-    try:
-        stats = run_instance_variation(launches=args.launches,
-                                       seed=args.seed)
-    except ValueError as error:
-        return f"repro variation: error: {error}", 2
-    return render_instance_variation(stats)
-
-
-def _run_saturation(args) -> str:
-    profile = _PROFILES[args.scale]
-    grids = run_throughput_delay_grid("50/50", args.location, profile,
-                                      seed=args.seed)
-    return render_saturation_schedule(grids)
-
-
-def _run_report(args) -> str:
-    from .experiments.report import (MarkdownReport, fig4_section,
-                                     grid_section, rtt_section)
-    profile = _PROFILES[args.scale]
-    report = MarkdownReport(
-        f"Reproduction run — scale={profile.name}, seed={args.seed}")
-    for ratio, fig_pair in (("50/50", "Figs. 2/5"), ("80/20",
-                                                     "Figs. 3/6")):
-        for location in LOCATIONS:
-            grids = run_throughput_delay_grid(ratio, location, profile,
-                                              seed=args.seed)
-            grid_section(report, grids,
-                         f"{fig_pair} — {ratio}, {location.value}")
-    fig4_section(report, run_fig4_clock_sync(seed=args.seed))
-    rtt_section(report, run_rtt_characterization(seed=args.seed))
-    report.add_heading("Instance variation (§IV-A)")
-    report.add_paragraph(render_instance_variation(
-        run_instance_variation(seed=args.seed)))
-    text = report.render()
+    from .experiments.report import (marked_sections, refresh_document,
+                                     render_report, render_sections)
+    profile = PROFILES[args.scale]
+    marked = []
+    if args.output and os.path.exists(args.output):
+        with open(args.output, encoding="utf-8") as handle:
+            document = handle.read()
+        try:
+            marked = marked_sections(document)
+        except ValueError as error:
+            return f"repro report: error: {args.output}: {error}", 2
+    if marked:
+        # The file names its own sections.
+        if args.section:
+            return (f"repro report: error: {args.output} holds section "
+                    f"markers, which name the sections; drop --section", 2)
+        texts = render_sections(marked, profile, args.seed)
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(refresh_document(document, texts))
+        return f"refreshed {len(texts)} sections in {args.output}"
+    names = args.section or list(SECTIONS)
+    texts = render_sections(names, profile, args.seed)
+    text = (texts[names[0]] if len(names) == 1
+            else render_report(texts, profile, args.seed))
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
         return f"report written to {args.output}"
     return text
 
 
 def _run_cell(args) -> str:
-    profile = _PROFILES[args.scale]
+    profile = PROFILES[args.scale]
     factory = PAPER_50_50 if args.ratio == "50/50" else PAPER_80_20
     config = factory(args.location, args.slaves, args.users,
                      profile.phases, seed=args.seed,
@@ -442,7 +352,7 @@ def _run_trace(args):
     import json
 
     from .obs import Observability
-    profile = _PROFILES[args.scale]
+    profile = PROFILES[args.scale]
     factory = PAPER_50_50 if args.ratio == "50/50" else PAPER_80_20
     config = factory(args.location, args.slaves, args.users,
                      profile.phases, seed=args.seed,
@@ -645,7 +555,7 @@ def _run_watch(args):
         return "repro watch: error: --interval must be positive", 2
     session = LiveSession(spec, watch_interval=args.interval)
     if args.cell:
-        profile = _PROFILES["quick"]
+        profile = PROFILES["quick"]
         config = PAPER_50_50(LocationConfig.SAME_ZONE, args.slaves,
                              args.users, profile.phases,
                              seed=args.seed,
@@ -729,9 +639,9 @@ def _run_check(args) -> tuple[str, int]:
     import json
     import sys
 
-    from .analysis import (LintStats, all_rules, check_paths, filter_new,
+    from .analysis import (LintStats, all_rules, check_paths,
                            format_findings_text, format_merged_sarif,
-                           load_baseline, load_config, write_baseline)
+                           load_config)
     from .analysis.race import RACE_RULES
     from .analysis.taint import TAINT_RULES
     rules_by_tool = {
@@ -763,22 +673,6 @@ def _run_check(args) -> tuple[str, int]:
                               stats=stats)
     except FileNotFoundError as error:
         return f"simcheck: error: {error}", 2
-    if args.write_baseline is not None:
-        combined = [finding for tool in rules_by_tool
-                    for finding in results[tool]]
-        write_baseline(args.write_baseline, combined, "simcheck")
-        return (f"simcheck: wrote baseline of {len(combined)} finding"
-                f"{'s' if len(combined) != 1 else ''} to "
-                f"{args.write_baseline}", 0)
-    if args.baseline is not None:
-        try:
-            allowed = load_baseline(args.baseline)
-        except (OSError, ValueError) as error:
-            return f"simcheck: error: {error}", 2
-        # Rule ids are disjoint across the three tools, so filtering
-        # each run against the shared snapshot is exact.
-        results = {tool: filter_new(results[tool], allowed)
-                   for tool in rules_by_tool}
     total = sum(len(results[tool]) for tool in rules_by_tool)
     if args.format == "json":
         text = json.dumps({

@@ -2,7 +2,7 @@
 
 from .config import (ExperimentConfig, LocationConfig, PAPER_50_50,
                      PAPER_80_20)
-from .figures import (LOCATIONS, ScaleProfile, bench_scale,
+from .figures import (LOCATIONS, PROFILES, ScaleProfile, bench_scale,
                       render_delay_table, render_fig4,
                       render_instance_variation, render_rtt_table,
                       render_saturation_schedule, render_throughput_table,
@@ -27,6 +27,7 @@ __all__ = [
     "USERS_50_50",
     "USERS_80_20",
     "ScaleProfile",
+    "PROFILES",
     "bench_scale",
     "LOCATIONS",
     "run_throughput_delay_grid",

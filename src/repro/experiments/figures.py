@@ -13,9 +13,10 @@ saturation narrative and the instance-variation observation):
 * **Fig. 6** — average relative replication delay for the Fig. 3 sweep.
 
 Figs. 2+5 (and 3+6) come from the *same* runs, so the grid is executed
-once and rendered twice.  ``ScaleProfile`` shrinks run durations and
-grid density so the benches finish in minutes; ``full`` reproduces the
-paper's exact grid and 35-minute runs.
+once and rendered twice; :mod:`.report` names each rendering a
+section.  ``ScaleProfile`` shrinks run durations and grid density so
+the benches finish in minutes; ``full`` reproduces the paper's exact
+grid and 35-minute runs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ __all__ = ["ScaleProfile", "bench_scale", "run_throughput_delay_grid",
            "run_fig4_clock_sync", "render_fig4",
            "run_rtt_characterization", "render_rtt_table",
            "run_instance_variation", "render_instance_variation",
-           "render_saturation_schedule", "LOCATIONS"]
+           "render_saturation_schedule", "LOCATIONS", "PROFILES"]
 
 LOCATIONS = (LocationConfig.SAME_ZONE, LocationConfig.DIFFERENT_ZONE,
              LocationConfig.DIFFERENT_REGION)
@@ -66,7 +67,7 @@ class ScaleProfile:
         return Phases().scaled(self.time_factor)
 
 
-_PROFILES = {
+PROFILES = {
     "quick": ScaleProfile(
         "quick", time_factor=0.05, baseline_duration=20.0,
         slaves_50_50=(1, 2, 4), users_50_50=(50, 100, 150, 200),
@@ -88,10 +89,10 @@ def bench_scale() -> ScaleProfile:
     (``quick`` default; ``standard``; ``full`` = the paper's grid)."""
     name = os.environ.get("REPRO_SCALE", "quick")
     try:
-        return _PROFILES[name]
+        return PROFILES[name]
     except KeyError:
         raise ValueError(f"REPRO_SCALE must be one of "
-                         f"{sorted(_PROFILES)}, got {name!r}") from None
+                         f"{sorted(PROFILES)}, got {name!r}") from None
 
 
 # ------------------------------------------------------- Figs 2/3 + 5/6
@@ -146,25 +147,26 @@ def _render_metric_table(grids, title, cell) -> str:
     return "\n".join(lines)
 
 
-def render_saturation_schedule(grids: list[SweepResult]) -> str:
+def render_saturation_schedule(grids: list[SweepResult],
+                               title: str) -> str:
     """The §IV-A narrative: per slave count, the observed maximum
     throughput, the saturation point, the fitted knee (linear limit +
     capacity intersection, see :mod:`repro.obs.analyze.knee`), and
-    which tier saturated there."""
-    lines = ["slaves  max-tput@users  saturation-point  linear-limit  "
-             "knee-users  saturated  bottleneck"]
+    which tier saturated at the heaviest load."""
+    lines = [title, "slaves  max-tput@users  saturation-point  "
+             "linear-limit  knee-users  saturated  bottleneck"]
     for sweep in grids:
         best_users, best_tput = max_throughput(sweep)
         saturation = saturation_point(sweep)
-        best = max(sweep.results, key=lambda r: r.throughput)
+        heaviest = sweep.results[-1]
         knee = detect_knee(sweep.users, sweep.throughputs)
         knee_text = (f"{knee.knee_users:10.1f}" if knee.knee_users
                      is not None else "       n/a")
         lines.append(f"{sweep.n_slaves:6d}  {best_tput:8.1f}@{best_users:<5d}"
                      f"  {str(saturation):>16s}  "
                      f"{knee.linear_limit_users:12d}  {knee_text}  "
-                     f"{best.saturated_resource:>9s}  "
-                     f"{best.bottleneck:>10s}")
+                     f"{heaviest.saturated_resource:>9s}  "
+                     f"{heaviest.bottleneck:>10s}")
     return "\n".join(lines)
 
 
@@ -207,13 +209,14 @@ def run_fig4_clock_sync(duration: float = 1200.0,
 
 
 def render_fig4(series: dict[str, list[float]]) -> str:
-    """Fig. 4 as summary rows (paper: sync-once median 28.23 ms,
-    σ 12.31; every-second median 3.30 ms, σ 1.19)."""
+    """Fig. 4 as summary rows, then the paper's reference values."""
     lines = ["policy              first_ms  last_ms  median_ms  std_ms"]
     for policy, samples in series.items():
         stats = summarize(samples)
         lines.append(f"{policy:18s} {samples[0]:9.2f} {samples[-1]:8.2f} "
                      f"{stats.median:10.2f} {stats.std:7.2f}")
+    lines.append("paper reference: sync-once median 28.23 ms (std 12.31), "
+                 "7 -> 50 ms; every-second median 3.30 ms (std 1.19)")
     return "\n".join(lines)
 
 
@@ -252,7 +255,7 @@ def render_rtt_table(half_rtts: dict[str, float]) -> str:
 
 
 # ------------------------------------------- instance performance variation
-def run_instance_variation(launches: int = 2000,
+def run_instance_variation(launches: int = 4000,
                            seed: int = 0) -> dict[str, float]:
     """§IV-A: the coefficient of variation of small-instance CPU
     performance (Schad et al. report ~21 %)."""

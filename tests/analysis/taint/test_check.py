@@ -143,21 +143,6 @@ def test_cli_check_json_per_tool(project, capsys):
         tool["count"] for tool in document["tools"].values())
 
 
-def test_cli_check_baseline_round_trip(project, tmp_path, capsys):
-    (path,) = project({"mod.py": TAINTED})
-    snapshot = tmp_path / "check-baseline.json"
-    assert main(["check", path,
-                 "--write-baseline", str(snapshot)]) == 0
-    capsys.readouterr()
-    assert main(["check", path, "--baseline", str(snapshot)]) == 0
-    capsys.readouterr()
-    # Same inputs, byte-identical snapshot.
-    again = tmp_path / "again.json"
-    assert main(["check", path, "--write-baseline", str(again)]) == 0
-    capsys.readouterr()
-    assert again.read_bytes() == snapshot.read_bytes()
-
-
 def test_cli_check_clean_exit_zero(project, capsys):
     (path,) = project({"mod.py": "def f(x):\n    return x + 1\n"})
     assert main(["check", path]) == 0

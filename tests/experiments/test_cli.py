@@ -12,40 +12,42 @@ def test_parser_requires_command():
 
 def test_unknown_location_rejected():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["fig2", "--location", "moon"])
+        build_parser().parse_args(["cell", "--location", "moon"])
 
 
 def test_fig4_command(capsys):
-    assert main(["fig4", "--duration", "300"]) == 0
+    assert main(["report", "--section", "fig4_clock_sync"]) == 0
     out = capsys.readouterr().out
     assert "sync_once" in out
     assert "sync_every_second" in out
 
 
 def test_rtt_command(capsys):
-    assert main(["rtt", "--probes", "200"]) == 0
+    assert main(["report", "--section", "rtt_characterization"]) == 0
     out = capsys.readouterr().out
     assert "different_region" in out
     assert "(173)" in out
 
 
 def test_variation_command(capsys):
-    assert main(["variation", "--launches", "500"]) == 0
+    assert main(["report", "--section", "instance_variation"]) == 0
     assert "CoV" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["fig4", "--duration", "0"], "0 < sample_period <= duration"),
-    (["rtt", "--probes", "0"], "probes >= 1"),
-    (["rtt", "--probes", "-3"], "probes >= 1"),
-    (["variation", "--launches", "0"], "launches >= 1"),
-])
-def test_bad_figure_inputs_are_usage_errors(argv, message, capsys):
-    assert main(argv) == 2
-    out = capsys.readouterr().out
-    assert out.startswith(f"repro {argv[0]}: error: ")
-    assert message in out
-    assert "nan" not in out
+def test_unknown_section_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", "--section", "fig9_same_zone"])
+    assert exit_info.value.code == 2
+    assert "fig9_same_zone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig3", "fig5", "fig6",
+                                     "fig4", "rtt", "variation",
+                                     "saturation"])
+def test_retired_figure_subcommands_no_longer_parse(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([command])
+    assert exit_info.value.code == 2
 
 
 def test_cell_command(capsys):
@@ -79,27 +81,61 @@ def test_trace_command(tmp_path, capsys):
     assert (out_dir / "profile.txt").exists()
 
 
-def test_report_command(tmp_path, monkeypatch):
+@pytest.fixture
+def micro(monkeypatch):
+    """The ``quick`` scale shrunk to one 10-user, 1-slave cell per grid."""
+    from repro.experiments import PROFILES, ScaleProfile
+    profile = ScaleProfile("micro", time_factor=0.02,
+                           baseline_duration=10.0,
+                           slaves_50_50=(1,), users_50_50=(10,),
+                           slaves_80_20=(1,), users_80_20=(10,))
+    monkeypatch.setitem(PROFILES, "quick", profile)
+    return profile
+
+
+def test_report_command(tmp_path, micro):
     """End-to-end report run against a micro profile."""
-    from repro.experiments.figures import ScaleProfile, _PROFILES
-    micro = ScaleProfile("micro", time_factor=0.02, baseline_duration=10.0,
-                         slaves_50_50=(1,), users_50_50=(10,),
-                         slaves_80_20=(1,), users_80_20=(10,))
-    monkeypatch.setitem(_PROFILES, "quick", micro)
     out_path = tmp_path / "run.md"
     assert main(["report", "--output", str(out_path)]) == 0
     text = out_path.read_text()
     assert text.startswith("# Reproduction run")
-    assert "Figs. 2/5" in text and "Figs. 3/6" in text
-    assert "Clock synchronization" in text
-    assert "Half-RTT" in text
-    assert "Instance variation" in text
+    assert "## fig2_same_zone" in text and "## fig3_same_zone" in text
+    assert "## fig4_clock_sync" in text
+    assert "## rtt_characterization" in text
+    assert "## instance_variation" in text
+
+
+def test_a_section_prints_the_registry_text(micro, capsys):
+    from repro.experiments.report import render_sections
+    name = "saturation_8020_different_region"
+    assert main(["report", "--section", name]) == 0
+    assert capsys.readouterr().out == \
+        render_sections([name], micro, 0)[name] + "\n"
+
+
+def test_report_refreshes_a_marked_file_in_place(tmp_path, capsys):
+    path = tmp_path / "doc.md"
+    path.write_text("prose\n<!-- section: instance_variation -->\n"
+                    "<!-- /section -->\nmore prose\n")
+    assert main(["report", "--output", str(path)]) == 0
+    once = path.read_text()
+    assert once.startswith("prose\n<!-- section: instance_variation -->\n"
+                           "```\nsmall-instance CPU lottery over 4000")
+    assert once.endswith("```\n<!-- /section -->\nmore prose\n")
+    assert main(["report", "--output", str(path)]) == 0
+    assert path.read_text() == once
+    # The markers name the sections; --section cannot narrow them.
+    assert main(["report", "--output", str(path),
+                 "--section", "fig4_clock_sync"]) == 2
+    path.write_text("<!-- section: instance_variation -->\n")
+    assert main(["report", "--output", str(path)]) == 2
+    assert "unterminated" in capsys.readouterr().out
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args(["fig2"])
-    assert args.ratio == "50/50"
+    args = build_parser().parse_args(["report"])
+    assert args.section is None
     assert args.scale == "quick"
-    assert args.location is None
+    assert args.output is None
     args = build_parser().parse_args(["cell"])
     assert args.slaves == 2 and args.users == 100

@@ -47,12 +47,22 @@ def test_delay_table_handles_none_and_floor():
 def test_saturation_schedule_lines():
     sweep = fake_sweep(3, [(50, 5.0, 1.0, 0.5), (100, 9.0, 1.0, 0.95),
                            (150, 9.1, 1.0, 0.99)])
-    text = render_saturation_schedule([sweep])
+    text = render_saturation_schedule([sweep], "schedule")
     assert "master" in text
     assert "9.1@150" in text
 
 
 def test_schedule_reports_none_when_rising():
     sweep = fake_sweep(1, [(50, 5.0, 1.0, 0.3), (100, 9.0, 1.0, 0.4)])
-    text = render_saturation_schedule([sweep])
+    text = render_saturation_schedule([sweep], "schedule")
     assert "None" in text
+
+
+def test_schedule_names_the_tier_saturated_at_the_heaviest_load():
+    # The peak (9.5 @ 100 users) saturates nothing; the heaviest load
+    # after it saturates the master, and that is the tier named.
+    sweep = fake_sweep(2, [(50, 5.0, 1.0, 0.3), (100, 9.5, 1.0, 0.6),
+                           (150, 9.0, 1.0, 0.95)])
+    row = render_saturation_schedule([sweep], "schedule").splitlines()[2]
+    assert "9.5@100" in row
+    assert row.split()[-2] == "master"

@@ -73,7 +73,7 @@ def test_user_sweep_and_tables():
     assert sweep.throughputs[1] > sweep.throughputs[0]
     throughput_table = render_throughput_table([sweep], "test table")
     delay_table = render_delay_table([sweep], "test delays")
-    schedule = render_saturation_schedule([sweep])
+    schedule = render_saturation_schedule([sweep], "schedule")
     assert "1-slave" in throughput_table
     assert "30" in throughput_table
     assert "n/a" not in delay_table

@@ -10,16 +10,16 @@ One quick-scale grid run (seed 0, ~25 s) feeds every assertion.
 
 import pytest
 
-from repro.experiments import (LocationConfig, render_saturation_schedule,
+from repro.experiments import (LocationConfig, PROFILES,
+                               render_saturation_schedule,
                                run_throughput_delay_grid)
-from repro.experiments.figures import _PROFILES
 from repro.obs.analyze import detect_knee
 
 
 @pytest.fixture(scope="module")
 def fig2_grid():
     return run_throughput_delay_grid(
-        "50/50", LocationConfig.SAME_ZONE, _PROFILES["quick"], seed=0)
+        "50/50", LocationConfig.SAME_ZONE, PROFILES["quick"], seed=0)
 
 
 def knee_for(grids, n_slaves):
@@ -72,7 +72,7 @@ def test_light_cells_have_no_bottleneck(fig2_grid):
 
 
 def test_saturation_schedule_renders_knees(fig2_grid):
-    text = render_saturation_schedule(fig2_grid)
+    text = render_saturation_schedule(fig2_grid, "schedule")
     assert "linear-limit" in text and "knee-users" in text
     assert "bottleneck" in text
     lines = text.splitlines()
