@@ -187,42 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "scale) instead of the fault drill")
     watch.set_defaults(handler=_run_watch)
 
-    bench = sub.add_parser(
-        "bench", help="run the deterministic layer benches (kernel "
-                      "events / raw SQL parse / live-stream "
-                      "operators), write BENCH json, compare against "
-                      "a committed baseline")
-    bench.add_argument("--bench", action="append", default=None,
-                       metavar="NAME",
-                       help="run only this benchmark or family "
-                            "(repeatable; default: the whole suite)")
-    bench.add_argument("--list", action="store_true",
-                       help="list registered benchmarks and exit")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--scale", choices=sorted(PROFILES),
-                       default="quick",
-                       help="workload size per bench (quick/standard/"
-                            "full, mirroring the experiment grids)")
-    bench.add_argument("--repeats", type=int, default=5,
-                       help="timed repeats per bench (default 5)")
-    bench.add_argument("--warmup", type=int, default=1,
-                       help="untimed warmup runs per bench (default 1)")
-    bench.add_argument("--out", default=None, metavar="FILE",
-                       help="write the canonical BENCH json document "
-                            "to FILE")
-    bench.add_argument("--compare", default=None, metavar="OLD",
-                       help="compare this run against a baseline "
-                            "BENCH json; exit 1 on regression")
-    bench.add_argument("--tolerance", type=float, default=10.0,
-                       metavar="PCT",
-                       help="allowed median slowdown before "
-                            "--compare fails (percent, default 10)")
-    bench.add_argument("--format", choices=("text", "json"),
-                       default="text",
-                       help="json prints the BENCH document (plus "
-                            "the compare report when --compare)")
-    bench.set_defaults(handler=_run_bench)
-
     check = sub.add_parser(
         "check", help="the static-analysis gate: determinism / "
                       "SQL / flow-pairing (simlint), yield-point "
@@ -572,59 +536,6 @@ def _run_watch(args):
                              n_slaves=args.slaves)
         run_drill(config, slo=session)
     return session.render_watch()
-
-
-def _run_bench(args):
-    import json
-
-    from .perf import (bench_document, compare_documents,
-                       load_bench_file, registry, render_compare_json,
-                       render_compare_text, render_suite_text,
-                       run_suite, write_bench_file)
-    if args.list:
-        lines = [f"{spec.name:<16s} [{spec.subsystem:<11s}] "
-                 f"{spec.description}"
-                 for spec in registry.all_benchmarks()]
-        return "\n".join(lines)
-    try:
-        specs = registry.resolve(args.bench)
-    except KeyError as error:
-        return f"repro bench: error: {error.args[0]}", 2
-    if args.repeats < 1 or args.warmup < 0:
-        return ("repro bench: error: --repeats must be >= 1 and "
-                "--warmup >= 0", 2)
-    suite = run_suite(specs, seed=args.seed, scale=args.scale,
-                      repeats=args.repeats, warmup=args.warmup)
-    document = bench_document(suite)
-    if args.out:
-        write_bench_file(args.out, document)
-    report = None
-    if args.compare:
-        try:
-            baseline = load_bench_file(args.compare)
-        except (OSError, ValueError) as error:
-            return f"repro bench: error: {error}", 2
-        selected = ({spec.name for spec in specs}
-                    if args.bench else None)
-        report = compare_documents(baseline, document,
-                                   tolerance_pct=args.tolerance,
-                                   only=selected)
-    code = report.exit_code if report is not None else 0
-    if args.format == "json":
-        payload = dict(document)
-        if report is not None:
-            payload["compare"] = json.loads(
-                render_compare_json(report))
-        return (json.dumps(payload, sort_keys=True,
-                           separators=(",", ":")), code)
-    sections = [render_suite_text(suite)]
-    if args.out:
-        sections.append("")
-        sections.append(f"wrote {args.out}")
-    if report is not None:
-        sections.append("")
-        sections.append(render_compare_text(report))
-    return "\n".join(sections), code
 
 
 def _split_rule_lists(values: Optional[Sequence[str]]) -> list[str]:

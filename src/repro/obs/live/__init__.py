@@ -25,14 +25,12 @@ from .slo import (AlertRule, SLOSpec, default_slo_spec,
                   load_slo_file)
 from .streams import (Ewma, Latest, LivePipeline, Mapped,
                       Node, NullLivePipeline, NULL_LIVE, Operator,
-                      SlidingMax, SlidingMin, SlidingQuantile,
-                      WindowedMean, WindowedRate)
+                      WindowedMean)
 from .watch import Watchboard
 
 __all__ = [
     "LivePipeline", "NullLivePipeline", "NULL_LIVE", "Node",
-    "Operator", "Latest", "Ewma", "WindowedRate", "WindowedMean",
-    "SlidingMax", "SlidingMin", "SlidingQuantile", "Mapped",
+    "Operator", "Latest", "Ewma", "WindowedMean", "Mapped",
     "AlertRule", "SLOSpec", "default_slo_spec", "load_slo_file",
     "AlertEngine", "AlertState", "Incident",
     "incidents_document", "render_incidents_text", "write_incidents",

@@ -13,8 +13,8 @@ counters, and accumulate :class:`Incident` records — the raw material
 of the ``incidents.json`` timeline (:mod:`repro.obs.live.incidents`).
 
 The engine is usable headless (:meth:`AlertEngine.evaluate` on any
-pipeline — the ``obs.stream`` bench drives it this way) or attached to
-a simulator as a kernel process (:meth:`AlertEngine.attach`).
+pipeline — the alert tests drive it this way) or attached to a
+simulator as a kernel process (:meth:`AlertEngine.attach`).
 
 This module must not import :mod:`repro.sim` at module level (the
 kernel imports ``NULL_LIVE`` from this package) — the interrupt type

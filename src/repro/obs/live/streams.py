@@ -7,8 +7,8 @@ sim-second over a gauge with tens of thousands of samples would turn
 each evaluation into a scan.  This module keeps every aggregate
 **incremental**: a :class:`Node` wraps one operator whose state updates
 in O(1)-ish work per published sample, and nodes form an explicit DAG
-so derived streams (per-slave staleness p99, violation shares) compose
-from primitive ones.
+so derived streams (smoothed CPU, violation shares) compose from
+primitive ones.
 
 Everything is keyed on *simulated* time — the pipeline never reads a
 wall clock, so two same-seed runs push byte-identical sample sequences
@@ -24,19 +24,12 @@ from __future__ import annotations
 
 import math
 from fnmatch import fnmatchcase
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 __all__ = [
-    "Operator", "Latest", "Ewma", "WindowedRate", "WindowedMean",
-    "SlidingMax", "SlidingMin", "SlidingQuantile", "Mapped",
+    "Operator", "Latest", "Ewma", "WindowedMean", "Mapped",
     "Node", "LivePipeline", "NullLivePipeline", "NULL_LIVE",
-    "STALENESS_BUCKETS",
 ]
-
-#: Staleness/latency-flavoured histogram edges, in seconds, for the
-#: sliding-quantile operator (upper edges; one +inf bucket follows).
-STALENESS_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
-                     2.0, 5.0, 10.0, 30.0, 60.0)
 
 
 class Operator:
@@ -96,9 +89,11 @@ class Ewma(Operator):
         return self.value
 
 
-class _WindowDeque:
-    """Shared eviction for trailing-window operators: samples with
-    ``t <= now - window`` fall out."""
+class WindowedMean(Operator):
+    """Arithmetic mean of the samples in a trailing window (None when
+    the window holds no samples) — the burn-rate rules' workhorse over
+    violation-indicator streams.  Samples with ``t <= now - window``
+    fall out."""
 
     __slots__ = ("window", "entries")
 
@@ -108,7 +103,7 @@ class _WindowDeque:
         self.window = window
         self.entries: list[tuple[float, float]] = []
 
-    def evict(self, now: float) -> None:
+    def _evict(self, now: float) -> None:
         cutoff = now - self.window
         entries = self.entries
         drop = 0
@@ -119,182 +114,16 @@ class _WindowDeque:
         if drop:
             del entries[:drop]
 
-
-class WindowedRate(Operator):
-    """Updates per second over a trailing sim-time window.
-
-    ``mode="count"`` rates the *number* of updates (event streams);
-    ``mode="delta"`` rates the *increase* of a monotonic total
-    (counter streams) — the publish delivers the cumulative value and
-    the operator differences it.
-    """
-
-    __slots__ = ("_window", "mode", "_last_total")
-
-    def __init__(self, window: float, mode: str = "count"):
-        if mode not in ("count", "delta"):
-            raise ValueError(f"mode must be 'count' or 'delta', "
-                             f"got {mode!r}")
-        self._window = _WindowDeque(window)
-        self.mode = mode
-        self._last_total: Optional[float] = None
-
     def update(self, t: float, value: float) -> None:
-        if self.mode == "delta":
-            previous = self._last_total
-            self._last_total = value
-            weight = value - previous if previous is not None else 0.0
-        else:
-            weight = 1.0
-        self._window.entries.append((t, weight))
-        self._window.evict(t)
-
-    def read(self, now: float) -> Optional[float]:
-        self._window.evict(now)
-        total = math.fsum(w for _t, w in self._window.entries)
-        return total / self._window.window
-
-
-class WindowedMean(Operator):
-    """Arithmetic mean of the samples in a trailing window (None when
-    the window holds no samples) — the burn-rate rules' workhorse over
-    violation-indicator streams."""
-
-    __slots__ = ("_window",)
-
-    def __init__(self, window: float):
-        self._window = _WindowDeque(window)
-
-    def update(self, t: float, value: float) -> None:
-        self._window.entries.append((t, value))
-        self._window.evict(t)
-
-    def read(self, now: float) -> Optional[float]:
-        self._window.evict(now)
-        entries = self._window.entries
-        if not entries:
-            return None
-        return math.fsum(v for _t, v in entries) / len(entries)
-
-
-class _SlidingExtreme(Operator):
-    """Monotonic-deque max/min over a trailing window."""
-
-    __slots__ = ("_window", "_better")
-
-    def __init__(self, window: float, better):
-        self._window = _WindowDeque(window)
-        self._better = better
-
-    def update(self, t: float, value: float) -> None:
-        entries = self._window.entries
-        while entries and not self._better(entries[-1][1], value):
-            entries.pop()
-        entries.append((t, value))
-        self._window.evict(t)
-
-    def read(self, now: float) -> Optional[float]:
-        self._window.evict(now)
-        entries = self._window.entries
-        return entries[0][1] if entries else None
-
-
-class SlidingMax(_SlidingExtreme):
-    """Maximum over a trailing sim-time window."""
-
-    def __init__(self, window: float):
-        super().__init__(window, lambda kept, new: kept > new)
-
-
-class SlidingMin(_SlidingExtreme):
-    """Minimum over a trailing sim-time window."""
-
-    def __init__(self, window: float):
-        super().__init__(window, lambda kept, new: kept < new)
-
-
-class SlidingQuantile(Operator):
-    """Sliding quantile via fixed-bucket histogram merge.
-
-    Time is cut into ``slots`` sub-windows of ``window / slots``
-    seconds; each keeps one fixed-edge histogram.  An update lands in
-    its sub-window's histogram in O(log buckets); a read merges the
-    live sub-windows and walks the cumulative counts.  The estimate is
-    the smallest bucket upper edge covering the requested rank —
-    deterministic, bounded memory, and conservative (never under the
-    true quantile by more than one bucket's width).
-    """
-
-    __slots__ = ("q", "window", "edges", "slots", "_granularity",
-                 "_ring", "_counts")
-
-    def __init__(self, q: float, window: float,
-                 edges: Sequence[float] = STALENESS_BUCKETS,
-                 slots: int = 16):
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        if list(edges) != sorted(edges) or not edges:
-            raise ValueError(f"edges must be non-empty and sorted, "
-                             f"got {edges!r}")
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
-        self.q = q
-        self.window = window
-        self.edges = tuple(edges)
-        self.slots = slots
-        self._granularity = window / slots
-        #: slot index -> counts per bucket (+1 overflow), ordered by
-        #: insertion (slot indexes only grow: sim time is monotonic).
-        self._ring: dict[int, list[int]] = {}
-
-    def _slot(self, t: float) -> int:
-        return int(t // self._granularity)
-
-    def _evict(self, now: float) -> None:
-        # A sub-window is live while any part of it can still hold
-        # samples newer than ``now - window``.
-        oldest_live = self._slot(now) - self.slots
-        ring = self._ring
-        for index in [index for index in ring if index <= oldest_live]:
-            del ring[index]
-
-    def update(self, t: float, value: float) -> None:
-        counts = self._ring.get(self._slot(t))
-        if counts is None:
-            counts = [0] * (len(self.edges) + 1)
-            self._ring[self._slot(t)] = counts
-        lo, hi = 0, len(self.edges)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.edges[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        counts[lo] += 1
+        self.entries.append((t, value))
         self._evict(t)
 
     def read(self, now: float) -> Optional[float]:
         self._evict(now)
-        if not self._ring:
+        entries = self.entries
+        if not entries:
             return None
-        merged = [0] * (len(self.edges) + 1)
-        for index in sorted(self._ring):
-            for bucket, count in enumerate(self._ring[index]):
-                merged[bucket] += count
-        total = sum(merged)
-        if total == 0:
-            return None
-        rank = self.q * total
-        running = 0
-        for bucket, count in enumerate(merged):
-            running += count
-            if running >= rank:
-                if bucket < len(self.edges):
-                    return self.edges[bucket]
-                return math.inf  # beyond the last edge
-        return math.inf
+        return math.fsum(v for _t, v in entries) / len(entries)
 
 
 class Mapped(Operator):

@@ -4,7 +4,7 @@ Public surface: the :class:`Simulator` kernel, process/event primitives,
 queueing resources and named deterministic RNG streams.
 """
 
-from .kernel import (AllOf, AnyOf, Event, Interrupt, Process, SimulationError,
+from .kernel import (AnyOf, Event, Interrupt, Process, SimulationError,
                      Simulator, Timeout)
 from .resources import Request, Resource, Store
 from .rng import RandomStreams
@@ -16,7 +16,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "AnyOf",
-    "AllOf",
     "SimulationError",
     "Resource",
     "Request",

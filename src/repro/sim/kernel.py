@@ -31,7 +31,6 @@ __all__ = [
     "Event",
     "Timeout",
     "AnyOf",
-    "AllOf",
     "Interrupt",
     "Process",
     "Simulator",
@@ -142,9 +141,6 @@ class Event:
     def __or__(self, other: "Event") -> "AnyOf":
         return AnyOf(self.sim, [self, other])
 
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
 
 class Timeout(Event):
     """An event that fires after a fixed delay."""
@@ -168,15 +164,15 @@ class Timeout(Event):
             heappush(sim._heap, (sim._now + delay, next(sim._counter), self))
 
 
-class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
+class AnyOf(Event):
+    """Fires as soon as any child event fires, with the values of the
+    children that have fired; a failing child fails it."""
 
-    __slots__ = ("events", "_n_fired")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self.events = list(events)
-        self._n_fired = 0
         if not self.events:
             self.succeed({})
             return
@@ -186,9 +182,6 @@ class _Condition(Event):
             elif event.callbacks is not None:
                 event.callbacks.append(self._child_fired)
 
-    def _collect(self) -> dict[Event, Any]:
-        return {e: e._value for e in self.events if e.triggered and e._ok}
-
     def _child_fired(self, event: Event) -> None:
         if self._triggered:
             return
@@ -196,30 +189,8 @@ class _Condition(Event):
             event.defuse()
             self.fail(event._value)
             return
-        self._n_fired += 1
-        if self._done():
-            self.succeed(self._collect())
-
-    def _done(self) -> bool:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any child event fires."""
-
-    __slots__ = ()
-
-    def _done(self) -> bool:
-        return self._n_fired >= 1
-
-
-class AllOf(_Condition):
-    """Fires when all child events have fired."""
-
-    __slots__ = ()
-
-    def _done(self) -> bool:
-        return self._n_fired >= len(self.events)
+        self.succeed({e: e._value for e in self.events
+                      if e.triggered and e._ok})
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -399,12 +370,6 @@ class Simulator:
                 name: Optional[str] = None) -> Process:
         """Start a new process from a generator."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------------
     def _owner_name(self) -> str:

@@ -43,8 +43,8 @@ def test_unknown_section_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("command", ["fig2", "fig3", "fig5", "fig6",
                                      "fig4", "rtt", "variation",
-                                     "saturation"])
-def test_retired_figure_subcommands_no_longer_parse(command, capsys):
+                                     "saturation", "bench"])
+def test_retired_subcommands_no_longer_parse(command, capsys):
     with pytest.raises(SystemExit) as exit_info:
         build_parser().parse_args([command])
     assert exit_info.value.code == 2

@@ -1,10 +1,11 @@
 """WallProfiler: attribution share, subsystem mapping, collapsed
-stacks, sim-kernel integration."""
+stacks, sim-kernel integration; `--wall-profile` on trace and chaos."""
 
 import os
 
 import pytest
 
+from repro.cli import main
 from repro.perf import WallProfiler, render_wallprof
 from repro.perf.wallprof import _subsystem_of
 from repro.sim.kernel import Simulator
@@ -76,16 +77,13 @@ def test_callees_outside_repro_are_charged_to_their_repro_caller():
 
 def test_attribution_share_is_at_least_95_percent():
     """The acceptance bar: >=95% of profiled wall time lands in named
-    subsystems when profiling a real registered bench (a local test
+    subsystems when profiling a real repro call (a local test
     generator would charge its own frames to ``other``)."""
-    import repro.perf  # noqa: F401  (registers the benches)
-    from repro.perf.harness import run_bench
-    from repro.perf.registry import get_benchmark
+    from repro.experiments.figures import run_fig4_clock_sync
 
     profiler = WallProfiler()
     with profiler:
-        run_bench(get_benchmark("kernel.events"), seed=0,
-                  scale="quick", repeats=1, warmup=0)
+        run_fig4_clock_sync(duration=60.0, sample_period=1.0, seed=0)
     assert profiler.wall_time > 0.0
     assert profiler.attributed_share() >= 0.95
     shares = {row["subsystem"]: row["share"]
@@ -147,3 +145,30 @@ def test_render_and_snapshot():
     assert snapshot["wall_s"] == pytest.approx(profiler.wall_time)
     assert 0.0 <= snapshot["attributed_share"] <= 1.0
     assert snapshot["rows"] == profiler.rows()
+
+
+def test_trace_wall_profile_writes_sidecars(tmp_path, capsys):
+    out_dir = tmp_path / "traces"
+    code = main(["trace", "--users", "5", "--slaves", "1", "--seed",
+                 "7", "--out", str(out_dir), "--wall-profile"])
+    capsys.readouterr()
+    assert code == 0
+    assert (out_dir / "wallprof.txt").is_file()
+    assert (out_dir / "wallprof.collapsed").is_file()
+    assert "wall-clock profile" in (out_dir / "wallprof.txt") \
+        .read_text()
+
+
+def test_chaos_wall_profile_keeps_stdout_byte_identical(tmp_path,
+                                                        capsys):
+    # The property is size-independent: a 4-user drill shows it.
+    drill = ["chaos", "--seed", "42", "--users", "4", "--format",
+             "json"]
+    plain = main(drill)
+    plain_out = capsys.readouterr().out
+    profiled = main(drill + ["--out", str(tmp_path / "chaos"),
+                             "--wall-profile"])
+    profiled_out = capsys.readouterr().out
+    assert plain == profiled == 0
+    assert plain_out == profiled_out
+    assert (tmp_path / "chaos" / "wallprof.collapsed").is_file()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import (AllOf, AnyOf, Interrupt, SimulationError, Simulator)
+from repro.sim import AnyOf, Interrupt, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -235,21 +235,6 @@ def test_any_of_fires_on_first():
     assert sim.now == 9.0  # the slow timeout still drains
 
 
-def test_all_of_waits_for_all():
-    sim = Simulator()
-    log = []
-
-    def proc(sim):
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(5.0, value="b")
-        result = yield a & b
-        log.append((sim.now, sorted(result.values())))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert log == [(5.0, ["a", "b"])]
-
-
 def test_any_of_with_already_fired_event():
     sim = Simulator()
     log = []
@@ -264,19 +249,6 @@ def test_any_of_with_already_fired_event():
     sim.process(proc(sim))
     sim.run(until=10.0)
     assert log == [2.0]
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-    log = []
-
-    def proc(sim):
-        yield AllOf(sim, [])
-        log.append(sim.now)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert log == [0.0]
 
 
 def test_interrupt_waiting_process():

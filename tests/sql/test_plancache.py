@@ -5,10 +5,29 @@ the correctness contract (cached plan ≡ fresh parse, byte for byte).
 import pytest
 
 from repro.db.engine import StorageEngine
-from repro.perf.benches import statement_corpus
+from repro.sim import RandomStreams
 from repro.sql import parse, render_statement
 from repro.sql.plancache import PlanCache, fingerprint
 from repro.sql.render import render_literal
+from repro.workloads.cloudstone.mix import MIX_50_50
+from repro.workloads.cloudstone.schema import TAG_COUNT
+from repro.workloads.cloudstone.state import WorkloadState
+
+
+def statement_corpus(seed: int,
+                     n_operations: int) -> list[tuple[str, tuple]]:
+    """The ``(template, params)`` statements of ``n_operations``
+    seeded Cloudstone 50/50 operations, as the driver hands them to
+    the proxy: same ``(seed, n_operations)`` -> identical statements.
+    """
+    rng = RandomStreams(seed).stream("perf.corpus")
+    state = WorkloadState(n_users=200, n_events=200, n_tags=TAG_COUNT)
+    statements: list[tuple[str, tuple]] = []
+    for _ in range(n_operations):
+        operation = MIX_50_50.pick(rng)
+        statements.extend(operation.build(state, rng))
+        operation.on_complete(state)
+    return statements
 
 
 def literal_form(template, params):

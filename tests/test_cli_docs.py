@@ -53,32 +53,6 @@ def test_documented_usage_lines_match_parser():
             assert flag in known, f"{name}: unknown flag {flag}"
 
 
-def test_bench_usage_block_shows_every_bench_flag():
-    """The `repro bench` usage block must not drop flags: every
-    option on the subparser (except -h) appears in the docs."""
-    text = DOCS.read_text(encoding="utf-8")
-    match = re.search(r"usage: repro bench((?:.|\n)*?)```", text)
-    assert match, "docs/CLI.md has no `usage: repro bench` block"
-    shown = set(re.findall(r"(--[a-z-]+)", match.group(1)))
-    parser = build_parser()
-    for action in parser._subparsers._group_actions:
-        bench = action.choices["bench"]
-    expected = {option for action in bench._actions
-                for option in action.option_strings
-                if option.startswith("--") and option != "--help"}
-    assert expected <= shown, \
-        f"bench flags missing from docs: {sorted(expected - shown)}"
-
-
-def test_bench_docs_list_every_registered_benchmark():
-    """The registry and the docs' bench-name list stay in lockstep."""
-    from repro.perf.registry import all_benchmarks
-    text = DOCS.read_text(encoding="utf-8")
-    for bench_spec in all_benchmarks():
-        assert f"`{bench_spec.name}`" in text, \
-            f"benchmark {bench_spec.name!r} not named in docs/CLI.md"
-
-
 PERF_DOCS = Path(__file__).resolve().parent.parent / "docs" \
     / "PERFORMANCE.md"
 
