@@ -251,7 +251,9 @@ class ProjectModel:
 
     def process_roots(self) -> list[tuple]:
         """``(FunctionInfo, multi_instance)`` for every generator
-        registered at a ``*.process(gen(...))`` call site.
+        registered at a ``*.process(gen(...))`` call site, and for the
+        tick handed to ``Actor(name, tick, ...)``, which the actor's
+        process calls (:mod:`repro.sim.actor`).
 
         ``multi_instance`` is True when the registration happens
         inside a loop — one site then spawns several concurrent
@@ -268,15 +270,9 @@ class ProjectModel:
                 for sub in ast.walk(loop):
                     in_loop_ids.add(id(sub))
             for node in own_nodes(info.node):
-                if not (isinstance(node, ast.Call) and
-                        isinstance(node.func, ast.Attribute) and
-                        node.func.attr == "process" and node.args):
+                if not isinstance(node, ast.Call):
                     continue
-                generator = node.args[0]
-                if not isinstance(generator, ast.Call):
-                    continue
-                targets = self.resolve_call(generator, info) or ()
-                for target in targets:
+                for target in self._registered(node, info):
                     multi = id(node) in in_loop_ids
                     roots[target.key] = roots.get(target.key,
                                                   False) or multi
@@ -284,6 +280,22 @@ class ProjectModel:
         return [(self.functions[key],
                  multi or sites.get(key, 0) >= 2)
                 for key, multi in sorted(roots.items())]
+
+    def _registered(self, call: ast.Call, caller: FunctionInfo) -> list:
+        """Functions ``call`` runs in a new process."""
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) \
+            else getattr(func, "id", None)
+        if name == "process" and call.args:
+            generator = call.args[0]
+        elif name == "Actor" and len(call.args) > 1:
+            # Actor(name, tick, ...): the actor's process calls tick.
+            generator = ast.Call(call.args[1], [], [])
+        else:
+            return []
+        if not isinstance(generator, ast.Call):
+            return []
+        return self.resolve_call(generator, caller) or []
 
 
 def build_project_model(paths: Iterable[str],

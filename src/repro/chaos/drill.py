@@ -35,7 +35,7 @@ from ..replication.failover import (best_candidate, data_loss_window,
 from ..replication.manager import ReplicationManager
 from ..replication.proxy import ReadWriteSplitProxy
 from ..replication.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from ..sim import Simulator
+from ..sim import Actor, Simulator
 from ..workloads.cloudstone import MIX_50_50, Phases
 from .faults import Fault, FaultSchedule
 from .injector import ChaosInjector
@@ -118,59 +118,47 @@ class FailoverController:
         self.sim = sim
         self.manager = manager
         self.proxy = proxy
-        self.period = period
         #: One dict per completed failover (a drill can have several).
         self.failovers: list[dict] = []
-        self._process = None
+        self._actor = Actor("failover-controller", self._poll, period)
 
     def start(self) -> None:
-        if self._process is not None:
-            raise RuntimeError("failover controller already started")
-        self._process = self.sim.process(self._run(),
-                                         name="failover-controller")
+        self._actor.start(self.sim)
 
     def stop(self) -> None:
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("stopped")
-        self._process = None
+        self._actor.stop()
 
-    def _run(self):
-        from ..sim import Interrupt
-        try:
-            while True:
-                yield self.sim.timeout(self.period)
-                dead = self.manager.master
-                if dead is None or dead.online:
-                    continue
-                detected_at = self.sim.now
-                try:
-                    candidate = best_candidate(self.manager)
-                except DatabaseError:
-                    # Nothing promotable yet (every slave down too):
-                    # keep polling — a restart brings one back online.
-                    continue
-                with self.sim.tracer.span(
-                        "chaos.failover", category="chaos",
-                        track="chaos", candidate=candidate.name):
-                    try:
-                        new_master = yield from promote(self.manager,
-                                                        candidate)
-                    except DatabaseError:
-                        # The candidate died (or the cluster changed)
-                        # while draining; next poll picks a fresh one.
-                        continue
-                    self.proxy.set_master(new_master)
-                lost = data_loss_window(dead, candidate)
-                self.failovers.append({
-                    "detected_at": detected_at,
-                    "promoted": new_master.name,
-                    "recovered_at": self.sim.now,
-                    "lost_commits": lost,
-                    "dead_binlog_head": dead.binlog.head_position,
-                    "candidate_received": candidate.received_position,
-                })
-        except Interrupt:
+    def _poll(self):
+        """One liveness poll; on a dead master, promote and re-point."""
+        dead = self.manager.master
+        if dead is None or dead.online:
             return
+        detected_at = self.sim.now
+        try:
+            candidate = best_candidate(self.manager)
+        except DatabaseError:
+            # Nothing promotable yet (every slave down too): keep
+            # polling — a restart brings one back online.
+            return
+        with self.sim.tracer.span("chaos.failover", category="chaos",
+                                  track="chaos",
+                                  candidate=candidate.name):
+            try:
+                new_master = yield from promote(self.manager, candidate)
+            except DatabaseError:
+                # The candidate died (or the cluster changed) while
+                # draining; the next poll picks a fresh one.
+                return
+            self.proxy.set_master(new_master)
+        lost = data_loss_window(dead, candidate)
+        self.failovers.append({
+            "detected_at": detected_at,
+            "promoted": new_master.name,
+            "recovered_at": self.sim.now,
+            "lost_commits": lost,
+            "dead_binlog_head": dead.binlog.head_position,
+            "candidate_received": candidate.received_position,
+        })
 
 
 class ReplicaHealthPolicy:
@@ -186,21 +174,15 @@ class ReplicaHealthPolicy:
         self.sim = sim
         self.manager = manager
         self.proxy = proxy
-        self.period = period
         self.evict_behind_s = evict_behind_s
         self.readmit_behind_s = readmit_behind_s
-        self._process = None
+        self._actor = Actor("replica-health", self.check_now, period)
 
     def start(self) -> None:
-        if self._process is not None:
-            raise RuntimeError("health policy already started")
-        self._process = self.sim.process(self._run(),
-                                         name="replica-health")
+        self._actor.start(self.sim)
 
     def stop(self) -> None:
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("stopped")
-        self._process = None
+        self._actor.stop()
 
     def check_now(self) -> None:
         """One health pass over the cluster."""
@@ -214,15 +196,6 @@ class ReplicaHealthPolicy:
             elif self.proxy.is_evicted(slave) \
                     and behind <= self.readmit_behind_s:
                 self.proxy.readmit(slave)
-
-    def _run(self):
-        from ..sim import Interrupt
-        try:
-            while True:
-                yield self.sim.timeout(self.period)
-                self.check_now()
-        except Interrupt:
-            return
 
 
 @dataclass

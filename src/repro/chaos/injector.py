@@ -24,7 +24,7 @@ from ..replication.failover import fail_master
 from ..replication.manager import ReplicationManager
 from ..replication.proxy import ReadWriteSplitProxy
 from ..replication.slave import SlaveServer
-from ..sim import Simulator
+from ..sim import Actor, Simulator
 from .faults import Fault, FaultSchedule
 
 __all__ = ["ChaosInjector"]
@@ -46,30 +46,22 @@ class ChaosInjector:
         #: Chronological action log: ``(sim time, fault, action, note)``
         #: where action is ``begin`` / ``end`` / ``skip``.
         self.log: list[tuple[float, Fault, str, str]] = []
-        self._process = None
+        self._actor = Actor("chaos-injector", self._walk)
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        if self._process is not None:
-            raise RuntimeError("injector already started")
-        self._process = self.sim.process(self._run(),
-                                         name="chaos-injector")
+        self._actor.start(self.sim)
 
     def stop(self) -> None:
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("stopped")
-        self._process = None
+        self._actor.stop()
 
-    def _run(self):
-        from ..sim import Interrupt
-        try:
-            for fault in self.schedule:
-                due = self.offset + fault.at
-                if due > self.sim.now:
-                    yield self.sim.timeout(due - self.sim.now)
-                self._begin(fault)
-        except Interrupt:
-            return
+    def _walk(self):
+        """Begin each fault at its due time, in schedule order."""
+        for fault in self.schedule:
+            due = self.offset + fault.at
+            if due > self.sim.now:
+                yield self.sim.timeout(due - self.sim.now)
+            self._begin(fault)
 
     # -- bookkeeping ---------------------------------------------------------
     def _note(self, fault: Fault, action: str, note: str = "") -> None:
@@ -114,13 +106,7 @@ class ChaosInjector:
                          name=f"chaos-end:{fault.kind}")
 
     def _end_later(self, fault: Fault, span):
-        from ..sim import Interrupt
-        try:
-            yield self.sim.timeout(fault.duration)
-        except Interrupt:
-            if span is not None:
-                span.end()
-            return
+        yield self.sim.timeout(fault.duration)
         handler = getattr(self, "_end_" + fault.kind.replace("-", "_"))
         handler(fault)
         if span is not None:

@@ -23,7 +23,9 @@ detection) — import it explicitly; it is not re-exported here so the
 kernel's import of the null singletons stays lean.
 
 This package must not import :mod:`repro.sim` (the kernel imports the
-null singletons from here).
+null singletons from here) — except :mod:`repro.sim.actor`, which the
+live plane's periodic jobs run on and which loads while the kernel is
+still loading.
 """
 
 from .export import (chrome_trace, metrics_jsonl, span_record,

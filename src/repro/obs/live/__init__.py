@@ -12,8 +12,9 @@ LiveSession` bundles it all for one run, the way
 
 Like the rest of :mod:`repro.obs`, nothing here may import
 :mod:`repro.sim` at module level — the kernel imports
-:data:`NULL_LIVE` from :mod:`.streams`, and every sim-facing hook
-imports lazily inside its generator.
+:data:`NULL_LIVE` from :mod:`.streams` — except
+:mod:`repro.sim.actor`: the alert engine and the watchboard are
+actors.
 """
 
 from .alerts import AlertEngine, AlertState, Incident

@@ -16,9 +16,9 @@ The engine is usable headless (:meth:`AlertEngine.evaluate` on any
 pipeline — the alert tests drive it this way) or attached to a
 simulator as a kernel process (:meth:`AlertEngine.attach`).
 
-This module must not import :mod:`repro.sim` at module level (the
-kernel imports ``NULL_LIVE`` from this package) — the interrupt type
-is imported lazily inside the evaluation loop.
+Of :mod:`repro.sim` this module imports only :mod:`repro.sim.actor`,
+which loads while the kernel is still loading (the kernel imports
+``NULL_LIVE`` from this package).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ...sim.actor import Actor
 from ..tracer import NULL_TRACER
 from .incidents import canonical_round
 from .slo import AlertRule, SLOSpec
@@ -119,6 +120,8 @@ class AlertEngine:
         self._burn_nodes: dict = {}
         #: smoothed-threshold bookkeeping, same keying.
         self._smooth_nodes: dict = {}
+        self._actor = Actor("slo-engine", self._tick, spec.period_s)
+        self._sim = None
 
     # -- state lookup -------------------------------------------------------
     def state(self, rule_name: str,
@@ -301,14 +304,8 @@ class AlertEngine:
     # -- kernel process -----------------------------------------------------
     def attach(self, sim):
         """Start the evaluation loop as a kernel process."""
-        return sim.process(self._run(sim), name="slo-engine")
+        self._sim = sim
+        return self._actor.start(sim)
 
-    def _run(self, sim):
-        from ...sim import Interrupt  # lazy: no sim import at module load
-        period = self.spec.period_s
-        try:
-            while True:
-                yield sim.timeout(period)
-                self.evaluate(sim.now)
-        except Interrupt:
-            pass
+    def _tick(self) -> None:
+        self.evaluate(self._sim.now)

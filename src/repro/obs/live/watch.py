@@ -6,13 +6,14 @@ sampled on a fixed sim-time interval.  Frames are collected during the
 run and printed afterwards; under a fixed seed the concatenated output
 is byte-identical, so the dashboard itself is a testable artifact.
 
-This module must not import :mod:`repro.sim` at module level (the
-kernel imports ``NULL_LIVE`` from this package).
+Of :mod:`repro.sim` this module imports only :mod:`repro.sim.actor`,
+which loads while the kernel is still loading (the kernel imports
+``NULL_LIVE`` from this package).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from ...sim.actor import Actor
 
 __all__ = ["Watchboard"]
 
@@ -21,25 +22,18 @@ class Watchboard:
     """Collects fixed-format dashboard frames as a kernel process."""
 
     def __init__(self, pipeline, engine=None, interval: float = 10.0):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, "
-                             f"got {interval}")
         self.pipeline = pipeline
         self.engine = engine
-        self.interval = interval
         self.frames: list = []
-        self._process = None
+        self._actor = Actor("watchboard", self._tick, interval)
+        self._sim = None
 
     def attach(self, sim):
-        if self._process is not None:
-            raise RuntimeError("watchboard already started")
-        self._process = sim.process(self._run(sim), name="watchboard")
-        return self._process
+        self._sim = sim
+        return self._actor.start(sim)
 
     def stop(self) -> None:
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("stopped")
-        self._process = None
+        self._actor.stop()
 
     def frame_now(self, now: float) -> str:
         """Render one frame at sim time ``now`` (and keep it)."""
@@ -69,11 +63,5 @@ class Watchboard:
         """Every collected frame, newline-joined."""
         return "\n".join(self.frames)
 
-    def _run(self, sim):
-        from ...sim import Interrupt  # lazy: keep module sim-free
-        try:
-            while True:
-                yield sim.timeout(self.interval)
-                self.frame_now(sim.now)
-        except Interrupt:
-            return
+    def _tick(self) -> None:
+        self.frame_now(self._sim.now)

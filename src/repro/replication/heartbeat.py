@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..db.errors import DatabaseError
 from ..metrics import trimmed_mean
-from ..sim import Simulator
+from ..sim import Actor, Simulator
 from .master import MasterServer
 from .slave import SlaveServer
 
@@ -55,11 +56,8 @@ class HeartbeatPlugin:
 
     def __init__(self, sim: Simulator, master: MasterServer,
                  interval: float = 1.0):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
         self.sim = sim
         self.master = master
-        self.interval = interval
         self.next_id = 1
         #: heartbeat id -> simulated insert time, for window filtering.
         self.inserted_at: dict[int, float] = {}
@@ -68,7 +66,7 @@ class HeartbeatPlugin:
         #: replication-stage spans (binlog events carry only the
         #: *session* database, which is not ``heartbeats``).
         self.positions: dict[int, int] = {}
-        self._process = None
+        self._actor = Actor("heartbeat", self._beat, interval)
 
     def install(self) -> None:
         """Create the heartbeats schema on the master (replicates as
@@ -80,44 +78,34 @@ class HeartbeatPlugin:
             f"(id INTEGER PRIMARY KEY, ts DOUBLE)")
 
     def start(self) -> None:
-        if self._process is not None:
-            raise RuntimeError("heartbeat plugin already started")
-        self._process = self.sim.process(self._run(), name="heartbeat")
+        self._actor.start(self.sim)
 
     def stop(self) -> None:
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("stopped")
-        self._process = None
+        self._actor.stop()
 
-    def _run(self):
-        from ..db.errors import DatabaseError
-        from ..sim import Interrupt
+    def _beat(self):
+        """One heartbeat: INSERT a row with a fresh global id."""
+        heartbeat_id = self.next_id
+        self.next_id += 1
+        inserted = self.sim.now
+        self.inserted_at[heartbeat_id] = inserted
+        mark = len(self.master.binlog.events)
         try:
-            while True:
-                yield self.sim.timeout(self.interval)
-                heartbeat_id = self.next_id
-                self.next_id += 1
-                inserted = self.sim.now
-                self.inserted_at[heartbeat_id] = inserted
-                mark = len(self.master.binlog.events)
-                try:
-                    yield from self.master.perform(_INSERT_HEARTBEAT,
-                                                   (heartbeat_id,))
-                except DatabaseError:
-                    # The master died under us (an injected crash): the
-                    # plug-in dies with it, like a real master-side UDF
-                    # job.  Post-failover staleness is measured by the
-                    # cluster monitor's oracle instead.
-                    del self.inserted_at[heartbeat_id]
-                    return
-                live = self.sim.live
-                if live.enabled:
-                    # The SLO plane's dead-man switch: the absence of
-                    # these beats is what a master crash looks like.
-                    live.publish("heartbeat.beat", float(heartbeat_id))
-                self._note_position(heartbeat_id, mark, inserted)
-        except Interrupt:
-            return
+            yield from self.master.perform(_INSERT_HEARTBEAT,
+                                           (heartbeat_id,))
+        except DatabaseError:
+            # The master died under us (an injected crash): the plug-in
+            # dies with it, like a real master-side UDF job.
+            # Post-failover staleness is measured by the cluster
+            # monitor's oracle instead.
+            del self.inserted_at[heartbeat_id]
+            return Actor.STOP
+        live = self.sim.live
+        if live.enabled:
+            # The SLO plane's dead-man switch: the absence of these
+            # beats is what a master crash looks like.
+            live.publish("heartbeat.beat", float(heartbeat_id))
+        self._note_position(heartbeat_id, mark, inserted)
 
     def _note_position(self, heartbeat_id: int, mark: int,
                        inserted: float) -> None:

@@ -18,7 +18,7 @@ from typing import Any, Optional, Sequence, Union, TYPE_CHECKING
 
 from ..cloud.network import Network
 from ..db.binlog import Binlog
-from ..sim import Event
+from ..sim import Event, Interrupt
 from ..sql.ast import Statement
 from .messages import OrderedChannel
 from .server import DatabaseServer
@@ -125,8 +125,8 @@ class MasterServer(DatabaseServer):
                         slave.note_shipped(event.position, span)
                     channel.send(event, size_bytes=event.size_bytes)
                 cursor += len(events)
-        except Exception:
-            return  # detached via interrupt
+        except Interrupt:
+            return  # detached
 
     # -- semi-sync plumbing ---------------------------------------------------------
     def acknowledge(self, position: int) -> None:

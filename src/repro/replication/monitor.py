@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from sys import intern
 from typing import Optional
 
-from ..sim import Simulator
+from ..sim import Actor, Simulator
 from .manager import ReplicationManager
 
 __all__ = ["SlaveSample", "ClusterSample", "PressureSignals",
@@ -81,14 +81,11 @@ class ClusterMonitor:
 
     def __init__(self, sim: Simulator, manager: ReplicationManager,
                  period: float = 10.0, history: int = 360):
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
         self.sim = sim
         self.manager = manager
-        self.period = period
         self.samples: deque[ClusterSample] = deque(maxlen=history)
         self._last_busy: dict[str, tuple[float, float]] = {}
-        self._process = None
+        self._actor = Actor("monitor", self.sample_now, period)
         #: Cached gauge handles: publishing every ``period`` must not
         #: rebuild per-slave name strings and re-hash registry lookups
         #: each sample.  Keyed by registry identity — observability can
@@ -99,14 +96,10 @@ class ClusterMonitor:
         self._gap_names: dict[str, str] = {}
 
     def start(self) -> None:
-        if self._process is not None:
-            raise RuntimeError("monitor already started")
-        self._process = self.sim.process(self._run(), name="monitor")
+        self._actor.start(self.sim)
 
     def stop(self) -> None:
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("stopped")
-        self._process = None
+        self._actor.stop()
 
     def _utilization(self, instance) -> float:
         """Utilization since the previous sample of this instance."""
@@ -187,15 +180,6 @@ class ClusterMonitor:
                 live.publish(gap_name, float(
                     sample.binlog_head - entry.applied_position))
         return sample
-
-    def _run(self):
-        from ..sim import Interrupt
-        try:
-            while True:
-                yield self.sim.timeout(self.period)
-                self.sample_now()
-        except Interrupt:
-            return
 
     @property
     def latest(self) -> Optional[ClusterSample]:

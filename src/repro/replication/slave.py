@@ -24,7 +24,7 @@ from typing import Optional, TYPE_CHECKING
 
 from ..cloud.network import Network
 from ..db.binlog import BinlogEvent
-from ..sim import Store
+from ..sim import Interrupt, Store
 from .server import DatabaseServer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,7 +121,6 @@ class SlaveServer(DatabaseServer):
 
     # -- SQL thread -----------------------------------------------------------
     def _sql_thread(self):
-        from ..sim import Interrupt
         from ..db.rowevents import apply_row_ops
         try:
             while True:

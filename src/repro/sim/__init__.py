@@ -1,11 +1,13 @@
 """Discrete-event simulation substrate.
 
 Public surface: the :class:`Simulator` kernel, process/event primitives,
-queueing resources and named deterministic RNG streams.
+the :class:`Actor` lifecycle of a run's periodic jobs, queueing
+resources and named deterministic RNG streams.
 """
 
 from .kernel import (AnyOf, Event, Interrupt, Process, SimulationError,
                      Simulator, Timeout)
+from .actor import Actor
 from .resources import Request, Resource, Store
 from .rng import RandomStreams
 
@@ -15,6 +17,7 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
+    "Actor",
     "AnyOf",
     "SimulationError",
     "Resource",

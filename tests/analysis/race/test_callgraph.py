@@ -1,8 +1,12 @@
 """Call-graph and may-yield summary layer: exact assertions."""
 
 import ast
+import os
 
 from repro.analysis.race import build_project_model
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))))
 
 
 def _build(tmp_path, sources):
@@ -149,3 +153,68 @@ def test_process_roots_and_multiplicity(tmp_path):
     roots = {info.qualname: multi
              for info, multi in model.process_roots()}
     assert roots == {"roots.once": False, "roots.many": True}
+
+
+def test_functions_handed_to_an_actor_are_process_roots(tmp_path):
+    """``Actor(name, tick, period)`` runs ``tick`` in the actor's
+    process, so the tick handed to it is a root like the generator of
+    ``sim.process(gen(...))``."""
+    model = _build(tmp_path, {"actors.py": (
+        "from repro.sim import Actor\n"
+        "\n"
+        "def walk():\n"
+        "    yield None\n"
+        "\n"
+        "class Job:\n"
+        "    def __init__(self, period):\n"
+        "        self.actor = Actor('job', self.tick, period)\n"
+        "        self.walker = Actor('walk', walk)\n"
+        "        for name in ('a', 'b'):\n"
+        "            Actor(name, self.poll, period=period)\n"
+        "        Actor('lambda', lambda: None, period)\n"
+        "\n"
+        "    def tick(self):\n"
+        "        self.step()\n"
+        "\n"
+        "    def poll(self):\n"
+        "        pass\n"
+        "\n"
+        "    def step(self):\n"
+        "        pass\n"
+    )})
+    roots = {info.qualname: multi
+             for info, multi in model.process_roots()}
+    assert roots == {"actors.Job.tick": False, "actors.walk": False,
+                     "actors.Job.poll": True}
+    tick = next(info for info, _ in model.process_roots()
+                if info.name == "tick")
+    assert {model.functions[key].qualname
+            for key in model.reachable_from(tick)} \
+        == {"actors.Job.tick", "actors.Job.step"}
+
+
+def test_real_tree_roots_reach_every_actor_body():
+    """Over ``src/repro``: each periodic job and the chaos injector,
+    now run by ``repro.sim.Actor``, is still a process root, and the
+    roots still reach what its tick calls."""
+    src = os.path.join(REPO_ROOT, "src", "repro")
+    paths = sorted(os.path.join(folder, name)
+                   for folder, _dirs, names in os.walk(src)
+                   for name in names if name.endswith(".py"))
+    model = build_project_model(paths)
+    roots = {info.qualname for info, _multi in model.process_roots()}
+    reached = {model.functions[key].qualname
+               for info, _multi in model.process_roots()
+               for key in model.reachable_from(info)}
+    bodies = {"drill.FailoverController._poll",
+              "drill.ReplicaHealthPolicy.check_now",
+              "injector.ChaosInjector._walk",
+              "monitor.ClusterMonitor.sample_now",
+              "heartbeat.HeartbeatPlugin._beat",
+              "watch.Watchboard._tick",
+              "alerts.AlertEngine._tick"}
+    assert bodies <= roots
+    assert {"failover.promote", "injector.ChaosInjector._begin",
+            "heartbeat.HeartbeatPlugin._note_position",
+            "watch.Watchboard.frame_now",
+            "alerts.AlertEngine.evaluate"} <= reached

@@ -1,11 +1,14 @@
 """Recovery drills: report contract, determinism, analyze wiring."""
 
 import json
+import math
 
 import pytest
 
 from repro.chaos import (DrillConfig, Fault, FaultSchedule,
+                         FailoverController, ReplicaHealthPolicy,
                          default_schedule, render_report_text, run_drill)
+from repro.cloud import MASTER_PLACEMENT
 from repro.obs import Observability
 from repro.workloads.cloudstone import Phases
 
@@ -35,6 +38,27 @@ def crash_schedule():
               duration=15.0),
         Fault(at=40.2, kind="master-crash"),
     ])
+
+
+#: Periods an actor must refuse: zero used to spin forever at one sim
+#: instant (``DrillConfig(detect_period=0)``), NaN to fail mid-run.
+BAD_PERIODS = [0.0, -0.5, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("period", BAD_PERIODS)
+def test_failover_controller_rejects_a_bad_period(sim, manager, master,
+                                                  period):
+    proxy = manager.build_proxy(MASTER_PLACEMENT)
+    with pytest.raises(ValueError, match="period"):
+        FailoverController(sim, manager, proxy, period=period)
+
+
+@pytest.mark.parametrize("period", BAD_PERIODS)
+def test_health_policy_rejects_a_bad_period(sim, manager, master,
+                                            period):
+    proxy = manager.build_proxy(MASTER_PLACEMENT)
+    with pytest.raises(ValueError, match="period"):
+        ReplicaHealthPolicy(sim, manager, proxy, period=period)
 
 
 @pytest.fixture(scope="module")

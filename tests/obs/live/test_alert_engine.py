@@ -7,6 +7,10 @@ pinned to an exact time with no kernel in the way.
 
 from __future__ import annotations
 
+import math
+
+import pytest
+
 from repro.obs.live.alerts import AlertEngine
 from repro.obs.live.slo import AlertRule, SLOSpec
 from repro.obs.live.streams import LivePipeline
@@ -24,6 +28,13 @@ def _threshold(name="lag", stream="s", threshold=10.0, for_s=2.0,
     return AlertRule(name=name, kind="threshold", stream=stream,
                      threshold=threshold, for_s=for_s, clear=clear,
                      clear_for_s=clear_for_s, **kw)
+
+
+@pytest.mark.parametrize("period_s", [math.nan, math.inf])
+def test_engine_rejects_a_non_finite_period(period_s):
+    # The spec's own check (period_s > 0) lets these through.
+    with pytest.raises(ValueError, match="period"):
+        _engine(_threshold(), period_s=period_s)
 
 
 def test_fires_only_after_breach_held_for_duration():

@@ -9,14 +9,17 @@ experiment cell.
 from __future__ import annotations
 
 import json
+import math
+
+import pytest
 
 from repro.chaos.drill import DrillConfig, run_drill
 from repro.chaos.faults import Fault, FaultSchedule
 from repro.experiments.config import PAPER_50_50, LocationConfig
 from repro.experiments.runner import run_experiment
 from repro.obs import Observability
-from repro.obs.live import (LiveSession, default_slo_spec,
-                            write_incidents)
+from repro.obs.live import (LivePipeline, LiveSession, Watchboard,
+                            default_slo_spec, write_incidents)
 from repro.workloads.cloudstone import Phases
 
 
@@ -75,6 +78,12 @@ def test_drill_without_slo_has_no_slo_section():
                        observe=Observability(monitor_period=None))
     assert "slo" not in result.report
     assert result.incidents is None
+
+
+@pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf])
+def test_watchboard_rejects_a_bad_interval(interval):
+    with pytest.raises(ValueError, match="period"):
+        Watchboard(LivePipeline(), interval=interval)
 
 
 def test_experiment_cell_watchboard_is_deterministic():

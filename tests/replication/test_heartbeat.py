@@ -1,5 +1,7 @@
 """Heartbeat plugin and replication-delay estimator tests."""
 
+import math
+
 import pytest
 
 from repro.cloud import MASTER_PLACEMENT
@@ -42,6 +44,13 @@ def test_stop_halts_inserts(sim, heartbeat, master):
 def test_bad_interval_rejected(sim, master):
     with pytest.raises(ValueError):
         HeartbeatPlugin(sim, master, interval=0.0)
+
+
+@pytest.mark.parametrize("interval", [-1.0, math.nan, math.inf])
+def test_interval_must_be_finite_and_positive(sim, master, interval):
+    # NaN used to pass and fail mid-run, at the first beat.
+    with pytest.raises(ValueError, match="period"):
+        HeartbeatPlugin(sim, master, interval=interval)
 
 
 def test_double_start_rejected(sim, heartbeat):

@@ -83,6 +83,23 @@ def test_detach_slave_stops_replication(sim, manager, master):
     assert manager.slaves == []
 
 
+def test_a_dump_path_fault_fails_the_run(sim, manager, master,
+                                        monkeypatch):
+    """Only the detach interrupt ends a dump thread quietly; any other
+    error surfaces from ``sim.run`` instead of silently stalling
+    replication to that slave."""
+    slave = manager.add_slave(MASTER_PLACEMENT)
+
+    def broken_send(payload, size_bytes=0):
+        raise RuntimeError("replication channel fault")
+
+    monkeypatch.setattr(master.channel_to(slave), "send", broken_send)
+    drive_writes(sim, master, 1)
+    with pytest.raises(RuntimeError, match="replication channel fault"):
+        sim.run()
+    assert slave.applied_position < master.binlog.head_position
+
+
 def test_attach_same_slave_twice_rejected(sim, manager, master):
     slave = manager.add_slave(MASTER_PLACEMENT)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Cluster monitor tests."""
 
+import math
+
 import pytest
 
 from repro.cloud import MASTER_PLACEMENT
@@ -22,6 +24,13 @@ def make_sample(master_cpu=0.5, master_queue=0, slave_cpu=0.5,
 def test_monitor_validation(sim, manager, master):
     with pytest.raises(ValueError):
         ClusterMonitor(sim, manager, period=0.0)
+
+
+@pytest.mark.parametrize("period", [-1.0, math.nan, math.inf])
+def test_monitor_rejects_a_bad_period(sim, manager, master, period):
+    # NaN used to pass and fail mid-run, at the first sample.
+    with pytest.raises(ValueError, match="period"):
+        ClusterMonitor(sim, manager, period=period)
 
 
 def test_monitor_samples_on_period(sim, manager, master):
