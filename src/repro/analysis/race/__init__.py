@@ -14,8 +14,8 @@ read:
 * **Dynamic** (:mod:`.sanitizer`): an opt-in
   :class:`~.sanitizer.RaceSanitizer` hooked into the kernel that
   instruments chosen shared objects and reports stale write-backs at
-  sim time.  Surfaced via ``--sanitize`` on ``repro chaos`` and
-  ``repro trace``.
+  sim time.  Surfaced via ``--sanitize`` on ``repro cell`` and
+  ``repro drill``.
 """
 
 from .callgraph import FunctionInfo, ProjectModel, build_project_model

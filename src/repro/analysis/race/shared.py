@@ -78,10 +78,6 @@ class SharedStateInventory:
         return {pair for pair, record in self._records.items()
                 if self._shared(record)}
 
-    def roots_of(self, cls: str, attr: str) -> set:
-        record = self._records.get((cls, attr))
-        return set(record.roots) if record is not None else set()
-
     @staticmethod
     def _shared(record: Optional[_AttrRecord]) -> bool:
         if record is None or not record.written:

@@ -565,9 +565,6 @@ class TaintSummaries:
             for key, info in model.functions.items()}
         self._solve()
 
-    def resolver_for(self, path: str) -> Optional[ImportResolver]:
-        return self._resolvers.get(path)
-
     def context_for(self, info: FunctionInfo) -> TaintContext:
         return TaintContext(info.path, self._resolvers[info.path],
                             self.model, caller=info,

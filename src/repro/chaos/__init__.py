@@ -5,7 +5,7 @@ data-loss window (§II), partitions suspending synchronization,
 instance-performance variation (§IV-A) — become *schedulable events*:
 a :class:`FaultSchedule` drives a :class:`ChaosInjector` against a
 live cluster, and :func:`run_drill` wraps the whole thing in a
-measured recovery drill (``python -m repro chaos``) whose halves,
+measured recovery drill (``python -m repro drill``) whose halves,
 :func:`start_drill` and :func:`finish_drill`, let a caller step it.
 """
 

@@ -6,14 +6,18 @@ Usage::
     python -m repro report --output run.md
     python -m repro cell --ratio 80/20 --location different_region \
         --slaves 4 --users 250
+    python -m repro drill --seed 42 --slo --out drill/
 
 ``repro report --section NAME`` prints the same text the benchmark
-writes to ``benchmarks/results/NAME.txt``.
+writes to ``benchmarks/results/NAME.txt``.  ``cell`` and ``drill`` are
+the two run verbs: they share their run flags and one output rule
+(docs/CLI.md), and ``_observed_run`` wires the observers for both.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 from typing import Optional, Sequence
 
 from .experiments import (LocationConfig, PAPER_50_50, PAPER_80_20,
@@ -30,6 +34,50 @@ def _location(value: str) -> LocationConfig:
         choices = ", ".join(loc.value for loc in LocationConfig)
         raise argparse.ArgumentTypeError(
             f"unknown location {value!r} (choose from {choices})")
+
+
+def _seconds(value: str) -> float:
+    """A period in sim seconds: finite and positive (NaN is neither)."""
+    try:
+        period = float(value)
+    except ValueError:
+        period = math.nan
+    if not 0 < period < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a finite, positive number of sim seconds")
+    return period
+
+
+def _run_flags(users: int) -> argparse.ArgumentParser:
+    """The flags ``cell`` and ``drill`` share (a fresh parent per verb:
+    argparse shares a parent's actions, so one default would leak)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--seed", type=int, default=0)
+    flags.add_argument("--users", type=int, default=users)
+    flags.add_argument("--slaves", type=int, default=2)
+    flags.add_argument("--out", default=None, metavar="DIR",
+                       help="write the trace artifacts and every "
+                            "document the run produced to DIR")
+    flags.add_argument("--format", choices=("text", "json"),
+                       default="text",
+                       help="json prints the run's report as one "
+                            "document (byte-identical per seed)")
+    flags.add_argument("--sanitize", action="store_true",
+                       help="attach the sim-time race sanitizer "
+                            "(summary on stderr); exit 1 on any "
+                            "stale write-back")
+    flags.add_argument("--wall-profile", action="store_true",
+                       help="attach the wall-clock profiler (table on "
+                            "stderr, wallprof.* under --out)")
+    flags.add_argument("--slo", nargs="?", const="", default=None,
+                       metavar="SPEC",
+                       help="attach the live SLO plane, with the JSON "
+                            "spec SPEC or else the built-in one")
+    flags.add_argument("--watch", type=_seconds, default=None,
+                       metavar="SECONDS",
+                       help="also render a watchboard frame every "
+                            "SECONDS sim seconds (implies --slo)")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,49 +105,39 @@ def build_parser() -> argparse.ArgumentParser:
                              "rewritten")
     report.set_defaults(handler=_run_report)
 
-    cell = sub.add_parser("cell", help="run a single experiment cell")
+    cell = sub.add_parser(
+        "cell", parents=[_run_flags(users=100)],
+        help="run one experiment cell (one point of a Fig. 2/3/5/6 "
+             "grid), observed as the flags ask")
     cell.add_argument("--ratio", choices=("50/50", "80/20"),
                       default="50/50")
     cell.add_argument("--location", type=_location,
                       default=LocationConfig.SAME_ZONE)
-    cell.add_argument("--slaves", type=int, default=2)
-    cell.add_argument("--users", type=int, default=100)
     cell.add_argument("--scale", choices=sorted(PROFILES),
                       default="quick")
-    cell.add_argument("--seed", type=int, default=0)
+    cell.add_argument("--monitor-period", type=_seconds, default=5.0,
+                      help="cluster-monitor sampling period of a "
+                           "traced cell (sim seconds)")
     cell.set_defaults(handler=_run_cell)
 
-    trace = sub.add_parser(
-        "trace", help="run one observed cell; write a Chrome trace "
-                      "(Perfetto-loadable), span/metric JSONL and a "
-                      "kernel profile")
-    trace.add_argument("--ratio", choices=("50/50", "80/20"),
-                       default="50/50")
-    trace.add_argument("--location", type=_location,
-                       default=LocationConfig.SAME_ZONE)
-    trace.add_argument("--slaves", type=int, default=1)
-    trace.add_argument("--users", type=int, default=25)
-    trace.add_argument("--scale", choices=sorted(PROFILES),
-                       default="quick")
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--out", default="traces",
-                       help="directory the artifacts are written to")
-    trace.add_argument("--monitor-period", type=float, default=5.0,
-                       help="cluster-monitor sampling period (sim "
-                            "seconds)")
-    trace.add_argument("--format", choices=("text", "json"),
-                       default="text",
-                       help="json prints one machine-readable document "
-                            "(cell, results, artifact paths, profile)")
-    trace.add_argument("--sanitize", action="store_true",
-                       help="run with the sim-time race sanitizer "
-                            "attached; exit 1 on any stale write-back")
-    trace.add_argument("--wall-profile", action="store_true",
-                       help="also attach the wall-clock profiler: "
-                            "per-subsystem attribution to stderr, "
-                            "wallprof.txt + wallprof.collapsed next "
-                            "to the trace artifacts")
-    trace.set_defaults(handler=_run_trace)
+    drill = sub.add_parser(
+        "drill", parents=[_run_flags(users=20)],
+        help="run a fault-injection drill; print the recovery report "
+             "(time-to-detect, time-to-recover, lost commits, "
+             "staleness spike)")
+    drill.add_argument("--plan", choices=("default", "random"),
+                       default="default",
+                       help="'default' exercises every fault kind and "
+                            "ends in a master crash; 'random' draws a "
+                            "seeded plan")
+    drill.add_argument("--faults", type=int, default=5,
+                       help="fault count for --plan random")
+    drill.add_argument("--master-crash", action="store_true",
+                       help="append a master crash to a random plan")
+    drill.add_argument("--tolerance", type=float, default=30.0,
+                       help="SLO detection window past a fault's own "
+                            "duration (sim seconds, default 30)")
+    drill.set_defaults(handler=_run_drill)
 
     analyze = sub.add_parser(
         "analyze", help="diagnose trace artifacts: staleness "
@@ -108,84 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--dir", default="traces",
                          help="directory holding spans.jsonl / "
                               "metrics.jsonl / trace.json from "
-                              "'repro trace'")
+                              "'repro cell|drill --out'")
     analyze.add_argument("--format", choices=("text", "json"),
                          default="text")
     analyze.set_defaults(handler=_run_analyze)
-
-    chaos = sub.add_parser(
-        "chaos", help="run a fault-injection drill; print the "
-                      "recovery report (time-to-detect, "
-                      "time-to-recover, lost commits, staleness "
-                      "spike)")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--users", type=int, default=20)
-    chaos.add_argument("--slaves", type=int, default=2)
-    chaos.add_argument("--plan", choices=("default", "random"),
-                       default="default",
-                       help="'default' exercises every fault kind and "
-                            "ends in a master crash; 'random' draws a "
-                            "seeded plan")
-    chaos.add_argument("--faults", type=int, default=5,
-                       help="fault count for --plan random")
-    chaos.add_argument("--master-crash", action="store_true",
-                       help="append a master crash to a random plan")
-    chaos.add_argument("--out", default=None,
-                       help="also write trace artifacts (spans, "
-                            "metrics, Chrome trace, profile) to this "
-                            "directory for 'repro analyze'")
-    chaos.add_argument("--format", choices=("text", "json"),
-                       default="text",
-                       help="json prints the canonical recovery "
-                            "report (byte-identical per seed)")
-    chaos.add_argument("--sanitize", action="store_true",
-                       help="attach the sim-time race sanitizer; the "
-                            "summary goes to stderr so stdout stays "
-                            "byte-identical; exit 1 on any report")
-    chaos.add_argument("--wall-profile", action="store_true",
-                       help="also attach the wall-clock profiler "
-                            "(stderr table + wallprof artifacts under "
-                            "--out, stdout stays byte-identical)")
-    chaos.set_defaults(handler=_run_chaos)
-
-    slo = sub.add_parser(
-        "slo", help="run a fault drill with live SLO alerting; print "
-                    "the incident timeline and the detection "
-                    "scorecard (alert fire-times vs the injected "
-                    "schedule)")
-    slo.add_argument("--seed", type=int, default=0)
-    slo.add_argument("--users", type=int, default=20)
-    slo.add_argument("--slaves", type=int, default=2)
-    slo.add_argument("--spec", default=None, metavar="FILE",
-                     help="JSON SLO spec (default: the built-in "
-                          "default spec)")
-    slo.add_argument("--tolerance", type=float, default=30.0,
-                     help="detection window past a fault's own "
-                          "duration (sim seconds, default 30)")
-    slo.add_argument("--out", default=None, metavar="FILE",
-                     help="write the canonical incidents.json "
-                          "(byte-identical per seed)")
-    slo.add_argument("--format", choices=("text", "json"),
-                     default="text",
-                     help="json prints the canonical incidents "
-                          "document")
-    slo.set_defaults(handler=_run_slo)
-
-    watch = sub.add_parser(
-        "watch", help="run with a periodic text dashboard of live "
-                      "streams and alert states (byte-identical "
-                      "stdout per seed)")
-    watch.add_argument("--seed", type=int, default=0)
-    watch.add_argument("--users", type=int, default=20)
-    watch.add_argument("--slaves", type=int, default=2)
-    watch.add_argument("--interval", type=float, default=15.0,
-                       help="dashboard frame period (sim seconds)")
-    watch.add_argument("--spec", default=None, metavar="FILE",
-                       help="JSON SLO spec (default: built-in)")
-    watch.add_argument("--cell", action="store_true",
-                       help="watch a plain experiment cell (quick "
-                            "scale) instead of the fault drill")
-    watch.set_defaults(handler=_run_watch)
 
     check = sub.add_parser(
         "check", help="the static-analysis gate: determinism / "
@@ -250,90 +214,37 @@ def _run_report(args):
     return text
 
 
-def _run_cell(args) -> str:
-    profile = PROFILES[args.scale]
-    factory = PAPER_50_50 if args.ratio == "50/50" else PAPER_80_20
-    config = factory(args.location, args.slaves, args.users,
-                     profile.phases, seed=args.seed,
-                     baseline_duration=profile.baseline_duration)
-    result = run_experiment(config)
-    delay = (f"{result.relative_delay_ms:.1f} ms"
-             if result.relative_delay_ms is not None else "n/a")
-    percentiles = result.latency_percentiles_s
-    percentile_text = "  ".join(
-        f"p{int(p)}={value * 1000:.0f}ms"
-        for p, value in sorted(percentiles.items()))
-    return "\n".join([
-        f"cell: {config.label}",
-        f"throughput:          {result.throughput:.2f} ops/s",
-        f"read fraction:       {result.achieved_read_fraction:.2f}",
-        f"mean latency:        {result.mean_latency_s * 1000:.1f} ms",
-        f"latency percentiles: {percentile_text}",
-        f"relative delay:      {delay}",
-        f"master CPU:          {result.master_cpu:.2f}",
-        f"slave CPUs:          "
-        f"{[round(u, 2) for u in result.slave_cpus]}",
-        f"saturated resource:  {result.saturated_resource}",
-    ])
-
-
-def _wall_profile_run(enabled: bool):
-    """An attached-and-started WallProfiler, or None."""
-    if not enabled:
-        return None
-    from .perf import WallProfiler
-    profiler = WallProfiler()
-    profiler.start()
-    return profiler
-
-
-def _finish_wall_profile(profiler, out_dir) -> dict:
-    """Stop the profiler; stderr table + artifacts under ``out_dir``
-    (returned as ``{artifact name: path}``).
-
-    Wall timings are machine-dependent, so everything lands on stderr
-    / in side files — stdout stays byte-identical per seed.
-    """
-    import os
-    import sys
-
-    from .perf import render_wallprof
-    profiler.stop()
-    table = render_wallprof(profiler)
-    print(table, file=sys.stderr)
-    paths = {}
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        for name, text in (("wallprof.txt", table),
-                           ("wallprof.collapsed", profiler.collapsed())):
-            paths[name] = os.path.join(out_dir, name)
-            with open(paths[name], "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-    return paths
-
-
-def _run_trace(args):
-    import json
-
+def _run_cell(args):
     from .obs import Observability
     profile = PROFILES[args.scale]
     factory = PAPER_50_50 if args.ratio == "50/50" else PAPER_80_20
     config = factory(args.location, args.slaves, args.users,
                      profile.phases, seed=args.seed,
                      baseline_duration=profile.baseline_duration)
-    observe = Observability(monitor_period=args.monitor_period)
-    sanitizer = None
-    if args.sanitize:
-        from .analysis.race import RaceSanitizer
-        sanitizer = RaceSanitizer()
-    wallprof = _wall_profile_run(args.wall_profile)
-    result = run_experiment(config, observe=observe,
-                            sanitizer=sanitizer)
-    paths = observe.write_artifacts(args.out)
-    if wallprof is not None:
-        paths.update(_finish_wall_profile(wallprof, args.out))
-    if args.format == "json":
-        document = {
+    observe = (Observability(monitor_period=args.monitor_period)
+               if args.out or args.format == "json" else None)
+
+    def text(result) -> str:
+        delay = (f"{result.relative_delay_ms:.1f} ms"
+                 if result.relative_delay_ms is not None else "n/a")
+        percentile_text = "  ".join(
+            f"p{int(p)}={value * 1000:.0f}ms"
+            for p, value in sorted(result.latency_percentiles_s.items()))
+        return "\n".join([
+            f"cell: {config.label}",
+            f"throughput:          {result.throughput:.2f} ops/s",
+            f"read fraction:       {result.achieved_read_fraction:.2f}",
+            f"mean latency:        {result.mean_latency_s * 1000:.1f} ms",
+            f"latency percentiles: {percentile_text}",
+            f"relative delay:      {delay}",
+            f"master CPU:          {result.master_cpu:.2f}",
+            f"slave CPUs:          "
+            f"{[round(u, 2) for u in result.slave_cpus]}",
+            f"saturated resource:  {result.saturated_resource}",
+        ])
+
+    def document(result, paths) -> dict:
+        return {
             "cell": {"location": args.location.value,
                      "ratio": args.ratio, "slaves": args.slaves,
                      "users": args.users, "scale": args.scale,
@@ -346,39 +257,140 @@ def _run_trace(args):
                 "slave_cpus": result.slave_cpus,
                 "bottleneck": result.bottleneck,
             },
-            "artifacts": {name: paths[name] for name in sorted(paths)},
+            "artifacts": paths,
             "spans": len(observe.tracer.spans),
             "droppedSpans": observe.tracer.dropped,
             "profile": observe.profiler.snapshot(),
         }
-        if sanitizer is not None:
-            document["race"] = sanitizer.summary()
-        return (json.dumps(document, sort_keys=True,
-                           separators=(",", ":")),
-                1 if sanitizer is not None and sanitizer.reports
-                else 0)
-    delay = (f"{result.relative_delay_ms:.1f} ms"
-             if result.relative_delay_ms is not None else "n/a")
-    lines = [
-        f"cell: {config.label}",
-        f"throughput:     {result.throughput:.2f} ops/s",
-        f"relative delay: {delay}",
-        f"spans recorded: {len(observe.tracer.spans)}",
-        "",
-    ]
-    lines.extend(f"wrote {paths[name]}" for name in sorted(paths))
-    lines.append("")
-    lines.append(observe.render_profile())
+
+    return _observed_run(
+        args, observe,
+        lambda **planes: (run_experiment(config, **planes), {}),
+        text, document)
+
+
+def _run_drill(args):
+    from .chaos import (DrillConfig, FaultSchedule, default_schedule,
+                        render_report_text, run_drill)
+    from .obs import Observability
+    from .sim import RandomStreams
+
+    if args.plan == "default":
+        if args.slaves < 2:
+            return ("repro drill: error: the default plan targets "
+                    "slave-1 and slave-2; use --slaves >= 2 or "
+                    "--plan random", 2)
+        schedule = default_schedule()
+    else:
+        schedule = FaultSchedule.random_plan(
+            RandomStreams(args.seed), horizon=DrillConfig().phases.total,
+            slaves=[f"slave-{i + 1}" for i in range(args.slaves)],
+            region_pairs=[("us-east-1", "eu-west-1")],
+            n_faults=args.faults,
+            include_master_crash=args.master_crash)
+    config = DrillConfig(seed=args.seed, n_users=args.users,
+                         n_slaves=args.slaves, schedule=schedule)
+
+    def run(**planes):
+        result = run_drill(config, **planes)
+        live = result.deployment.live
+        # The report scores detection at the default 30 s; the
+        # incident document honours --tolerance.
+        if live is not None and args.tolerance != 30.0:
+            from .obs.live import score_detection
+            detection = score_detection(
+                live.incidents, result.schedule,
+                offset=result.deployment.workload_start,
+                tolerance_s=args.tolerance)
+            result.incidents = live.document(
+                result.incidents["final_time_s"], detection=detection)
+        return result, {"recovery.json": result.report}
+
+    return _observed_run(
+        args, Observability(), run,
+        lambda result: render_report_text(result.report),
+        lambda result, paths: result.report)
+
+
+def _observed_run(args, observe, run, text, document):
+    """Attach the observers the flags ask for, run, write ``--out``
+    and return ``(stdout, exit code)`` by the one output rule in
+    docs/CLI.md.
+
+    ``run(observe=, sanitizer=, slo=)`` returns the result and the
+    JSON documents to save under ``--out``; ``text(result)`` and
+    ``document(result, paths)`` render the run's report.
+    """
+    import json
+    import os
+    import sys
+
+    session = sanitizer = wallprof = None
+    if args.slo is not None or args.watch is not None:
+        from .obs.live import LiveSession, default_slo_spec, load_slo_file
+        try:
+            spec = (load_slo_file(args.slo) if args.slo
+                    else default_slo_spec())
+        except (OSError, ValueError, KeyError, TypeError) as error:
+            return (f"repro {args.command}: error: bad SLO spec "
+                    f"{args.slo}: {error}", 2)
+        session = LiveSession(spec, watch_interval=args.watch)
+    if args.sanitize:
+        from .analysis.race import RaceSanitizer
+        sanitizer = RaceSanitizer()
+    if args.wall_profile:
+        from .perf import WallProfiler
+        wallprof = WallProfiler()
+        wallprof.start()
+    result, documents = run(observe=observe, sanitizer=sanitizer,
+                            slo=session)
+
+    # Wall timings and the sanitizer summary go to stderr, so stdout
+    # stays byte-identical per seed with or without them.
+    files = {}
+    if wallprof is not None:
+        from .perf import render_wallprof
+        wallprof.stop()
+        table = render_wallprof(wallprof)
+        print(table, file=sys.stderr)
+        files["wallprof.txt"] = table
+        files["wallprof.collapsed"] = wallprof.collapsed()
     code = 0
     if sanitizer is not None:
-        lines.append("")
-        lines.append(f"race sanitizer: {len(sanitizer.reports)} "
-                     f"report"
-                     f"{'s' if len(sanitizer.reports) != 1 else ''}")
-        lines.extend(f"  {report.render()}"
-                     for report in sanitizer.reports)
-        code = 1 if sanitizer.reports else 0
-    return "\n".join(lines), code
+        reports = sanitizer.reports
+        print(f"race sanitizer: {len(reports)} report"
+              f"{'s' if len(reports) != 1 else ''}", file=sys.stderr)
+        for report in reports:
+            print(f"  {report.render()}", file=sys.stderr)
+        code = 1 if reports else 0
+    if session is not None:
+        documents["incidents.json"] = result.incidents
+        if session.board is not None:
+            files["watch.txt"] = session.render_watch()
+
+    paths = {}
+    if args.out:
+        paths = observe.write_artifacts(args.out)
+        for name, value in documents.items():
+            files[name] = json.dumps(value, sort_keys=True,
+                                     separators=(",", ":"))
+        for name, content in files.items():
+            paths[name] = os.path.join(args.out, name)
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                handle.write(content + "\n")
+    if args.format == "json":
+        return (json.dumps(document(result, paths), sort_keys=True,
+                           separators=(",", ":")), code)
+    blocks = [text(result)]
+    if session is not None:
+        from .obs.live import render_incidents_text
+        blocks.append(render_incidents_text(result.incidents))
+    if "watch.txt" in files:
+        blocks.append(files["watch.txt"])
+    if paths:
+        blocks.append("\n".join(f"wrote {paths[name]}"
+                                for name in sorted(paths)))
+    return "\n\n".join(blocks), code
 
 
 def _run_analyze(args):
@@ -393,149 +405,6 @@ def _run_analyze(args):
     if args.format == "json":
         return render_analysis_json(report)
     return render_analysis_text(report)
-
-
-def _run_chaos(args):
-    import json
-
-    from .chaos import (DrillConfig, FaultSchedule, default_schedule,
-                        render_report_text, run_drill)
-    from .obs import Observability
-    from .sim import RandomStreams
-
-    if args.plan == "default":
-        if args.slaves < 2:
-            return ("repro chaos: error: the default plan targets "
-                    "slave-1 and slave-2; use --slaves >= 2 or "
-                    "--plan random", 2)
-        schedule = default_schedule()
-    else:
-        plan_streams = RandomStreams(args.seed)
-        config_probe = DrillConfig()
-        schedule = FaultSchedule.random_plan(
-            plan_streams, horizon=config_probe.phases.total,
-            slaves=[f"slave-{i + 1}" for i in range(args.slaves)],
-            region_pairs=[("us-east-1", "eu-west-1")],
-            n_faults=args.faults,
-            include_master_crash=args.master_crash)
-    config = DrillConfig(seed=args.seed, n_users=args.users,
-                         n_slaves=args.slaves, schedule=schedule)
-    observe = Observability()
-    sanitizer = None
-    if args.sanitize:
-        from .analysis.race import RaceSanitizer
-        sanitizer = RaceSanitizer()
-    wallprof = _wall_profile_run(args.wall_profile)
-    result = run_drill(config, observe=observe, sanitizer=sanitizer)
-    if wallprof is not None:
-        _finish_wall_profile(wallprof, args.out)
-    if args.out:
-        paths = observe.write_artifacts(args.out)
-        import os
-        report_path = os.path.join(args.out, "recovery.json")
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(result.report, handle, sort_keys=True,
-                      separators=(",", ":"))
-            handle.write("\n")
-        paths["recovery.json"] = report_path
-    code = 0
-    if sanitizer is not None:
-        # Stderr, so stdout stays byte-identical to an unsanitized
-        # run — the CI sanitizer-smoke gate diffs the two.
-        import sys
-        print(f"race sanitizer: {len(sanitizer.reports)} report"
-              f"{'s' if len(sanitizer.reports) != 1 else ''}",
-              file=sys.stderr)
-        for report in sanitizer.reports:
-            print(f"  {report.render()}", file=sys.stderr)
-        code = 1 if sanitizer.reports else 0
-    if args.format == "json":
-        return (json.dumps(result.report, sort_keys=True,
-                           separators=(",", ":")), code)
-    text = render_report_text(result.report)
-    if args.out:
-        text += "\n" + "\n".join(
-            f"wrote {paths[name]}" for name in sorted(paths))
-    return text, code
-
-
-def _load_spec_arg(path, command):
-    """(spec, None) or (None, error tuple) from a --spec argument."""
-    from .obs.live import default_slo_spec, load_slo_file
-    if path is None:
-        return default_slo_spec(), None
-    try:
-        return load_slo_file(path), None
-    except (OSError, ValueError, KeyError, TypeError) as error:
-        return None, (f"repro {command}: error: bad SLO spec "
-                      f"{path}: {error}", 2)
-
-
-def _run_slo(args):
-    import json
-
-    from .chaos import DrillConfig, run_drill
-    from .obs.live import (LiveSession, render_incidents_text,
-                           write_incidents)
-
-    if args.slaves < 2:
-        return ("repro slo: error: the default plan targets slave-1 "
-                "and slave-2; use --slaves >= 2", 2)
-    spec, error = _load_spec_arg(args.spec, "slo")
-    if error is not None:
-        return error
-    config = DrillConfig(seed=args.seed, n_users=args.users,
-                         n_slaves=args.slaves)
-    session = LiveSession(spec)
-    result = run_drill(config, slo=session)
-    document = result.incidents
-    # The scorecard honours --tolerance; recompute when non-default.
-    if args.tolerance != 30.0:
-        from .obs.live import score_detection
-        detection = score_detection(
-            session.incidents, result.schedule,
-            offset=result.deployment.workload_start,
-            tolerance_s=args.tolerance)
-        document = session.document(document["final_time_s"],
-                                    detection=detection)
-    if args.out:
-        write_incidents(document, args.out)
-    if args.format == "json":
-        return json.dumps(document, sort_keys=True,
-                          separators=(",", ":"))
-    text = render_incidents_text(document)
-    if args.out:
-        text += f"\nwrote {args.out}"
-    return text
-
-
-def _run_watch(args):
-    from .obs.live import LiveSession
-
-    spec, error = _load_spec_arg(args.spec, "watch")
-    if error is not None:
-        return error
-    if args.interval <= 0:
-        return "repro watch: error: --interval must be positive", 2
-    session = LiveSession(spec, watch_interval=args.interval)
-    if args.cell:
-        profile = PROFILES["quick"]
-        config = PAPER_50_50(LocationConfig.SAME_ZONE, args.slaves,
-                             args.users, profile.phases,
-                             seed=args.seed,
-                             baseline_duration=profile
-                             .baseline_duration)
-        run_experiment(config, slo=session)
-    else:
-        from .chaos import DrillConfig, run_drill
-        if args.slaves < 2:
-            return ("repro watch: error: the default plan targets "
-                    "slave-1 and slave-2; use --slaves >= 2 or "
-                    "--cell", 2)
-        config = DrillConfig(seed=args.seed, n_users=args.users,
-                             n_slaves=args.slaves)
-        run_drill(config, slo=session)
-    return session.render_watch()
 
 
 def _split_rule_lists(values: Optional[Sequence[str]]) -> list[str]:

@@ -46,7 +46,9 @@ class ExperimentResult:
     #: the run carried an SLO spec; None otherwise.
     incidents: Optional[dict] = None
     #: Watchboard transcript (empty unless the run's
-    #: :class:`~repro.obs.live.LiveSession` asked for frames).
+    #: :class:`~repro.obs.live.LiveSession` asked for frames).  It
+    #: copies ``LiveSession.render_watch()``, but ``bench/`` digests
+    #: every field of a result, so dropping it moves its goldens.
     watch_text: str = ""
 
     @property

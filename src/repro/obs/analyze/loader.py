@@ -69,12 +69,12 @@ class TraceData:
 
 
 def load_artifacts(directory: str) -> TraceData:
-    """Parse a ``repro trace`` output directory."""
+    """Parse a ``repro cell|drill --out`` directory."""
     spans_path = os.path.join(directory, "spans.jsonl")
     if not os.path.exists(spans_path):
         raise AnalysisError(
             f"no spans.jsonl under {directory!r} — run "
-            f"'python -m repro trace --out {directory}' first")
+            f"'python -m repro cell --out {directory}' first")
     spans: list[dict] = []
     meta: dict = {}
     with open(spans_path, "r", encoding="utf-8") as handle:

@@ -129,13 +129,13 @@ def phase_windows(data: TraceData) -> PhaseWindows:
     if not baseline or not workload:
         raise AnalysisError(
             "phase.baseline/phase.workload spans missing — artifacts "
-            "predate the analysis plane; re-record with repro trace")
+            "predate the analysis plane; re-record with repro cell --out")
     attrs = workload[0].get("attrs", {})
     for key in ("workload_start", "steady_start", "steady_end"):
         if key not in attrs:
             raise AnalysisError(
                 f"phase.workload span lacks the {key!r} attribute — "
-                f"re-record with repro trace")
+                f"re-record with repro cell --out")
     return PhaseWindows(
         baseline_start=baseline[0]["start"],
         baseline_end=baseline[0]["end"],

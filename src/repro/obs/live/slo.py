@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -177,9 +178,9 @@ class SLOSpec:
     def __post_init__(self):
         if not self.name:
             raise ValueError("SLO spec needs a name")
-        if self.period_s <= 0:
+        if not 0 < self.period_s < math.inf:   # NaN too
             raise ValueError(f"spec {self.name!r}: period_s must be "
-                             f"positive, got {self.period_s}")
+                             f"finite and positive, got {self.period_s}")
         seen = set()
         for rule in self.rules:
             if rule.name in seen:

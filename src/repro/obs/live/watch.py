@@ -1,10 +1,11 @@
 """The watchboard: a periodic text dashboard of live streams.
 
-``repro watch`` renders what an operator's terminal would show — every
-public stream's current value plus the alerts firing right now —
-sampled on a fixed sim-time interval.  Frames are collected during the
-run and printed afterwards; under a fixed seed the concatenated output
-is byte-identical, so the dashboard itself is a testable artifact.
+``repro cell|drill --watch`` renders what an operator's terminal
+would show — every public stream's current value plus the alerts
+firing right now — sampled on a fixed sim-time interval.  Frames are
+collected during the run and printed afterwards; under a fixed seed
+the concatenated output is byte-identical, so the dashboard itself is
+a testable artifact.
 
 Of :mod:`repro.sim` this module imports only :mod:`repro.sim.actor`,
 which loads while the kernel is still loading (the kernel imports

@@ -68,10 +68,6 @@ class Observability:
                           final_sim_time=self._attached_sim().now)
 
     # -- artifacts -----------------------------------------------------------
-    def render_profile(self) -> str:
-        self._attached_sim()
-        return render_profile(self.profiler)
-
     def write_artifacts(self, directory: str) -> dict[str, str]:
         """Write the four artifacts under ``directory``; returns
         ``{artifact name: path}``."""

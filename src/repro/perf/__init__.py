@@ -1,4 +1,4 @@
-"""The wall-clock profiler behind ``repro trace|chaos --wall-profile``.
+"""The wall-clock profiler behind ``repro cell|drill --wall-profile``.
 
 :class:`~.wallprof.WallProfiler` charges wall time per repro layer and
 writes a collapsed-stack flamegraph file (:mod:`.wallprof`).

@@ -21,13 +21,16 @@ def rows(engine, sql):
 
 
 def test_order_by_puts_nulls_first(engine):
+    # A negative score: NULL sorts below every number, not as zero.
+    engine.execute("INSERT INTO t (name, score) VALUES ('d', -4.0)")
     got = rows(engine, "SELECT score FROM t ORDER BY score")
-    assert got == [(None,), (1.0,), (2.0,), (3.0,)]
+    assert got == [(None,), (-4.0,), (1.0,), (2.0,), (3.0,)]
 
 
 def test_order_by_desc_puts_nulls_last(engine):
+    engine.execute("INSERT INTO t (name, score) VALUES ('d', -4.0)")
     got = rows(engine, "SELECT score FROM t ORDER BY score DESC")
-    assert got == [(3.0,), (2.0,), (1.0,), (None,)]
+    assert got == [(3.0,), (2.0,), (1.0,), (-4.0,), (None,)]
 
 
 def test_order_by_mixed_types_is_total(engine):

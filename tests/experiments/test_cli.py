@@ -43,7 +43,8 @@ def test_unknown_section_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("command", ["fig2", "fig3", "fig5", "fig6",
                                      "fig4", "rtt", "variation",
-                                     "saturation", "bench"])
+                                     "saturation", "bench", "trace",
+                                     "chaos", "slo", "watch"])
 def test_retired_subcommands_no_longer_parse(command, capsys):
     with pytest.raises(SystemExit) as exit_info:
         build_parser().parse_args([command])
@@ -64,21 +65,93 @@ def test_cell_zero_slaves(capsys):
 
 
 def test_trace_command(tmp_path, capsys):
-    """`repro trace` runs an observed cell and writes the artifacts."""
+    """`repro cell --out` runs a traced cell and writes the artifacts;
+    `--watch` adds the live plane's two files."""
     import json
     out_dir = tmp_path / "traces"
-    assert main(["trace", "--slaves", "1", "--users", "5",
-                 "--out", str(out_dir)]) == 0
+    assert main(["cell", "--slaves", "1", "--users", "5",
+                 "--out", str(out_dir), "--watch", "30"]) == 0
     out = capsys.readouterr().out
-    assert "spans recorded:" in out
-    assert "kernel profile" in out
+    assert out.startswith("cell: ") and "throughput:" in out
+    assert "\n\nincident timeline — spec 'default'" in out
+    watch = (out_dir / "watch.txt").read_text()
+    assert watch.startswith("── watch t=") and f"\n\n{watch}\n" in out
+    assert json.loads((out_dir / "incidents.json").read_text())["spec"]
+    for name in ("incidents.json", "trace.json", "watch.txt"):
+        assert f"wrote {out_dir / name}" in out
     doc = json.loads((out_dir / "trace.json").read_text())
     names = {event.get("name") for event in doc["traceEvents"]}
     assert {"driver.request", "repl.ship", "repl.apply"} <= names
     assert doc["kernelProfile"]["rows"]
     assert (out_dir / "spans.jsonl").exists()
     assert (out_dir / "metrics.jsonl").exists()
-    assert (out_dir / "profile.txt").exists()
+    assert "kernel profile" in (out_dir / "profile.txt").read_text()
+
+
+def test_drill_output_rule(tmp_path, capsys):
+    """Text stdout is the report, the incident timeline, the watch
+    transcript and one ``wrote`` line per file; JSON stdout is the
+    report alone, the same bytes as ``--out``'s recovery.json."""
+    import json
+    import os
+
+    from repro.chaos import render_report_text
+    from repro.obs.live import render_incidents_text
+    out_dir = tmp_path / "drill"
+    drill = ["drill", "--seed", "42", "--users", "4", "--slo",
+             "--watch", "15", "--out", str(out_dir)]
+    assert main(drill) == 0
+    out = capsys.readouterr().out
+    recovery = (out_dir / "recovery.json").read_text()
+    incidents = json.loads((out_dir / "incidents.json").read_text())
+    watch = (out_dir / "watch.txt").read_text()
+    assert watch.startswith("── watch t=")
+    assert out == "\n\n".join([
+        render_report_text(json.loads(recovery)),
+        render_incidents_text(incidents),
+        watch[:-1],
+        "\n".join(f"wrote {out_dir / name}"
+                  for name in sorted(os.listdir(out_dir))),
+    ]) + "\n"
+    assert sorted(os.listdir(out_dir)) == [
+        "incidents.json", "metrics.jsonl", "profile.txt",
+        "recovery.json", "spans.jsonl", "trace.json", "watch.txt"]
+    assert main(drill + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == recovery
+
+
+@pytest.mark.parametrize("argv", [
+    ["drill", "--spec", "x.json"], ["drill", "--interval", "15"],
+    ["drill", "--cell"], ["cell", "--spec", "x.json"],
+    ["cell", "--tolerance", "15"], ["drill", "--monitor-period", "5"]])
+def test_retired_and_foreign_run_flags_no_longer_parse(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--watch", "--monitor-period"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1",
+                                   "soon"])
+def test_a_period_must_be_finite_and_positive(flag, value, capsys):
+    command = "cell" if flag == "--monitor-period" else "drill"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, flag, value])
+    assert exit_info.value.code == 2
+    assert f"error: argument {flag}" in capsys.readouterr().err
+
+
+def test_a_nan_period_in_an_slo_spec_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"name": "nan", "period_s": NaN, "rules": []}')
+    assert main(["drill", "--slo", str(path)]) == 2
+    assert f"repro drill: error: bad SLO spec {path}" in \
+        capsys.readouterr().out
+
+
+def test_the_default_plan_needs_two_slaves(capsys):
+    assert main(["drill", "--slaves", "1"]) == 2
+    assert "--slaves >= 2" in capsys.readouterr().out
 
 
 @pytest.fixture
@@ -139,3 +212,8 @@ def test_parser_defaults():
     assert args.output is None
     args = build_parser().parse_args(["cell"])
     assert args.slaves == 2 and args.users == 100
+    assert args.out is None and args.slo is None and args.watch is None
+    # The verbs share their run flags but not their defaults.
+    args = build_parser().parse_args(["drill", "--slo"])
+    assert args.slaves == 2 and args.users == 20
+    assert args.slo == "" and args.tolerance == 30.0

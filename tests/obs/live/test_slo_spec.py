@@ -79,8 +79,9 @@ def test_spec_validation():
                      threshold=1.0)
     with pytest.raises(ValueError, match="duplicate"):
         SLOSpec(name="spec", rules=(rule, rule))
-    with pytest.raises(ValueError, match="period_s"):
-        SLOSpec(name="spec", rules=(rule,), period_s=0.0)
+    for period in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="period_s"):
+            SLOSpec(name="spec", rules=(rule,), period_s=period)
     with pytest.raises(ValueError, match="unknown fields"):
         SLOSpec.from_dict({"name": "spec", "rules": [],
                            "surprise": 1})

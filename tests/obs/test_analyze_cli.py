@@ -1,4 +1,4 @@
-"""`repro analyze` / `repro trace --format json` end-to-end tests."""
+"""`repro analyze` / `repro cell --format json` end-to-end tests."""
 
 import json
 
@@ -13,7 +13,7 @@ def trace_dirs(tmp_path_factory):
     root = tmp_path_factory.mktemp("traces")
     dirs = [str(root / "a"), str(root / "b")]
     for directory in dirs:
-        code = main(["trace", "--slaves", "1", "--users", "5",
+        code = main(["cell", "--slaves", "1", "--users", "5",
                      "--seed", "7", "--out", directory])
         assert code == 0
     return dirs
@@ -94,7 +94,7 @@ def test_analyze_refuses_unattributed_residue(trace_dirs, tmp_path,
 
 
 def test_trace_json_format(tmp_path, capsys):
-    code = main(["trace", "--slaves", "1", "--users", "5", "--seed",
+    code = main(["cell", "--slaves", "1", "--users", "5", "--seed",
                  "7", "--out", str(tmp_path), "--format", "json"])
     assert code == 0
     document = json.loads(capsys.readouterr().out)

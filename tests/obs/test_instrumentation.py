@@ -167,8 +167,7 @@ def test_write_artifacts(tmp_path):
 
 def test_observability_attaches_once():
     observe = Observability()
-    for unattached in (observe.meta, observe.render_profile,
-                       observe.finalize):
+    for unattached in (observe.meta, observe.finalize):
         with pytest.raises(RuntimeError, match="never attached"):
             unattached()
     run_experiment(tiny_config(), observe=observe)

@@ -157,7 +157,7 @@ def test_render_and_snapshot():
 
 def test_trace_wall_profile_writes_sidecars(tmp_path, capsys):
     out_dir = tmp_path / "traces"
-    code = main(["trace", "--users", "5", "--slaves", "1", "--seed",
+    code = main(["cell", "--users", "5", "--slaves", "1", "--seed",
                  "7", "--out", str(out_dir), "--wall-profile"])
     capsys.readouterr()
     assert code == 0
@@ -170,7 +170,7 @@ def test_trace_wall_profile_writes_sidecars(tmp_path, capsys):
 def test_chaos_wall_profile_keeps_stdout_byte_identical(tmp_path,
                                                         capsys):
     # The property is size-independent: a 4-user drill shows it.
-    drill = ["chaos", "--seed", "42", "--users", "4", "--format",
+    drill = ["drill", "--seed", "42", "--users", "4", "--format",
              "json"]
     plain = main(drill)
     plain_out = capsys.readouterr().out

@@ -149,6 +149,36 @@ def test_semi_sync_blocks_until_slave_receipt(sim, cloud):
     assert elapsed > 0.3
 
 
+def test_semi_sync_wakes_each_write_once_on_its_own_receipt(sim, cloud):
+    """Three writes through one slave: each returns only once that
+    slave has received it, and no acknowledgement wakes a write twice
+    (a waiter kept past its own position would be fired again by the
+    next acknowledgement, which the kernel refuses)."""
+    manager = ReplicationManager(sim, cloud, semi_sync=True,
+                                 ntp_period=None)
+    master = manager.create_master(MASTER_PLACEMENT)
+    master.admin("CREATE TABLE items (id INTEGER PRIMARY KEY "
+                 "AUTO_INCREMENT, grp INTEGER, v INTEGER)")
+    slave = manager.add_slave(EU_WEST)
+
+    def writer(sim, master):
+        receipts = []
+        for value in range(3):
+            start = sim.now
+            yield from master.perform(
+                "INSERT INTO items (grp, v) VALUES (0, ?)", [value])
+            receipts.append((master.binlog.head_position,
+                             slave.received_position, sim.now - start))
+        return receipts
+
+    receipts = run_process(sim, writer(sim, master))
+    heads = [head for head, _, _ in receipts]
+    assert heads == sorted(set(heads)) and len(heads) == 3
+    for head, received, elapsed in receipts:
+        assert received >= head
+        assert elapsed > 0.3     # a round trip to eu-west each time
+
+
 def test_async_write_does_not_wait_for_slaves(sim, manager, master):
     manager.add_slave(EU_WEST)
 
