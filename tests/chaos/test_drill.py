@@ -98,6 +98,20 @@ def test_recovery_report_sections(crash_drill):
     assert report["observability"] is None  # ran unobserved
 
 
+def test_crash_drill_counters_are_exact(crash_drill):
+    """Counters the report's contract tests only bound: each pinned to
+    its seeded value, so an off-by-one anywhere under them shows."""
+    report, manager = crash_drill.report, crash_drill.deployment.manager
+    assert report["routing"] == {"evictions": 0, "readmissions": 0,
+                                 "reads_routed": 67, "writes_routed": 0}
+    assert report["failover"]["dead_binlog_head"] == 713
+    assert {slave.name: (slave.events_dropped, slave.bytes_received,
+                         slave.events_applied)
+            for slave in manager.slaves} == {"slave-1": (0, 23795, 172)}
+    assert manager.master.name == "slave-2"
+    assert manager.master.engine.statements_executed == 245
+
+
 def test_report_text_rendering(crash_drill):
     text = render_report_text(crash_drill.report)
     assert "time to detect" in text
