@@ -383,9 +383,12 @@ def start_drill(config: DrillConfig = DrillConfig(),
     return Drill(config, cell, injector, controller, health)
 
 
-def finish_drill(drill: Drill) -> DrillResult:
+def finish_drill(drill: Drill, tolerance_s: float = 30.0) -> DrillResult:
     """Run what is left of the workload, stop the actors, drain
-    replication for the consistency verdict and build the report."""
+    replication for the consistency verdict and build the report.
+
+    An SLO detection counts when its alert fires within
+    ``tolerance_s`` sim seconds past its fault's own duration."""
     cell, schedule = drill.deployment, drill.injector.schedule
     cell.run_workload()
     drill.injector.stop()
@@ -397,7 +400,8 @@ def finish_drill(drill: Drill) -> DrillResult:
     if cell.live is not None:
         from ..obs.live import score_detection
         detection = score_detection(cell.live.incidents, schedule,
-                                    offset=cell.workload_start)
+                                    offset=cell.workload_start,
+                                    tolerance_s=tolerance_s)
     incidents = cell.finish(detection=detection)
     if incidents is not None:
         slo_section = {
@@ -414,16 +418,19 @@ def finish_drill(drill: Drill) -> DrillResult:
 
 def run_drill(config: DrillConfig = DrillConfig(),
               observe: Optional[Observability] = None,
-              sanitizer=None, slo=None) -> DrillResult:
+              sanitizer=None, slo=None,
+              tolerance_s: float = 30.0) -> DrillResult:
     """Execute one fault drill; deterministic per ``config.seed``.
 
     ``observe`` and ``sanitizer`` only watch: the recovery report is
     byte-identical with or without them (when no race fires).  With
     ``slo`` the alerts are evaluated at sim-time while the faults
     land, the detection scorecard grades fire-times against the
-    injected schedule, and the report gains an ``slo`` section.
+    injected schedule (within ``tolerance_s`` past each fault), and
+    the report gains an ``slo`` section.
     """
-    return finish_drill(start_drill(config, observe, sanitizer, slo))
+    return finish_drill(start_drill(config, observe, sanitizer, slo),
+                        tolerance_s)
 
 
 def render_report_text(report: dict) -> str:

@@ -36,16 +36,31 @@ def _location(value: str) -> LocationConfig:
             f"unknown location {value!r} (choose from {choices})")
 
 
+def _number(value: str) -> float:
+    """``value`` as a float, NaN when it is not a number at all."""
+    try:
+        return float(value)
+    except ValueError:
+        return math.nan
+
+
 def _seconds(value: str) -> float:
     """A period in sim seconds: finite and positive (NaN is neither)."""
-    try:
-        period = float(value)
-    except ValueError:
-        period = math.nan
+    period = _number(value)
     if not 0 < period < math.inf:
         raise argparse.ArgumentTypeError(
             f"{value!r} is not a finite, positive number of sim seconds")
     return period
+
+
+def _tolerance(value: str) -> float:
+    """A tolerance in sim seconds: finite and non-negative."""
+    tolerance = _number(value)
+    if not 0 <= tolerance < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a finite, non-negative number of sim "
+            f"seconds")
+    return tolerance
 
 
 def _run_flags(users: int) -> argparse.ArgumentParser:
@@ -134,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fault count for --plan random")
     drill.add_argument("--master-crash", action="store_true",
                        help="append a master crash to a random plan")
-    drill.add_argument("--tolerance", type=float, default=30.0,
+    drill.add_argument("--tolerance", type=_tolerance, default=30.0,
                        help="SLO detection window past a fault's own "
                             "duration (sim seconds, default 30)")
     drill.set_defaults(handler=_run_drill)
@@ -292,18 +307,7 @@ def _run_drill(args):
                          n_slaves=args.slaves, schedule=schedule)
 
     def run(**planes):
-        result = run_drill(config, **planes)
-        live = result.deployment.live
-        # The report scores detection at the default 30 s; the
-        # incident document honours --tolerance.
-        if live is not None and args.tolerance != 30.0:
-            from .obs.live import score_detection
-            detection = score_detection(
-                live.incidents, result.schedule,
-                offset=result.deployment.workload_start,
-                tolerance_s=args.tolerance)
-            result.incidents = live.document(
-                result.incidents["final_time_s"], detection=detection)
+        result = run_drill(config, **planes, tolerance_s=args.tolerance)
         return result, {"recovery.json": result.report}
 
     return _observed_run(

@@ -207,7 +207,8 @@ class Instance:
 
 @lru_cache(maxsize=None)
 def _lottery_cdf(weights: tuple[float, ...]) -> np.ndarray:
-    """The cdf ``choice_weighted`` searches for these weights."""
+    """The cdf a uniform searches for the index ``Generator.choice``
+    picks with these weights."""
     return np.array(weighted_cdf(weights))
 
 

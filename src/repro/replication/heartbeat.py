@@ -89,7 +89,7 @@ class HeartbeatPlugin:
         self.next_id += 1
         inserted = self.sim.now
         self.inserted_at[heartbeat_id] = inserted
-        mark = len(self.master.binlog.events)
+        mark = self.master.binlog.head_position
         try:
             yield from self.master.perform(_INSERT_HEARTBEAT,
                                            (heartbeat_id,))
@@ -117,7 +117,7 @@ class HeartbeatPlugin:
         so the match is exact, not a heuristic.
         """
         needle = f"VALUES ({heartbeat_id}, "
-        for event in self.master.binlog.events[mark:]:
+        for event in self.master.binlog.read_from(mark):
             if isinstance(event.statement, str) and \
                     needle in event.statement:
                 self.positions[heartbeat_id] = event.position

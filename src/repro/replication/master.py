@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Union, TYPE_CHECKING
 
 from ..cloud.network import Network
-from ..db.binlog import Binlog
+from ..db.binlog import Binlog, event_fields
 from ..sim import Event, Interrupt
 from ..sql.ast import Statement
 from .messages import OrderedChannel
@@ -52,20 +52,22 @@ class MasterServer(DatabaseServer):
     def _on_commit(self, statements: list) -> None:
         """Binlog ``statements``, all committed at this sim instant (one
         transaction, or the dataset image's whole load), so they share
-        one clock reading."""
-        tracer, append = self.sim.tracer, self.binlog.append
-        wallclock = self.clock.now()
-        for payload, database in statements:
-            if isinstance(payload, str):
-                event = append(payload, database, wallclock)
-            else:
-                event = append(
-                    f"/* row-based event: {len(payload)} row(s) */",
-                    database, wallclock, row_ops=payload)
-            if tracer.enabled:
+        one clock reading.  A single commit is appended; more go in as
+        one run, built only if a slave reads them."""
+        binlog, wallclock = self.binlog, self.clock.now()
+        if len(statements) == 1:
+            (payload, database), = statements
+            statement, row_ops = event_fields(payload)
+            binlog.append(statement, database, wallclock, row_ops)
+        else:
+            binlog.append_run(statements, wallclock)
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            head = binlog.head_position
+            for position in range(head - len(statements) + 1, head + 1):
                 tracer.instant("repl.binlog", category="replication",
                                track=f"repl:{self.name}",
-                               position=event.position)
+                               position=position)
 
     # -- slave attachment ---------------------------------------------------------
     def attach_slave(self, slave: "SlaveServer", network: Network) -> None:

@@ -11,10 +11,9 @@ well-distributed child states.
 
 A name is used one way for its whole life.  :meth:`RandomStreams.stream`
 and :meth:`~RandomStreams.spawn` hand its Generator out *raw*.  The
-scalar draws buffer it, with one of two kinds: ``normal`` and
-``lognormal_around`` read a block of standard normals, and
-``choice_weighted`` reads a block of uniforms.  A block is
-``_BLOCK`` variates fetched in one Generator call.  The draws then
+other reads buffer it, with one of two kinds: standard normals (the
+scalar ``normal`` and ``lognormal_around``) or uniforms.  A block is
+``_BLOCK`` variates fetched in one Generator call.  The scalar draws
 transform them with the same IEEE operations numpy's scalar methods
 perform, so every value equals the one the scalar call would have
 returned.  Using a buffered name raw, or with the other kind, raises:
@@ -23,15 +22,16 @@ the block read ahead would silently shift what the other use sees.
 :meth:`RandomStreams.variates` reads a name's next *n* variates of its
 kind as one array, sliced from the same blocks; the name is then where
 *n* scalar draws would have left it.  A batch caller applies the
-scalar formula elementwise (``median * np.exp(0.0 + sigma * z)``,
-``np.searchsorted(cdf, u, side="right")``) and gets the scalar values.
+scalar formula elementwise (``median * np.exp(0.0 + sigma * z)``) and
+gets the scalar values.  Uniforms have no scalar draw: a weighted
+choice is ``np.searchsorted(weighted_cdf(weights), u, side="right")``
+over them, the index ``Generator.choice(n, p=...)`` picks.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from bisect import bisect_right
 
 import numpy as np
 
@@ -82,14 +82,12 @@ class _Block:
 
 
 class _Uniforms(_Block):
-    """A name ``choice_weighted`` draws: uniforms, and the cdf of the
-    weights it was last called with."""
+    """A name drawn as uniforms."""
 
-    __slots__ = ("weights", "cdf")
+    __slots__ = ()
 
     def __init__(self, gen: np.random.Generator):
         super().__init__(gen.random)
-        self.weights = None
 
 
 class _Normals(_Block):
@@ -222,20 +220,3 @@ class RandomStreams:
         index = block.index
         block.index = index + 1
         return float(mean + std * block.values[index])
-
-    def choice_weighted(self, name: str, options: list, weights: list):
-        """Pick one of ``options`` with relative ``weights``, as
-        ``Generator.choice(len(options), p=...)`` does."""
-        block = self._names.get(name)
-        if block.__class__ is not _Uniforms or block.index == _BLOCK:
-            block = self._refilled(name, _Uniforms)
-        key = tuple(weights)
-        if key != block.weights:
-            block.cdf = weighted_cdf(key)
-            block.weights = key
-        if len(options) != len(block.cdf):
-            raise ValueError(f"{len(options)} options but "
-                             f"{len(block.cdf)} weights")
-        index = block.index
-        block.index = index + 1
-        return options[bisect_right(block.cdf, block.values[index])]

@@ -31,7 +31,8 @@ per seed.  AST nodes are immutable (what the executor compiles from a
 statement rides on its ``plan`` slot and lives as long as the tree),
 which is what makes one cache shareable by a whole replication cluster
 (master, every slave's apply thread, and the routing proxy), and one
-parse of a text shareable by every cache in the process (``_parse``).
+parse of a text shareable by every cache in the process (``_parse``),
+as is one fingerprint of a literal text (``_bind``).
 Hit/miss/eviction counters can be published through a metrics
 registry via :meth:`attach_metrics`; the registry is duck-typed so
 this module keeps the sql layer free of obs imports.
@@ -103,10 +104,26 @@ def _literal_value(raw: str) -> Any:
     """Convert a raw literal exactly as the lexer+parser would."""
     first = raw[0]
     if first == "'" or first == '"':
-        return _read_string(raw, 0)[0]
+        if "\\" in raw:
+            return _read_string(raw, 0)[0]
+        # No escapes: the only quotes inside are doubled ones.
+        return raw[1:-1].replace(first + first, first)
     if "." in raw or "e" in raw or "E" in raw:
         return float(raw)
     return int(raw)
+
+
+@lru_cache(maxsize=1024)
+def _bind(text: str) -> tuple[str, tuple]:
+    """``text``'s template and the values of its literals, in order.
+
+    Pure, so memoised process-wide like ``_parse``: statement-format
+    replication hands every slave of a cluster the same text, and one
+    fingerprint serves them all.  Callers copy the values before
+    handing them out.
+    """
+    template, literals = fingerprint(text)
+    return template, tuple(_literal_value(raw) for raw in literals)
 
 
 class PlanCache:
@@ -165,15 +182,15 @@ class PlanCache:
             return self._exact_miss(text), params
         if "?" not in text and "--" not in text \
                 and text.lstrip()[:6].upper() in _FINGERPRINTABLE:
-            template, literals = fingerprint(text)
-            plan = self._templates.get(template) if literals \
+            template, values = _bind(text)
+            plan = self._templates.get(template) if values \
                 else _UNCACHEABLE  # nothing to bind: the exact level
             if plan is None:
-                return self._build_template(text, template, literals)
+                return self._build_template(text, template, list(values))
             if plan is not _UNCACHEABLE:
                 self._templates.move_to_end(template)
                 self._hit()
-                return plan, [_literal_value(raw) for raw in literals]
+                return plan, list(values)
         return self._exact_miss(text), ()
 
     def credit_hits(self, texts: Sequence[str], hits: int) -> bool:
@@ -197,7 +214,7 @@ class PlanCache:
 
     # -- internals ---------------------------------------------------------
     def _build_template(self, text: str, template: str,
-                        literals: list[str]
+                        values: list
                         ) -> tuple[Statement, Sequence[Any]]:
         """First sighting of a template: find it, then *prove* it.
 
@@ -213,7 +230,6 @@ class PlanCache:
         adopted = self._exact.get(template)
         try:
             templated = _parse(template) if adopted is None else adopted
-            values = [_literal_value(raw) for raw in literals]
             proven = (render_statement(templated, values)
                       == render_statement(plan))
         except Exception:

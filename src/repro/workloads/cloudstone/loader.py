@@ -48,20 +48,17 @@ class _Image(tuple):
         #: Everything the load committed, in order: the binlog's input.
         image.commits = [commit for _template, _params, committed
                          in statements for commit in committed]
-        # Every template has been prepared once by ``split``: only
-        # before it can a replay onto a plan cache miss or evict, and
-        # each statement from it on is a hit on a cached template.
-        seen: set[str] = set()
-        image.split = 0
-        for position, (template, _params, _committed) \
-                in enumerate(statements):
-            if template not in seen:
-                seen.add(template)
-                image.split = position + 1
-        #: The templates from ``split`` on, in order of last use.
-        image.tail = list(dict.fromkeys(
+        #: Each template with the params of its first statement, in
+        #: order of first use: the only statements of a replay that
+        #: can miss a plan cache that evicts nothing.
+        firsts: dict[str, tuple] = {}
+        for template, params, _committed in statements:
+            firsts.setdefault(template, params)
+        image.firsts = list(firsts.items())
+        #: Every template in order of last use.
+        image.last_used = list(dict.fromkeys(
             template for template, _params, _committed
-            in reversed(statements[image.split:])))[::-1]
+            in reversed(statements)))[::-1]
         return image
 
 
@@ -139,15 +136,17 @@ def load_initial_data(master, data_size: int,
                          for name, table in tables.items())
     cache, listener = engine.plan_cache, engine.commit_listener
     if cache is not None:
-        # Same content, LRU order and hit/miss counters as executing:
-        # the statements that can miss run through ``prepare``, the
-        # hits after them are credited at once — or, should a template
-        # have gone missing (a tiny cache), replayed one by one too.
-        for template, params, _committed in statements[:image.split]:
-            cache.prepare(template, params)
-        if not cache.credit_hits(image.tail,
-                                 len(statements) - image.split):
-            for template, params, _committed in statements[image.split:]:
+        # Same content, LRU order and hit/miss counters as executing.
+        # When no replay of the load can evict, each template's first
+        # statement is the only one that can miss, and the rest are
+        # hits, credited at once; otherwise replay it one by one.
+        if len(cache) + len(image.firsts) <= cache.capacity:
+            for template, params in image.firsts:
+                cache.prepare(template, params)
+            cache.credit_hits(image.last_used,
+                              len(statements) - len(image.firsts))
+        else:
+            for template, params, _committed in statements:
                 cache.prepare(template, params)
     if listener is not None:
         # Every commit of the load happens at this one sim instant: one

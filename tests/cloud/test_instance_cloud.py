@@ -7,6 +7,7 @@ from repro.cloud import (Cloud, LARGE, MASTER_PLACEMENT,
                          SMALL)
 from repro.cloud.instance import draw_instance_hardware
 from repro.sim import RandomStreams, Simulator
+from tests.sim.test_rng import choice_weighted
 
 
 def make_cloud(seed=0):
@@ -65,9 +66,9 @@ def test_batched_lottery_equals_scalar_launches(itype):
     launches = [draw_instance_hardware(single, itype) for _ in range(2500)]
     lottery = itype.lottery()
     expected = [
-        (reference.choice_weighted("cloud.lottery",
-                                   [model for model, _w in lottery],
-                                   [weight for _m, weight in lottery]),
+        (choice_weighted(reference, "cloud.lottery",
+                         [model for model, _w in lottery],
+                         [weight for _m, weight in lottery]),
          max(0.5, reference.normal("cloud.lottery.noise", 1.0,
                                    itype.host_noise_sigma)))
         for _ in range(2500)]

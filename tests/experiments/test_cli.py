@@ -1,5 +1,7 @@
 """CLI tests (fast subcommands run for real; grids use tiny cells)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -67,7 +69,6 @@ def test_cell_zero_slaves(capsys):
 def test_trace_command(tmp_path, capsys):
     """`repro cell --out` runs a traced cell and writes the artifacts;
     `--watch` adds the live plane's two files."""
-    import json
     out_dir = tmp_path / "traces"
     assert main(["cell", "--slaves", "1", "--users", "5",
                  "--out", str(out_dir), "--watch", "30"]) == 0
@@ -92,7 +93,6 @@ def test_drill_output_rule(tmp_path, capsys):
     """Text stdout is the report, the incident timeline, the watch
     transcript and one ``wrote`` line per file; JSON stdout is the
     report alone, the same bytes as ``--out``'s recovery.json."""
-    import json
     import os
 
     from repro.chaos import render_report_text
@@ -116,6 +116,11 @@ def test_drill_output_rule(tmp_path, capsys):
     assert sorted(os.listdir(out_dir)) == [
         "incidents.json", "metrics.jsonl", "profile.txt",
         "recovery.json", "spans.jsonl", "trace.json", "watch.txt"]
+    # This drill evicts a lagging slave and readmits it: both counters
+    # pinned, which the crash drill (it evicts none) cannot do.
+    assert json.loads(recovery)["routing"] == {
+        "evictions": 1, "readmissions": 1, "reads_routed": 54,
+        "writes_routed": 0}
     assert main(drill + ["--format", "json"]) == 0
     assert capsys.readouterr().out == recovery
 
@@ -139,6 +144,28 @@ def test_a_period_must_be_finite_and_positive(flag, value, capsys):
         main([command, flag, value])
     assert exit_info.value.code == 2
     assert f"error: argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "soon"])
+def test_a_tolerance_must_be_finite_and_non_negative(value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["drill", "--tolerance", value])
+    assert exit_info.value.code == 2
+    assert "error: argument --tolerance" in capsys.readouterr().err
+
+
+def test_the_drill_report_scores_at_the_given_tolerance(tmp_path, capsys):
+    out_dir = tmp_path / "drill"
+    assert main(["drill", "--seed", "42", "--users", "4", "--slo",
+                 "--tolerance", "0.5", "--out", str(out_dir),
+                 "--format", "json"]) == 0
+    slo = json.loads(capsys.readouterr().out)["slo"]
+    incidents = json.loads((out_dir / "incidents.json").read_text())
+    assert slo["incidentsDigest"] == incidents["digest"]
+    assert (slo["detected"], slo["scored"]) == (
+        incidents["detection"]["detected"],
+        incidents["detection"]["scored"])
+    assert slo["detected"] < slo["scored"]  # 0.5 s misses some faults
 
 
 def test_a_nan_period_in_an_slo_spec_is_a_usage_error(tmp_path, capsys):

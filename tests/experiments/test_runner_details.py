@@ -88,24 +88,32 @@ def test_result_saturated_resource_classification():
 def test_fingerprint_regex_serves_only_slave_apply(monkeypatch):
     """Clients, the loader and the heartbeat hand the plan cache
     ``(template, params)``; the only SQL text left to strip literals
-    from is what statement-format replication ships to slaves."""
-    from repro.replication import ReplicationManager
+    from is what statement-format replication ships to slaves, and
+    each distinct text is stripped once however many slaves apply it."""
+    from repro.replication import SlaveServer
     from repro.sql import plancache
-    stripped, slaves = [], []
-    fingerprint, add_slave = plancache.fingerprint, \
-        ReplicationManager.add_slave
+    stripped, received = [], {}
+    fingerprint, receive_event = plancache.fingerprint, \
+        SlaveServer.receive_event
 
     def counting(text):
         stripped.append(text)
         return fingerprint(text)
 
-    def spy(self, *args, **kwargs):
-        slaves.append(add_slave(self, *args, **kwargs))
-        return slaves[-1]
+    def spy(self, event):
+        received.setdefault(self, []).append(event.statement)
+        return receive_event(self, event)
 
+    plancache._bind.cache_clear()
     monkeypatch.setattr(plancache, "fingerprint", counting)
-    monkeypatch.setattr(ReplicationManager, "add_slave", spy)
-    _config, result = run_cell(think_time_mean=2.0)
-    assert result.throughput > 0
-    applied = sum(slave.events_applied for slave in slaves)
-    assert len(stripped) == applied > 100
+    monkeypatch.setattr(SlaveServer, "receive_event", spy)
+    config = PAPER_50_50(LocationConfig.SAME_ZONE, n_slaves=2, n_users=8,
+                         phases=TINY, seed=12, baseline_duration=10.0,
+                         data_size=40, think_time_mean=2.0)
+    assert run_experiment(config).throughput > 0
+    assert len(received) == 2
+    applied = [text for slave, texts in received.items()
+               for text in texts[:slave.events_applied]]
+    assert len(stripped) == len(set(stripped)) > 100
+    assert set(applied) == set(stripped)
+    assert len(applied) > len(stripped)  # slaves share each strip

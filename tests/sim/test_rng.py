@@ -1,6 +1,8 @@
 """Tests for deterministic named RNG streams."""
 
+import functools
 import zlib
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -8,7 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import RandomStreams
-from repro.sim.rng import _BLOCK
+from repro.sim.rng import _BLOCK, weighted_cdf
+
+
+def choice_weighted(streams, name, options, weights):
+    """Pick one of ``options`` with relative ``weights`` from ``name``'s
+    next uniform, as ``Generator.choice(len(options), p=...)`` does:
+    the scalar form of the batched instance lottery."""
+    cdf = weighted_cdf(weights)
+    if len(options) != len(cdf):
+        raise ValueError(f"{len(options)} options but {len(cdf)} weights")
+    u = streams.variates(name, "uniform", 1)[0]
+    return options[bisect_right(cdf, u)]
 
 
 def test_same_seed_same_name_reproduces():
@@ -51,7 +64,7 @@ def test_lognormal_around_median():
 
 def test_choice_weighted_respects_weights():
     streams = RandomStreams(seed=4)
-    picks = [streams.choice_weighted("mix", ["r", "w"], [9.0, 1.0])
+    picks = [choice_weighted(streams, "mix", ["r", "w"], [9.0, 1.0])
              for _ in range(2000)]
     read_fraction = picks.count("r") / len(picks)
     assert 0.85 < read_fraction < 0.95
@@ -143,7 +156,10 @@ def _replay(streams, runs):
         if method == "choice_weighted":
             weights = args[0]
             args = (list(range(len(weights))), weights)
-        draw = getattr(streams, method)
+        # ``RandomStreams`` has no scalar weighted choice: the
+        # module's reference draws it from the name's uniforms.
+        draw = getattr(streams, method, None) \
+            or functools.partial(choice_weighted, streams)
         for _ in range(count):
             if method == "variates":
                 values.extend(draw(name, *args).tolist())
@@ -177,7 +193,7 @@ def test_a_buffered_name_cannot_be_drawn_raw():
     streams.normal("ntp.a", 0.0, 1.0)
     with pytest.raises(ValueError, match="cannot be drawn raw"):
         streams.stream("ntp.a")
-    streams.choice_weighted("cloud.lottery", ["a", "b"], [1.0, 1.0])
+    choice_weighted(streams, "cloud.lottery", ["a", "b"], [1.0, 1.0])
     with pytest.raises(ValueError, match="cannot be drawn raw"):
         streams.stream("cloud.lottery")
 
@@ -187,8 +203,8 @@ def test_a_buffered_name_keeps_its_kind():
     streams.normal("x", 0.0, 1.0)
     streams.lognormal_around("x", 1.0, 0.2)     # same kind: fine
     with pytest.raises(ValueError, match="cannot be drawn as uniforms"):
-        streams.choice_weighted("x", ["a", "b"], [1.0, 1.0])
-    streams.choice_weighted("y", ["a", "b"], [1.0, 1.0])
+        choice_weighted(streams, "x", ["a", "b"], [1.0, 1.0])
+    choice_weighted(streams, "y", ["a", "b"], [1.0, 1.0])
     with pytest.raises(ValueError, match="cannot be drawn as normals"):
         streams.normal("y", 0.0, 1.0)
 
@@ -236,9 +252,9 @@ def test_invalid_parameters_raise_like_numpy_and_draw_nothing():
     with pytest.raises(ValueError):
         streams.lognormal_around("n", 1.0, -0.5)
     with pytest.raises(ValueError):
-        streams.choice_weighted("c", ["a", "b"], [2.0, -1.0])
+        choice_weighted(streams, "c", ["a", "b"], [2.0, -1.0])
     with pytest.raises(ValueError):
-        streams.choice_weighted("c", ["a", "b", "c"], [1.0, 1.0])
+        choice_weighted(streams, "c", ["a", "b", "c"], [1.0, 1.0])
     assert streams.normal("n", 0.0, 1.0) == reference.normal("n", 0.0, 1.0)
-    assert streams.choice_weighted("c", ["a", "b"], [1.0, 3.0]) \
+    assert choice_weighted(streams, "c", ["a", "b"], [1.0, 3.0]) \
         == reference.choice_weighted("c", ["a", "b"], [1.0, 3.0])

@@ -228,6 +228,65 @@ def test_a_parse_error_is_not_memoised():
     assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
 
+# -- one fingerprint per replicated text, whichever cache asks --------------
+#: Literal texts as slaves receive them: quotes, doubled quotes,
+#: backslash escapes, integers, floats and exponents.
+_LITERAL_TEXTS = [
+    "SELECT name FROM users WHERE id = 7",
+    "SELECT name FROM users WHERE id = 941",
+    "SELECT * FROM t WHERE a = 'it''s' AND b = \"say \"\"hi\"\"\"",
+    "UPDATE t SET s = 'back\\\\slash \\'q\\' \\n' WHERE id = 2.5e3",
+    "INSERT INTO t (a, b) VALUES (-3, 'x''y\\\\')",
+    "DELETE FROM t WHERE s = '' AND n = 0.25 AND m = \"a'b\"",
+    "SELECT name FROM users WHERE id = 7",
+]
+
+
+def _slow_value(raw):
+    """A literal's value by the lexer's own loop, no shortcuts."""
+    from repro.sql.lexer import _read_string
+    if raw[0] in "'\"":
+        return _read_string(raw, 0)[0]
+    return float(raw) if any(c in raw for c in ".eE") else int(raw)
+
+
+def test_the_bind_memo_returns_what_fingerprinting_does():
+    from repro.sql import plancache
+    plancache._bind.cache_clear()
+    for text in _LITERAL_TEXTS + _LITERAL_TEXTS:     # cold, then warm
+        template, literals = fingerprint(text)
+        assert plancache._bind(text) \
+            == (template, tuple(_slow_value(raw) for raw in literals))
+    assert plancache._bind.cache_info().misses \
+        == len(set(_LITERAL_TEXTS))
+
+
+def _replay_literal_texts():
+    """Counters, LRU order and bound values of one cache fed the
+    literal texts twice (each returned params list is mutated, which
+    must not leak into the next call)."""
+    cache, bound = PlanCache(capacity=4, fingerprint_capacity=2), []
+    for text in _LITERAL_TEXTS + _LITERAL_TEXTS:
+        _plan, params = cache.prepare(text)
+        bound.append(list(params))
+        if isinstance(params, list):
+            params.append("scribble")
+    return (cache.hits, cache.misses, cache.evictions, list(cache._exact),
+            list(cache._templates), bound)
+
+
+def test_a_warm_bind_memo_leaves_every_cache_counter_as_a_cold_one(
+        monkeypatch):
+    from repro.sql import plancache
+    plancache._bind.cache_clear()
+    cold = _replay_literal_texts()
+    warm = _replay_literal_texts()
+    monkeypatch.setattr(plancache, "_bind", plancache._bind.__wrapped__)
+    unmemoised = _replay_literal_texts()
+    assert cold == warm == unmemoised
+    assert cold[2] > 0  # the small cache evicted
+
+
 # -- correctness over the full Cloudstone mix -------------------------------
 def test_cached_plans_render_identically_over_the_full_mix():
     corpus = statement_corpus(seed=0, n_operations=60)
