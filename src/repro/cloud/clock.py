@@ -32,12 +32,12 @@ class LocalClock:
         self._anchor = sim.now  # sim time when offset was last set
 
     # -- reading -------------------------------------------------------------
-    # Each method reads the kernel's time once (``sim._now``) and spells
+    # Each method reads the kernel's time once (``sim.now``) and spells
     # out the arithmetic of the methods it stands for, in their order,
     # so every reading is the same float.
     def error(self) -> float:
         """Current deviation from true (simulated) time, in seconds."""
-        return self._offset + self.drift_rate * (self.sim._now - self._anchor)
+        return self._offset + self.drift_rate * (self.sim.now - self._anchor)
 
     def now(self) -> float:
         """Wall-clock reading: true time plus the accumulated error.
@@ -45,7 +45,7 @@ class LocalClock:
         This is what the database's time/date function returns; the
         microsecond-resolution UDF of the paper reads this value.
         """
-        t = self.sim._now
+        t = self.sim.now
         return t + (self._offset + self.drift_rate * (t - self._anchor))
 
     # -- adjustment ------------------------------------------------------------
@@ -56,7 +56,7 @@ class LocalClock:
         the residual error left by network asymmetry.
         """
         self._offset = float(residual)
-        self._anchor = self.sim._now
+        self._anchor = self.sim.now
 
     def slew(self, delta: float) -> None:
         """Shift the clock by ``delta`` seconds without re-anchoring drift."""
@@ -69,6 +69,6 @@ class LocalClock:
         This is the quantity plotted in the paper's Fig. 4 (measured
         time differences between two instances).
         """
-        t = self.sim._now
+        t = self.sim.now
         return (t + (self._offset + self.drift_rate * (t - self._anchor))) \
             - (t + (other._offset + other.drift_rate * (t - other._anchor)))

@@ -165,6 +165,10 @@ class Instance:
         """How long ``work`` reference-seconds hold one core."""
         return work / self.effective_speed
 
+    def charge(self, service: float) -> None:
+        """Count a finished hold of one core for ``service`` seconds."""
+        self._busy_time += service
+
     def run_on_cpu(self, job):
         """Process generator: queue for a core, run ``job`` at service
         start, hold the core for the work it reports.
@@ -184,7 +188,7 @@ class Instance:
             result, work = job()
             service = self.service_time(work)
             yield self.sim.timeout(service)
-            self._busy_time += service
+            self.charge(service)
             return result
         finally:
             self.cpu.release(request)

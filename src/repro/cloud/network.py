@@ -74,6 +74,9 @@ class Network:
         #: every sample, keyed on a frozenset of the two region names
         #: (or :data:`Network.EVERYWHERE` for a global surge).
         self._latency_surges: dict[frozenset, float] = {}
+        #: ``model.median_one_way_ms`` by the fields it reads, so that
+        #: no message compares or hashes a placement.
+        self._medians: dict[tuple[str, str, str, str], float] = {}
 
     #: Surge key applying to every non-loopback path.
     EVERYWHERE: frozenset = frozenset(("*",))
@@ -133,8 +136,8 @@ class Network:
             waiter.succeed()
 
     def is_partitioned(self, src: Placement, dst: Placement) -> bool:
-        return frozenset((src.region, dst.region)) \
-            in self._down_region_pairs
+        down = self._down_region_pairs
+        return bool(down) and frozenset((src.region, dst.region)) in down
 
     def when_healed(self, src: Placement, dst: Placement) -> Event:
         """Event firing when the pair becomes reachable (now if up)."""
@@ -148,8 +151,13 @@ class Network:
 
     def sample_one_way(self, src: Placement, dst: Placement) -> float:
         """One jittered one-way latency sample, in **seconds**."""
-        median_ms = self.model.median_one_way_ms(src, dst) \
-            + self.surge_ms(src, dst)
+        pair = (src.region, src.zone, dst.region, dst.zone)
+        median_ms = self._medians.get(pair)
+        if median_ms is None:
+            median_ms = self._medians[pair] = \
+                self.model.median_one_way_ms(src, dst)
+        if self._latency_surges:
+            median_ms += self.surge_ms(src, dst)
         sample_ms = self.streams.lognormal_around(
             "network.latency", median_ms, self.model.jitter_sigma)
         return max(sample_ms, self.model.floor_ms) / 1000.0

@@ -14,7 +14,9 @@ the business of :mod:`repro.replication.server`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from itertools import islice
+from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional,
+                    Sequence, Union)
 
 from ..sql.ast import (BeginStatement, CommitStatement,
                        CreateDatabaseStatement, CreateIndexStatement,
@@ -194,11 +196,17 @@ class StorageEngine:
     def _commit(self) -> ExecutionResult:
         if self.transaction is None:
             raise TransactionError("COMMIT without open transaction")
+        return ExecutionResult(ResultSet(), ExecutionProfile("txn"),
+                               self._publish())
+
+    def _publish(self) -> list[tuple]:
+        """Close the open transaction and hand its writes, if any, to
+        the commit listener; returns them."""
         commits = self.transaction.binlog_statements
         self.transaction = None
         if commits and self.commit_listener is not None:
             self.commit_listener(_rendered(commits))
-        return ExecutionResult(ResultSet(), ExecutionProfile("txn"), commits)
+        return commits
 
     def _rollback(self) -> ExecutionResult:
         if self.transaction is None:
@@ -254,7 +262,7 @@ class StorageEngine:
                 self.transaction.record_statement(
                     statement, tuple(params), self.default_database)
         if implicit:
-            return ExecutionResult(result, profile, self._commit().commits)
+            return ExecutionResult(result, profile, self._publish())
         return ExecutionResult(result, profile)
 
     def _row_ops_since(self, undo_start: int) -> tuple:
@@ -355,7 +363,10 @@ class StorageEngine:
         """UPDATE and DELETE: the rows the WHERE selects, one by one."""
         table = self.table(statement.table)
         plan = plan_for(statement, (table,))
-        pks, examined, used_index = self._candidates(table, plan, params)
+        pks, _count, examined, used_index, exact, _ordered = \
+            self._candidates(table, plan, params)
+        pks = list(pks)  # the walk below changes the indexes
+        where = None if exact else plan.where
         functions = self.functions
         kind = "delete" if isinstance(statement, DeleteStatement) \
             else "update"
@@ -363,8 +374,7 @@ class StorageEngine:
         affected = 0
         for pk in pks:
             row = (table.rows[pk],)
-            if plan.where is not None \
-                    and not plan.where(row, params, functions):
+            if where is not None and not where(row, params, functions):
                 continue
             if kind == "delete":
                 old_row = table.delete(pk)
@@ -388,75 +398,127 @@ class StorageEngine:
     def _execute_select(self, statement: SelectStatement,
                         params: Sequence[Any]
                         ) -> tuple[ResultSet, ExecutionProfile]:
+        """Answer a SELECT, touching only the rows the answer needs.
+
+        ``rows_examined`` counts every candidate of the access path all
+        the same: it is what the cost model charges for.
+        """
         profile = ExecutionProfile("select")
         functions = self.functions
+        offset, limit = statement.offset or 0, statement.limit
         if statement.table is None:
             # Table-less select (SELECT 1, SELECT USEC_NOW(), ...): one
             # empty row, which WHERE and grouping see like any other.
-            rows = [()]
             plan = plan_for(statement)
+            rows, where, ordered = [()], plan.where, False
         else:
             table = self.table(statement.table)
             tables = [table] + [self.table(join.table)
                                 for join in statement.joins]
             plan = plan_for(statement, tables)
             profile.table = table.name
-            pks, profile.rows_examined, profile.used_index = \
-                self._candidates(table, plan, params)
-            rows = [(table.rows[pk],) for pk in pks]
-            # Joins: nested loop with index lookup where possible.
-            for right, join in zip(tables[1:], plan.joins):
-                rows, examined = self._join(rows, right, join, params)
-                profile.rows_examined += examined
-                profile.joined_tables += 1
+            pks, count, profile.rows_examined, profile.used_index, exact, \
+                ordered = self._candidates(table, plan, params,
+                                           plan.order_column)
+            where = None if exact else plan.where
+            stored = table.rows
+            if plan.joins:
+                # Nested loop with index lookup where possible.
+                rows = [(stored[pk],) for pk in pks]
+                for right, join in zip(tables[1:], plan.joins):
+                    rows, examined = self._join(rows, right, join, params)
+                    profile.rows_examined += examined
+                    profile.joined_tables += 1
+            elif plan.count_star and where is None:
+                rows = _page([(count,)], offset, limit)
+                profile.rows_returned = len(rows)
+                return ResultSet(columns=list(plan.labels), rows=rows,
+                                 rowcount=len(rows)), profile
+            elif plan.pure and not plan.grouped and not statement.distinct \
+                    and (ordered or not plan.order_by):
+                # The candidates arrive in answer order: walk them only
+                # as far as the last row the page shows.
+                stop = None if limit is None else offset + limit
+                if where is None:
+                    rows = [(stored[pk],) for pk in islice(pks, stop)]
+                else:
+                    rows = list(islice(_passing(pks, stored, where, params,
+                                                functions), stop))
+                    where = None
+            else:
+                rows = [(stored[pk],) for pk in pks]
         # WHERE residual filtering (join rows need every table).
-        if plan.where is not None:
-            where = plan.where
+        if where is not None:
             rows = [row for row in rows if where(row, params, functions)]
         if plan.grouped:  # from here on a "row" is a group of rows
             rows = self._groups(plan, rows, params)
         # ORDER BY before projection (keys may not be projected); stable
         # sorts in reverse clause order give multi-key ordering with
         # per-key ASC/DESC.
-        for key, descending in reversed(plan.order_by):
-            rows = sorted(rows, reverse=descending,
-                          key=lambda row: _sort_key(
-                              key(row, params, functions)))
-        items = plan.items
-        rows = [tuple([item(row, params, functions) for item in items])
-                for row in rows]
-        if statement.distinct:
-            rows = list(dict.fromkeys(rows))
-        if statement.offset:
-            rows = rows[statement.offset:]
-        if statement.limit is not None:
-            rows = rows[:statement.limit]
+        if not ordered:
+            for key, descending in reversed(plan.order_by):
+                rows = _sorted(rows, [key(row, params, functions)
+                                      for row in rows], descending)
+        if statement.distinct or not plan.pure:
+            rows = self._project(plan, rows, params)
+            if statement.distinct:
+                rows = list(dict.fromkeys(rows))
+            rows = _page(rows, offset, limit)
+        else:  # project only the page
+            rows = self._project(plan, _page(rows, offset, limit), params)
         profile.rows_returned = len(rows)
-        columns = [label if isinstance(label, str)
-                   else render_expression(label, params).lower()
-                   for label in plan.columns]
+        columns = list(plan.labels) if plan.labels is not None else [
+            label if isinstance(label, str)
+            else render_expression(label, params).lower()
+            for label in plan.columns]
         return ResultSet(columns=columns, rows=rows,
                          rowcount=len(rows)), profile
 
+    def _project(self, plan: Plan, rows: list,
+                 params: Sequence[Any]) -> list[tuple]:
+        if plan.reads is not None:  # plain columns of one table
+            position, get, single = plan.reads
+            if single:
+                return [(get(row[position]),) for row in rows]
+            return [get(row[position]) for row in rows]
+        functions, items = self.functions, plan.items
+        return [tuple([item(row, params, functions) for item in items])
+                for row in rows]
+
     def _join(self, rows: list[tuple], right: Table, join: tuple,
               params: Sequence[Any]) -> tuple[list[tuple], int]:
-        probes, condition = join
+        probes, condition, exact = join
         functions = self.functions
         # Probe the right table's pk or an index on the first
-        # ``left_expr = right.col`` conjunct that allows it.
+        # ``left_expr = right.col`` conjunct that allows it (an index
+        # over more columns than that one means a scan after all).
         probe = next((candidate for candidate in probes
                       if candidate[0] == right.primary_key_column
                       or right.index_on(candidate[0]) is not None), None)
         stored = right.rows
+        index = None
+        if probe is not None and probe[0] != right.primary_key_column:
+            index = right.index_on(probe[0])
+            if len(index.columns) != 1:
+                probe = None
         joined: list[tuple] = []
         examined = 0
         for row in rows:
-            candidates = stored if probe is None else _lookup_by_column(
-                right, probe[0], probe[1](row, params, functions))
+            if probe is None:
+                candidates, check = stored, True
+            else:
+                value = probe[1](row, params, functions)
+                if index is None:
+                    candidates = (value,) if value in stored else ()
+                else:
+                    candidates = index.lookup((value,))
+                # A lookup finds exactly the rows equal to a non-NULL
+                # value: a lone ``=`` condition holds for each of them.
+                check = not exact or value is None
+            examined += len(candidates)
             for pk in candidates:
-                examined += 1
                 combined = row + (stored[pk],)
-                if condition(combined, params, functions):
+                if not check or condition(combined, params, functions):
                     joined.append(combined)
         return joined, examined
 
@@ -486,30 +548,41 @@ class StorageEngine:
         return groups
 
     # ------------------------------------------------------------ planning
-    def _candidates(self, table: Table, plan: Plan, params: Sequence[Any]
-                    ) -> tuple[Sequence, int, bool]:
-        """Choose an access path; returns (pks, rows_examined, used_index).
+    def _candidates(self, table: Table, plan: Plan, params: Sequence[Any],
+                    order: Optional[tuple[str, bool]] = None
+                    ) -> tuple[Iterable, int, int, bool, bool, bool]:
+        """Choose an access path: ``(pks, count, rows_examined,
+        used_index, exact, ordered)``.
 
         The plan names the probes the WHERE allows; whether the schema
-        and today's indexes serve one is decided here.  The pks are
-        *candidates*: the caller still applies the full WHERE.
+        and today's indexes serve one is decided here.  ``pks`` are
+        ``count`` *candidates*: the caller still applies the full WHERE
+        unless ``exact`` says the probe enforced it (the WHERE is that
+        one conjunct, and no probe value is NULL).  A range yields its
+        pks lazily in (key, pk) order, in ``order``'s direction when it
+        ranges over ``order``'s column (then ``ordered`` is True).
         """
         functions = self.functions
         for column, value_of in plan.probes[0]:
             if not table.schema.has_column(column):
                 continue
             value = value_of((), params, functions)
+            exact = plan.where_is_probe and value is not None
             if column == table.primary_key_column:
                 pk_value = table.schema.primary_key.sql_type.coerce(
                     value, column)
-                return ([pk_value] if pk_value in table.rows else []), 1, True
+                pks = [pk_value] if pk_value in table.rows else []
+                # ``id = 5`` on a text key finds row '5', which the
+                # WHERE (comparing as stored) then rejects.
+                return pks, len(pks), 1, True, \
+                    exact and type(pk_value) is type(value), False
             index = table.index_on(column)
             if index is not None and len(index.columns) == 1:
                 # Buckets are immutable and in pk order, so unordered
                 # SELECTs return rows in pk order, and a write may walk
                 # the bucket while replacing it.
                 pks = index.lookup((value,))
-                return pks, len(pks), True
+                return pks, len(pks), len(pks), True, exact, False
         # Range probe on a single-column index.
         for column, low_of, high_of, incl_low, incl_high in plan.probes[1]:
             index = table.index_on(column)
@@ -519,9 +592,23 @@ class StorageEngine:
                 else (low_of((), params, functions),)
             high = None if high_of is None \
                 else (high_of((), params, functions),)
-            pks = list(index.range_scan(low, high, incl_low, incl_high))
-            return pks, len(pks), True
-        return list(table.rows), len(table), False
+            if (None,) in (low, high):  # ``col < NULL`` holds for no row
+                return (), 0, 0, True, True, True
+            keys = index.range_keys(low, high, incl_low, incl_high)
+            count = index.count(keys)
+            ordered = order is not None and order[0] == column
+            if ordered and order[1]:
+                # Keys descending, each key's pks still ascending: what
+                # a stable descending sort of (key, pk) order gives.
+                keys.reverse()
+            return index.pks_under(keys), count, count, True, \
+                plan.where_is_probe, ordered
+        if order is not None and order[0] == table.primary_key_column:
+            # Primary keys are distinct: sorting them is the ORDER BY.
+            return sorted(table.rows, reverse=order[1]), len(table), \
+                len(table), False, False, True
+        return list(table.rows), len(table), len(table), False, False, \
+            False
 
     # ------------------------------------------------------------ snapshot
     def snapshot(self) -> dict:
@@ -566,19 +653,40 @@ def _rendered(commits: Sequence[tuple]) -> list[tuple[Any, str]]:
             for payload, params, database in commits]
 
 
+def _passing(pks: Iterable, stored: dict, where: Callable,
+             params: Sequence[Any], functions: Mapping) -> Iterator[tuple]:
+    """The rows at ``pks`` that satisfy ``where``, lazily."""
+    for pk in pks:
+        row = (stored[pk],)
+        if where(row, params, functions):
+            yield row
+
+
+def _page(rows: list, offset: int, limit: Optional[int]) -> list:
+    """The OFFSET/LIMIT slice of ``rows``."""
+    return rows[offset:] if limit is None else rows[offset:offset + limit]
+
+
+def _sorted(rows: list, values: list, descending: bool) -> list:
+    """``rows`` stably sorted on ``values``, one per row, in SQL order
+    (:func:`_sort_key`): as Python orders the values themselves when
+    they are all numbers or all text."""
+    indexes = range(len(rows))
+    try:
+        if None in values:
+            raise TypeError("NULLs sort first")
+        order = sorted(indexes, key=values.__getitem__, reverse=descending)
+    except TypeError:  # NULLs, or numbers mixed with text
+        keys = list(map(_sort_key, values))
+        order = sorted(indexes, key=keys.__getitem__, reverse=descending)
+    return [rows[index] for index in order]
+
+
 def _sort_key(value: Any) -> tuple:
-    """Total order over SQL values: NULLs first, then numbers, then text."""
+    """Total order over SQL values: NULLs first, then numbers (compared
+    exactly, as an index orders them), then text."""
     if value is None:
-        return (0, 0.0, "")
+        return (0, 0, "")
     if isinstance(value, (bool, int, float)):
-        return (1, float(value), "")
-    return (2, 0.0, str(value))
-
-
-def _lookup_by_column(table: Table, column: str, value: Any) -> Sequence:
-    if column == table.primary_key_column:
-        return [value] if value in table.rows else []
-    index = table.index_on(column)
-    if index is not None and len(index.columns) == 1:
-        return index.lookup((value,))
-    return list(table.rows)
+        return (1, value, "")
+    return (2, 0, str(value))

@@ -14,6 +14,7 @@ hands out the bucket itself, already in pk order.
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Any, Iterable, Iterator, Optional
 
 from .errors import DuplicateKeyError
@@ -31,12 +32,15 @@ class Index:
         self.unique = unique
         self._buckets: dict[tuple, tuple] = {}
         self._sorted_keys: list[tuple] = []
+        #: Primary keys beyond the first under their key: while 0, a
+        #: run of keys holds as many pks as it has keys.
+        self._extra = 0
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
     def key_of(self, row: dict[str, Any]) -> tuple:
-        return tuple(row[c] for c in self.columns)
+        return tuple(map(row.__getitem__, self.columns))
 
     # -- maintenance ---------------------------------------------------------
     def check(self, row: dict[str, Any], pk: Any) -> None:
@@ -60,6 +64,7 @@ class Index:
         position = bisect.bisect_left(bucket, pk)
         if position == len(bucket) or bucket[position] != pk:
             self._buckets[key] = bucket[:position] + (pk,) + bucket[position:]
+            self._extra += 1
 
     def remove(self, row: dict[str, Any], pk: Any) -> None:
         key = self.key_of(row)
@@ -70,6 +75,7 @@ class Index:
                            f"in index {self.name!r}")
         if len(bucket) > 1:
             self._buckets[key] = bucket[:position] + bucket[position + 1:]
+            self._extra -= 1
             return
         del self._buckets[key]
         if not _has_none(key):
@@ -94,6 +100,8 @@ class Index:
                 pks.append(pk)
         self._buckets = {key: tuple(sorted(pks))
                          for key, pks in gathered.items()}
+        self._extra = sum(map(len, self._buckets.values())) \
+            - len(self._buckets)
         self._sorted_keys = sorted(key for key in self._buckets
                                    if not _has_none(key))
 
@@ -103,6 +111,7 @@ class Index:
         twin = Index(self.name, self.columns, self.unique)
         twin._buckets = dict(self._buckets)
         twin._sorted_keys = list(self._sorted_keys)
+        twin._extra = self._extra
         return twin
 
     def _duplicate(self, key: tuple) -> DuplicateKeyError:
@@ -114,26 +123,46 @@ class Index:
         """Primary keys whose rows match ``key`` exactly, in pk order."""
         return self._buckets.get(key, ())
 
+    def range_keys(self, low: Optional[tuple] = None,
+                   high: Optional[tuple] = None,
+                   include_low: bool = True,
+                   include_high: bool = True) -> list[tuple]:
+        """The (non-NULL) keys in [low, high], ascending."""
+        keys = self._sorted_keys
+        if low is None:
+            start = 0
+        elif include_low:
+            start = bisect.bisect_left(keys, low)
+        else:
+            start = bisect.bisect_right(keys, low)
+        if high is None:
+            stop = len(keys)
+        elif include_high:
+            stop = bisect.bisect_right(keys, high)
+        else:
+            stop = bisect.bisect_left(keys, high)
+        return keys[start:stop]
+
+    def count(self, keys: list[tuple]) -> int:
+        """How many primary keys lie under ``keys`` (keys it holds)."""
+        if not self._extra:
+            return len(keys)
+        return sum(map(len, map(self._buckets.__getitem__, keys)))
+
+    def pks_under(self, keys: Iterable[tuple]) -> Iterator[Any]:
+        """The primary keys under ``keys`` (keys it holds), key by key
+        and each key's in pk order; a bucket is read only when the
+        walk reaches it, so a caller that changes the index must
+        materialise the walk first."""
+        return chain.from_iterable(map(self._buckets.__getitem__, keys))
+
     def range_scan(self, low: Optional[tuple] = None,
                    high: Optional[tuple] = None,
                    include_low: bool = True,
                    include_high: bool = True) -> Iterator[Any]:
         """Primary keys with keys in [low, high], in (key, pk) order."""
-        if low is None:
-            start = 0
-        elif include_low:
-            start = bisect.bisect_left(self._sorted_keys, low)
-        else:
-            start = bisect.bisect_right(self._sorted_keys, low)
-        if high is None:
-            stop = len(self._sorted_keys)
-        elif include_high:
-            stop = bisect.bisect_right(self._sorted_keys, high)
-        else:
-            stop = bisect.bisect_left(self._sorted_keys, high)
-        buckets = self._buckets
-        for position in range(start, stop):
-            yield from buckets[self._sorted_keys[position]]
+        return self.pks_under(self.range_keys(low, high, include_low,
+                                              include_high))
 
     def keys_in_order(self) -> list[tuple]:
         return list(self._sorted_keys)

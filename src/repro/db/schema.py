@@ -96,8 +96,8 @@ class TableSchema:
                     f"column {column.name!r} of table {self.name!r} "
                     f"cannot be NULL")
             row[column.name] = value
-        unknown = set(values) - set(self._by_name)
-        if unknown:
+        if not values.keys() <= self._by_name.keys():
+            unknown = set(values) - set(self._by_name)
             raise SchemaError(f"unknown column(s) {sorted(unknown)!r} "
                               f"for table {self.name!r}")
         return row

@@ -16,6 +16,10 @@ class Table:
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
+        #: The schema's name and primary-key column (a schema is never
+        #: altered after CREATE TABLE).
+        self.name: str = schema.name
+        self.primary_key_column: str = schema.primary_key.name
         #: Row dicts are replace-on-write: every mutation stores a *new*
         #: dict and none is ever edited in place, so clones (snapshots,
         #: replicas, the cached dataset image) may share them.
@@ -29,14 +33,6 @@ class Table:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @property
-    def name(self) -> str:
-        return self.schema.name
-
-    @property
-    def primary_key_column(self) -> str:
-        return self.schema.primary_key.name
 
     def clone(self) -> "Table":
         """An independent table with the same contents, copied on write.

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 __all__ = ["UndoRecord", "Transaction"]
 
 
-@dataclass(frozen=True, slots=True)
-class UndoRecord:
+class UndoRecord(NamedTuple):
     """Enough information to reverse one row mutation.
 
     ``kind`` is ``insert`` (undo = delete pk), ``update`` (undo =

@@ -29,6 +29,8 @@ class SqlType:
         """Coerce ``value`` for storage; raise ConstraintError if invalid."""
         if value is None:
             return None
+        if type(value) is self.python_type and self.max_length is None:
+            return value  # what every branch below returns for it
         if self.python_type is int:
             if isinstance(value, bool):
                 return int(value)

@@ -16,7 +16,7 @@ from typing import Optional
 from ..obs import Observability
 from ..obs.analyze import CellSignals, attribute_bottleneck
 from ..replication.heartbeat import (average_relative_delay_ms,
-                                     collect_delays)
+                                     collect_window_delays)
 from .config import ExperimentConfig
 from .deployment import Deployment
 
@@ -136,12 +136,10 @@ def measure_workload(config: ExperimentConfig,
 
     per_slave_delay: list[float] = []
     heartbeat_counts: list[int] = []
-    for slave in manager.slaves:
-        baseline = collect_delays(heartbeat, slave, window_start=0.0,
-                                  window_end=cell.workload_start)
-        loaded = collect_delays(heartbeat, slave,
-                                window_start=steady_start,
-                                window_end=steady_end)
+    windows = collect_window_delays(
+        heartbeat, manager.slaves,
+        [(0.0, cell.workload_start), (steady_start, steady_end)])
+    for slave, (baseline, loaded) in zip(manager.slaves, windows):
         heartbeat_counts.append(len(loaded))
         if baseline and loaded:
             delay_ms = average_relative_delay_ms(loaded, baseline)

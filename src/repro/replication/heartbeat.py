@@ -18,7 +18,7 @@ Implements the paper's methodology (§III-A) verbatim:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..db.errors import DatabaseError
 from ..metrics import trimmed_mean
@@ -27,7 +27,8 @@ from .master import MasterServer
 from .slave import SlaveServer
 
 __all__ = ["HEARTBEAT_DATABASE", "HEARTBEAT_TABLE", "HeartbeatPlugin",
-           "HeartbeatSample", "collect_delays", "average_relative_delay_ms"]
+           "HeartbeatSample", "collect_delays", "collect_window_delays",
+           "average_relative_delay_ms"]
 
 HEARTBEAT_DATABASE = "heartbeats"
 HEARTBEAT_TABLE = "heartbeats.heartbeat"
@@ -142,25 +143,44 @@ def collect_delays(plugin: HeartbeatPlugin, slave: SlaveServer,
     table-driven measurement has.  ``window_*`` filter on the *insert*
     time (simulated), selecting e.g. the steady-state phase.
     """
-    master_rows = {row[0]: row[1] for row in plugin.master.admin(
-        _SELECT_HEARTBEATS, ()).result.rows}
-    slave_rows = {row[0]: row[1] for row in slave.admin(
-        _SELECT_HEARTBEATS, ()).result.rows}
-    samples = []
-    for heartbeat_id, master_ts in sorted(master_rows.items()):
-        inserted = plugin.inserted_at.get(heartbeat_id)
-        if inserted is None:
-            continue
-        if window_start is not None and inserted < window_start:
-            continue
-        if window_end is not None and inserted >= window_end:
-            continue
-        slave_ts = slave_rows.get(heartbeat_id)
-        if slave_ts is None:
-            continue
-        samples.append(HeartbeatSample(heartbeat_id, master_ts, slave_ts,
-                                       inserted))
+    (samples,), = collect_window_delays(plugin, [slave],
+                                        [(window_start, window_end)])
     return samples
+
+
+def collect_window_delays(plugin: HeartbeatPlugin,
+                          slaves: Sequence[SlaveServer],
+                          windows: Sequence[tuple[Optional[float],
+                                                  Optional[float]]]
+                          ) -> list[list[list[HeartbeatSample]]]:
+    """:func:`collect_delays` for every slave and every ``(window_start,
+    window_end)`` at once: per slave, the samples of each window.  The
+    master's table is read once, and each slave's once."""
+    master_rows = sorted(plugin.master.admin(_SELECT_HEARTBEATS, ())
+                         .result.rows)
+    inserted_at = plugin.inserted_at
+    per_slave = []
+    for slave in slaves:
+        slave_rows = dict(slave.admin(_SELECT_HEARTBEATS, ()).result.rows)
+        per_window = []
+        for window_start, window_end in windows:
+            samples = []
+            for heartbeat_id, master_ts in master_rows:
+                inserted = inserted_at.get(heartbeat_id)
+                if inserted is None:
+                    continue
+                if window_start is not None and inserted < window_start:
+                    continue
+                if window_end is not None and inserted >= window_end:
+                    continue
+                slave_ts = slave_rows.get(heartbeat_id)
+                if slave_ts is None:
+                    continue
+                samples.append(HeartbeatSample(heartbeat_id, master_ts,
+                                               slave_ts, inserted))
+            per_window.append(samples)
+        per_slave.append(per_window)
+    return per_slave
 
 
 def average_relative_delay_ms(loaded: list[HeartbeatSample],

@@ -14,10 +14,11 @@ acknowledges *receipt* (not application) of the event.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Union, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from ..cloud.network import Network
 from ..db.binlog import Binlog, event_fields
+from ..db.engine import ExecutionResult
 from ..sim import Event, Interrupt
 from ..sql.ast import Statement
 from .messages import OrderedChannel
@@ -151,12 +152,13 @@ class MasterServer(DatabaseServer):
             self._ack_waiters.append((position, event))
         return event
 
-    def perform(self, statement: Union[str, Statement],
-                params: Optional[Sequence[Any]] = None):
-        result = yield from super().perform(statement, params)
+    def served(self, statement: Statement,
+               result: ExecutionResult) -> Optional[Event]:
+        """Semi-sync: a commit is answered once a slave received it."""
+        super().served(statement, result)
         if self.semi_sync and result.commits:
-            yield self._wait_for_ack(self.binlog.head_position)
-        return result
+            return self._wait_for_ack(self.binlog.head_position)
+        return None
 
     # -- introspection ----------------------------------------------------------------
     def slave_lag_positions(self) -> dict[str, int]:

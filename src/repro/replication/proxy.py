@@ -25,12 +25,11 @@ import numpy as np
 
 from ..cloud.network import Network
 from ..cloud.regions import Placement
-from ..db.engine import ExecutionResult
 from ..sql.ast import Statement
 from ..sql.parser import parse
 from ..sql.plancache import PlanCache
 from .master import MasterServer
-from .server import DatabaseServer
+from .server import DatabaseServer, failed
 from .slave import SlaveServer
 
 __all__ = ["ReadWriteSplitProxy", "BALANCING_POLICIES"]
@@ -98,8 +97,8 @@ class ReadWriteSplitProxy:
         return self.pick_read_server(session=session)
 
     def _session_is_sticky(self, session) -> bool:
-        if session is None or self.read_your_writes_window <= 0:
-            return False
+        # ``note_write`` records no write without a session or a
+        # positive window, and ``now - last_write`` is never negative.
         last_write = self._last_write_at.get(session)
         return last_write is not None and \
             self.network.sim.now - last_write < self.read_your_writes_window
@@ -184,6 +183,11 @@ class ReadWriteSplitProxy:
         Usage: ``result = yield from proxy.execute(sql)``.
         Pass ``server`` to pin the statement (used for multi-statement
         operations that must stay on one replica).
+
+        The whole round trip is this one frame: the request crosses the
+        network, the server admits it, it queues for a core, executes
+        when it gets one (so its effects follow every earlier request's)
+        and holds the core for its work, and the reply crosses back.
         """
         if isinstance(statement, str):
             cache = self.plan_cache
@@ -192,20 +196,45 @@ class ReadWriteSplitProxy:
             else:
                 statement, params = cache.prepare(statement, params)
         target = server if server is not None else self.route(statement)
-        self._outstanding[target.name] = \
-            self._outstanding.get(target.name, 0) + 1
-        with self.network.sim.tracer.span(
-                "proxy.execute", category="client", server=target.name,
-                write=statement.is_write):
+        name, network = target.name, self.network
+        outstanding = self._outstanding
+        outstanding[name] = outstanding.get(name, 0) + 1
+        sim = network.sim
+        span = sim.tracer.span(
+            "proxy.execute", category="client", server=name,
+            write=statement.is_write) if sim.tracer.enabled else None
+        try:
+            yield network.send(self.client_placement, target.placement)
+            db_span = target.admit(statement)
+            instance = target.instance
+            cpu = instance.cpu
+            # The wait sits inside the try: an interrupt thrown in while
+            # queued must cancel the claim, or the core count shrinks.
+            request = cpu.request()
             try:
-                yield self.network.send(self.client_placement,
-                                        target.placement)
-                result: ExecutionResult = yield from target.perform(
-                    statement, params)
-                yield self.network.send(target.placement,
-                                        self.client_placement)
+                yield request
+                result, work = target.execute_now(statement, params)
+                service = instance.service_time(work)
+                yield sim.timeout(service)
+                instance.charge(service)
+            except BaseException as exc:
+                failed(db_span, exc)
+                raise
             finally:
-                self._outstanding[target.name] -= 1
+                cpu.release(request)
+                if db_span is not None:
+                    db_span.end()
+            ack = target.served(statement, result)
+            if ack is not None:
+                yield ack
+            yield network.send(target.placement, self.client_placement)
+        except BaseException as exc:
+            failed(span, exc)
+            raise
+        finally:
+            outstanding[name] -= 1
+            if span is not None:
+                span.end()
         return result
 
     def set_master(self, master: MasterServer) -> None:

@@ -19,13 +19,13 @@ from ..cloud.regions import Placement
 from ..db.engine import ExecutionResult, StorageEngine
 from ..db.errors import DatabaseError
 from ..db.functions import standard_functions
-from ..sim import Simulator
+from ..sim import Event, Simulator
 from ..sql.ast import Statement
 from ..sql.parser import parse
 from ..sql.plancache import PlanCache
 from .cost import CostModel, DEFAULT_COST_MODEL
 
-__all__ = ["DatabaseServer"]
+__all__ = ["DatabaseServer", "failed"]
 
 _server_ids = itertools.count(1)
 
@@ -42,6 +42,9 @@ class DatabaseServer:
                  plan_cache: Optional[PlanCache] = None):
         self.sim = sim
         self.instance = instance
+        #: The instance's, fixed at launch; read on every request.
+        self.name: str = instance.name
+        self.placement: Placement = instance.placement
         self.cost_model = cost_model
         self.server_id = server_id if server_id is not None \
             else next(_server_ids)
@@ -58,18 +61,47 @@ class DatabaseServer:
         self.online = True
 
     @property
-    def name(self) -> str:
-        return self.instance.name
-
-    @property
-    def placement(self) -> Placement:
-        return self.instance.placement
-
-    @property
     def clock(self):
         return self.instance.clock
 
     # -- client path ---------------------------------------------------------
+    # A client statement is admitted on arrival, executed when it reaches
+    # a core, holds the core for its work, and is then served.  The
+    # proxy runs those steps inline in its own request generator;
+    # :meth:`perform` runs them for callers on the server itself.
+    def admit(self, statement: Statement):
+        """Refuse ``statement`` now (offline, or a write on a read-only
+        slave), or open its ``db.execute`` span: the span, or None
+        with tracing off."""
+        if not self.online:
+            raise DatabaseError(f"server {self.name!r} is offline")
+        if self.read_only and statement.is_write:
+            raise DatabaseError(
+                f"server {self.name!r} is read-only (a replication "
+                f"slave); writes must go to the master")
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            return tracer.span("db.execute", category="server",
+                               server=self.name,
+                               queue=self.instance.queue_length)
+        return None
+
+    def execute_now(self, statement: Statement, params: Sequence[Any]
+                    ) -> tuple[ExecutionResult, float]:
+        """Run an admitted statement on reaching a core: its result and
+        the reference-seconds of work it holds the core for."""
+        result = self.engine.execute(statement, params)
+        return result, self.cost_model.work_for(result.profile)
+
+    def served(self, statement: Statement,
+               result: ExecutionResult) -> Optional[Event]:
+        """Count a statement done; an event to wait for before the
+        reply (a semi-sync master's replica ack), or None."""
+        self.queries_served += 1
+        if statement.is_write:
+            self.writes_served += 1
+        return None
+
     def perform(self, statement: Union[str, Statement],
                 params: Optional[Sequence[Any]] = None):
         """Process generator: execute a client statement, charging CPU.
@@ -87,24 +119,19 @@ class DatabaseServer:
                 statement = parse(statement)
             else:
                 statement, params = cache.prepare(statement, params)
-        if not self.online:
-            raise DatabaseError(f"server {self.name!r} is offline")
-        if self.read_only and statement.is_write:
-            raise DatabaseError(
-                f"server {self.name!r} is read-only (a replication "
-                f"slave); writes must go to the master")
-
-        def job():
-            result = self.engine.execute(statement, params)
-            return result, self.cost_model.work_for(result.profile)
-
-        with self.sim.tracer.span("db.execute", category="server",
-                                  server=self.name,
-                                  queue=self.instance.queue_length):
-            result = yield from self.instance.run_on_cpu(job)
-        self.queries_served += 1
-        if statement.is_write:
-            self.writes_served += 1
+        span = self.admit(statement)
+        try:
+            result = yield from self.instance.run_on_cpu(
+                lambda: self.execute_now(statement, params))
+        except BaseException as exc:
+            failed(span, exc)
+            raise
+        finally:
+            if span is not None:
+                span.end()
+        ack = self.served(statement, result)
+        if ack is not None:
+            yield ack
         return result
 
     # -- administrative path (no CPU accounting) -----------------------------
@@ -127,3 +154,10 @@ class DatabaseServer:
         role = "slave" if self.read_only else "server"
         return f"<{type(self).__name__} {self.name} ({role}) " \
                f"at {self.placement.zone}>"
+
+
+def failed(span, exc: BaseException) -> None:
+    """Record on ``span`` (if any) what leaving a ``with span`` block on
+    ``exc`` records: the first error's type name."""
+    if span is not None and "error" not in span.attributes:
+        span.attributes["error"] = type(exc).__name__

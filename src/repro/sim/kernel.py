@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _INF = float("inf")
+_new_event = object.__new__
 
 
 class SimulationError(Exception):
@@ -143,25 +144,20 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed delay."""
+    """An event that fires after a fixed delay.
+
+    :meth:`Simulator.timeout` builds and schedules it in one call (the
+    hottest constructor of the kernel); ``Timeout(sim, delay)`` is that
+    same call.
+    """
 
     __slots__ = ()
 
+    def __new__(cls, sim: "Simulator", delay: float, value: Any = None):
+        return sim.timeout(delay, value)
+
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if not delay >= 0:      # also rejects NaN
-            raise SimulationError(
-                f"timeout delay must be a number >= 0, got {delay!r}")
-        # The hottest constructor: Event.__init__ is inlined, and the
-        # event schedules itself.
-        self.sim, self.callbacks, self._value = sim, [], value
-        self._ok, self._triggered, self._defused = True, False, False
-        if sim.profiler is not None:
-            self._owner = owner = sim._owner_name()
-            sim.profiler.on_schedule(owner)
-        if delay == 0.0:
-            sim._immediate.append((next(sim._counter), self))
-        else:
-            heappush(sim._heap, (sim._now + delay, next(sim._counter), self))
+        pass  # built by Simulator.timeout
 
 
 class AnyOf(Event):
@@ -259,7 +255,8 @@ class Process(Event):
         """Re-enter the generator with ``event``'s outcome: its value
         sent on success, its exception thrown on failure."""
         self._waiting_on = None
-        if not event._ok:
+        ok = event._ok
+        if not ok:
             event._defused = True
         if self._triggered:
             return  # already finished (e.g. interrupt raced completion)
@@ -270,7 +267,7 @@ class Process(Event):
         # the profiler charges that event to this process.
         sim._active_process = self
         try:
-            if event._ok:
+            if ok:
                 target = self.generator.send(event._value)
             else:
                 target = self.generator.throw(event._value)
@@ -291,10 +288,11 @@ class Process(Event):
             self._wake = None
             self.fail(exc)
             return
-        if target.callbacks is None:
+        callbacks = target.callbacks
+        if callbacks is None:
             # Already processed: resume immediately via a fresh event so
             # ordering stays deterministic.
-            relay = Event(self.sim)
+            relay = Event(sim)
             relay.callbacks.append(self._wake)
             if target._ok:
                 relay.succeed(target._value)
@@ -303,7 +301,7 @@ class Process(Event):
                 relay.fail(target._value)
             self._waiting_on = relay
         else:
-            target.callbacks.append(self._wake)
+            callbacks.append(self._wake)
             self._waiting_on = target
 
 
@@ -324,12 +322,14 @@ class Simulator:
     """
 
     def __init__(self):
-        self._now = 0.0
+        #: Current simulated time in seconds (a plain attribute: it is
+        #: read on every hot path; only the kernel advances it).
+        self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         #: Events due *now* (zero-delay schedules and just-triggered
         #: posts) bypass the heap: they would land at the top anyway,
         #: so a FIFO deque serves them in O(1) instead of O(log n).
-        #: Invariant: every entry is due at exactly ``_now`` — the
+        #: Invariant: every entry is due at exactly ``now`` — the
         #: clock cannot advance while the deque is non-empty.
         self._immediate: deque[tuple[int, Event]] = deque()
         self._counter = itertools.count()
@@ -348,11 +348,6 @@ class Simulator:
         self.sanitizer = None
 
     @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
@@ -364,7 +359,22 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+        if not delay >= 0:      # also rejects NaN
+            raise SimulationError(
+                f"timeout delay must be a number >= 0, got {delay!r}")
+        # Event.__init__ inlined, and the event schedules itself.
+        event = _new_event(Timeout)
+        event.sim, event.callbacks, event._value = self, [], value
+        event._ok, event._triggered, event._defused = True, False, False
+        if self.profiler is not None:
+            event._owner = owner = self._owner_name()
+            self.profiler.on_schedule(owner)
+        if delay == 0.0:
+            self._immediate.append((next(self._counter), event))
+        else:
+            heappush(self._heap, (self.now + delay, next(self._counter),
+                                  event))
+        return event
 
     def process(self, generator: ProcessGenerator,
                 name: Optional[str] = None) -> Process:
@@ -396,12 +406,12 @@ class Simulator:
         immediate = self._immediate
         if immediate:
             heap = self._heap
-            if heap and heap[0][0] <= self._now \
+            if heap and heap[0][0] <= self.now \
                     and heap[0][1] < immediate[0][0]:
                 when, _seq, event = heappop(heap)
             else:
                 _seq, event = immediate.popleft()
-                when = self._now
+                when = self.now
         else:
             when, _seq, event = heappop(self._heap)
         if self.profiler is not None:
@@ -409,8 +419,8 @@ class Simulator:
             # process that scheduled it; advances telescope, so the
             # per-owner sums decompose the final simulated time.
             self.profiler.on_execute(getattr(event, "_owner", "<kernel>"),
-                                     when - self._now)
-        self._now = when
+                                     when - self.now)
+        self.now = when
         if not event._triggered:
             # A scheduled Timeout reaching the head of the heap fires now.
             event._triggered = True
@@ -428,26 +438,26 @@ class Simulator:
         When ``until`` is given, the clock is advanced exactly to
         ``until`` even if the last event fires earlier.
         """
-        if until is not None and not until >= self._now:   # NaN too
+        if until is not None and not until >= self.now:   # NaN too
             raise SimulationError(
-                f"cannot run until {until!r}: the clock is at {self._now!r}")
+                f"cannot run until {until!r}: the clock is at {self.now!r}")
         heap, immediate = self._heap, self._immediate
         limit = _INF if until is None else until
         step = self.step
         # Entries due now never pass ``until``: the clock is at most it.
         while immediate or (heap and heap[0][0] <= limit):
             step()
-        if until is not None and until > self._now:
+        if until is not None and until > self.now:
             # Attribute the trailing idle advance (no event fires
             # between the last one and ``until``) so the profiler's
             # per-owner sums telescope to sim.now *exactly* — any
             # remaining unattributed residue then indicates a bug.
             if self.profiler is not None:
-                self.profiler.on_execute("<idle>", until - self._now)
-            self._now = until
+                self.profiler.on_execute("<idle>", until - self.now)
+            self.now = until
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when empty."""
         if self._immediate:
-            return self._now
+            return self.now
         return self._heap[0][0] if self._heap else float("inf")

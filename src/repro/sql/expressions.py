@@ -22,14 +22,15 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .ast import (BetweenOp, BinaryOp, ColumnRef, Expression, FunctionCall,
                   InList, IsNull, LikeOp, Literal, ParamRef, Star, UnaryOp,
                   walk)
 
 __all__ = ["Compiled", "EvalContext", "EvaluationError", "Layout",
-           "compile_expression", "evaluate", "has_aggregate", "like_match"]
+           "column_slot", "compile_expression", "evaluate", "has_aggregate",
+           "like_match"]
 
 #: ``(alias, column names)`` per row position.
 Layout = Sequence[tuple[Optional[str], Sequence[str]]]
@@ -72,10 +73,23 @@ def compile_expression(expr: Expression, layout: Layout = (),
     everything else reads the group's first row (MySQL's permissive
     pre-ONLY_FULL_GROUP_BY semantics).
     """
-    names = {f"{alias}.{column}" if alias else column: (position, column)
-             for position, (alias, columns) in enumerate(layout)
-             for column in columns}
-    return _compile(expr, names, grouped)
+    return _compile(expr, _names(layout), grouped)
+
+
+def column_slot(expr: Expression,
+                layout: Layout) -> Optional[tuple[int, str]]:
+    """``(position, column)`` that ``expr`` reads from a row shaped like
+    ``layout`` when it is a column reference that resolves, else None."""
+    if not isinstance(expr, ColumnRef):
+        return None
+    slot = _slot(expr, _names(layout))
+    return slot if isinstance(slot, tuple) else None
+
+
+def _names(layout: Layout) -> dict:
+    return {f"{alias}.{column}" if alias else column: (position, column)
+            for position, (alias, columns) in enumerate(layout)
+            for column in columns}
 
 
 def _compile(expr: Expression, names: dict, grouped: bool) -> Compiled:
@@ -127,18 +141,24 @@ def _fails(message: str) -> Compiled:
     return fail
 
 
-def _column(ref: ColumnRef, names: dict) -> Compiled:
+def _slot(ref: ColumnRef, names: dict) -> Union[tuple[int, str], str]:
+    """``(position, column)`` of ``ref``, or why it has none."""
     slot = names.get(ref.qualified)
     if slot is None and ref.table is None:
         # Unqualified access: fine while exactly one table has it.
         matches = [found for name, found in names.items()
                    if name.endswith("." + ref.name)]
         if len(matches) > 1:
-            return _fails(f"ambiguous column {ref.name!r}")
+            return f"ambiguous column {ref.name!r}"
         slot = matches[0] if matches else None
+    return f"unknown column {ref.qualified!r}" if slot is None else slot
+
+
+def _column(ref: ColumnRef, names: dict) -> Compiled:
+    slot = _slot(ref, names)
+    if isinstance(slot, str):
+        return _fails(slot)
     message = f"unknown column {ref.qualified!r}"
-    if slot is None:
-        return _fails(message)
     position, column = slot
 
     def read(row, params, functions):

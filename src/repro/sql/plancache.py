@@ -59,16 +59,23 @@ _FINGERPRINTABLE = frozenset(("SELECT", "INSERT", "UPDATE", "DELETE"))
 #: One pass over the text: skip quoted identifiers, capture string and
 #: number literals.  Numbers directly after LIMIT/OFFSET stay inline —
 #: the grammar requires raw numbers there (``LIMIT ?`` does not parse).
-_LITERAL_RE = re.compile(r"""
-    (?=[`'"\d])(?:               # cheap reject: how every branch starts
-      `[^`]*`                                   # quoted identifier
-    | '(?:[^'\\]|\\.|'')*'                      # single-quoted string
+#: Every branch opens by consuming a quote, a backtick or a digit (the
+#: number's word boundary and LIMIT/OFFSET tests look behind that first
+#: digit), so the regex engine skips to such characters in one scan.
+_LITERALS = r"""
+      '(?:[^'\\]|\\.|'')*'                      # single-quoted string
     | "(?:[^"\\]|\\.|"")*"                      # double-quoted string
-    | (?<![Ll][Ii][Mm][Ii][Tt]\ )
-      (?<![Oo][Ff][Ff][Ss][Ee][Tt]\ )
-      \b\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\b        # number
-    )
-""", re.X)
+    | \d(?<!\w\d)                                # number: its first digit,
+      (?<![Ll][Ii][Mm][Ii][Tt]\ \d)              # not after LIMIT
+      (?<![Oo][Ff][Ff][Ss][Ee][Tt]\ \d)          # or OFFSET
+      \d*(?:\.\d+)?(?:[eE][+-]?\d+)?\b          # and the rest
+"""
+_LITERAL_RE = re.compile(r"""
+      `[^`]*`                                   # quoted identifier
+    | """ + _LITERALS, re.X)
+#: The same for text without a quoted identifier: every match is a
+#: literal, so two C-level passes (no per-match callback) find them.
+_PLAIN_LITERAL_RE = re.compile(_LITERALS, re.X)
 
 #: Fingerprint-level sentinel: this template was tried and must not be used.
 _UNCACHEABLE = object()
@@ -87,6 +94,9 @@ def fingerprint(text: str) -> tuple[str, list[str]]:
     a ``?`` placeholder in source order — the same order the parser
     assigns parameter indexes in.
     """
+    if "`" not in text:
+        return _PLAIN_LITERAL_RE.sub("?", text), \
+            _PLAIN_LITERAL_RE.findall(text)
     literals: list[str] = []
     append = literals.append
 

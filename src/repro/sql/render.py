@@ -38,14 +38,14 @@ def render_literal(value: Any) -> str:
 def render_expression(expr: Expression,
                       params: Optional[Sequence[Any]] = None) -> str:
     """Render an expression; ``params`` inlines ``?`` placeholders."""
+    if isinstance(expr, ParamRef):  # first: what DML values mostly are
+        if params is None:
+            return "?"
+        return render_literal(params[expr.index])
     if isinstance(expr, Literal):
         return render_literal(expr.value)
     if isinstance(expr, ColumnRef):
         return expr.qualified
-    if isinstance(expr, ParamRef):
-        if params is None:
-            return "?"
-        return render_literal(params[expr.index])
     if isinstance(expr, Star):
         return f"{expr.table}.*" if expr.table else "*"
     if isinstance(expr, BinaryOp):
