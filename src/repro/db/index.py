@@ -32,9 +32,6 @@ class Index:
         self.unique = unique
         self._buckets: dict[tuple, tuple] = {}
         self._sorted_keys: list[tuple] = []
-        #: Primary keys beyond the first under their key: while 0, a
-        #: run of keys holds as many pks as it has keys.
-        self._extra = 0
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
@@ -64,7 +61,6 @@ class Index:
         position = bisect.bisect_left(bucket, pk)
         if position == len(bucket) or bucket[position] != pk:
             self._buckets[key] = bucket[:position] + (pk,) + bucket[position:]
-            self._extra += 1
 
     def remove(self, row: dict[str, Any], pk: Any) -> None:
         key = self.key_of(row)
@@ -75,7 +71,6 @@ class Index:
                            f"in index {self.name!r}")
         if len(bucket) > 1:
             self._buckets[key] = bucket[:position] + bucket[position + 1:]
-            self._extra -= 1
             return
         del self._buckets[key]
         if not _has_none(key):
@@ -100,8 +95,6 @@ class Index:
                 pks.append(pk)
         self._buckets = {key: tuple(sorted(pks))
                          for key, pks in gathered.items()}
-        self._extra = sum(map(len, self._buckets.values())) \
-            - len(self._buckets)
         self._sorted_keys = sorted(key for key in self._buckets
                                    if not _has_none(key))
 
@@ -111,7 +104,6 @@ class Index:
         twin = Index(self.name, self.columns, self.unique)
         twin._buckets = dict(self._buckets)
         twin._sorted_keys = list(self._sorted_keys)
-        twin._extra = self._extra
         return twin
 
     def _duplicate(self, key: tuple) -> DuplicateKeyError:
@@ -145,8 +137,6 @@ class Index:
 
     def count(self, keys: list[tuple]) -> int:
         """How many primary keys lie under ``keys`` (keys it holds)."""
-        if not self._extra:
-            return len(keys)
         return sum(map(len, map(self._buckets.__getitem__, keys)))
 
     def pks_under(self, keys: Iterable[tuple]) -> Iterator[Any]:
@@ -155,14 +145,6 @@ class Index:
         walk reaches it, so a caller that changes the index must
         materialise the walk first."""
         return chain.from_iterable(map(self._buckets.__getitem__, keys))
-
-    def range_scan(self, low: Optional[tuple] = None,
-                   high: Optional[tuple] = None,
-                   include_low: bool = True,
-                   include_high: bool = True) -> Iterator[Any]:
-        """Primary keys with keys in [low, high], in (key, pk) order."""
-        return self.pks_under(self.range_keys(low, high, include_low,
-                                              include_high))
 
     def keys_in_order(self) -> list[tuple]:
         return list(self._sorted_keys)

@@ -184,10 +184,8 @@ class ReadWriteSplitProxy:
         Pass ``server`` to pin the statement (used for multi-statement
         operations that must stay on one replica).
 
-        The whole round trip is this one frame: the request crosses the
-        network, the server admits it, it queues for a core, executes
-        when it gets one (so its effects follow every earlier request's)
-        and holds the core for its work, and the reply crosses back.
+        The request crosses the network, the server serves it
+        (:meth:`DatabaseServer.serve`), and the reply crosses back.
         """
         if isinstance(statement, str):
             cache = self.plan_cache
@@ -205,28 +203,7 @@ class ReadWriteSplitProxy:
             write=statement.is_write) if sim.tracer.enabled else None
         try:
             yield network.send(self.client_placement, target.placement)
-            db_span = target.admit(statement)
-            instance = target.instance
-            cpu = instance.cpu
-            # The wait sits inside the try: an interrupt thrown in while
-            # queued must cancel the claim, or the core count shrinks.
-            request = cpu.request()
-            try:
-                yield request
-                result, work = target.execute_now(statement, params)
-                service = instance.service_time(work)
-                yield sim.timeout(service)
-                instance.charge(service)
-            except BaseException as exc:
-                failed(db_span, exc)
-                raise
-            finally:
-                cpu.release(request)
-                if db_span is not None:
-                    db_span.end()
-            ack = target.served(statement, result)
-            if ack is not None:
-                yield ack
+            result = yield from target.serve(statement, params)
             yield network.send(target.placement, self.client_placement)
         except BaseException as exc:
             failed(span, exc)

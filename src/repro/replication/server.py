@@ -65,51 +65,10 @@ class DatabaseServer:
         return self.instance.clock
 
     # -- client path ---------------------------------------------------------
-    # A client statement is admitted on arrival, executed when it reaches
-    # a core, holds the core for its work, and is then served.  The
-    # proxy runs those steps inline in its own request generator;
-    # :meth:`perform` runs them for callers on the server itself.
-    def admit(self, statement: Statement):
-        """Refuse ``statement`` now (offline, or a write on a read-only
-        slave), or open its ``db.execute`` span: the span, or None
-        with tracing off."""
-        if not self.online:
-            raise DatabaseError(f"server {self.name!r} is offline")
-        if self.read_only and statement.is_write:
-            raise DatabaseError(
-                f"server {self.name!r} is read-only (a replication "
-                f"slave); writes must go to the master")
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            return tracer.span("db.execute", category="server",
-                               server=self.name,
-                               queue=self.instance.queue_length)
-        return None
-
-    def execute_now(self, statement: Statement, params: Sequence[Any]
-                    ) -> tuple[ExecutionResult, float]:
-        """Run an admitted statement on reaching a core: its result and
-        the reference-seconds of work it holds the core for."""
-        result = self.engine.execute(statement, params)
-        return result, self.cost_model.work_for(result.profile)
-
-    def served(self, statement: Statement,
-               result: ExecutionResult) -> Optional[Event]:
-        """Count a statement done; an event to wait for before the
-        reply (a semi-sync master's replica ack), or None."""
-        self.queries_served += 1
-        if statement.is_write:
-            self.writes_served += 1
-        return None
-
     def perform(self, statement: Union[str, Statement],
                 params: Optional[Sequence[Any]] = None):
-        """Process generator: execute a client statement, charging CPU.
-
-        The statement queues for a core and executes at service start,
-        so its effects (including binlog appends on a master) become
-        visible only after earlier requests were served — faithful
-        queueing semantics.
+        """Process generator: prepare a client statement and
+        :meth:`serve` it.
 
         Usage: ``result = yield from server.perform(sql)``.
         """
@@ -119,7 +78,30 @@ class DatabaseServer:
                 statement = parse(statement)
             else:
                 statement, params = cache.prepare(statement, params)
-        span = self.admit(statement)
+        return (yield from self.serve(statement, params))
+
+    def serve(self, statement: Statement, params: Sequence[Any]):
+        """Process generator: execute an arrived statement, charging CPU.
+
+        It is refused at once if the server is offline, or if it is a
+        write and the server a read-only slave.  Otherwise it queues for
+        a core and executes at service start, so its effects (including
+        binlog appends on a master) become visible only after earlier
+        requests were served — faithful queueing semantics — and holds
+        the core for its work.  The proxy's request generator and
+        :meth:`perform` both come here.
+        """
+        if not self.online:
+            raise DatabaseError(f"server {self.name!r} is offline")
+        if self.read_only and statement.is_write:
+            raise DatabaseError(
+                f"server {self.name!r} is read-only (a replication "
+                f"slave); writes must go to the master")
+        tracer = self.sim.tracer
+        span = tracer.span("db.execute", category="server",
+                           server=self.name,
+                           queue=self.instance.queue_length) \
+            if tracer.enabled else None
         try:
             result = yield from self.instance.run_on_cpu(
                 lambda: self.execute_now(statement, params))
@@ -133,6 +115,22 @@ class DatabaseServer:
         if ack is not None:
             yield ack
         return result
+
+    def execute_now(self, statement: Statement, params: Sequence[Any]
+                    ) -> tuple[ExecutionResult, float]:
+        """Run a statement on reaching a core: its result and the
+        reference-seconds of work it holds the core for."""
+        result = self.engine.execute(statement, params)
+        return result, self.cost_model.work_for(result.profile)
+
+    def served(self, statement: Statement,
+               result: ExecutionResult) -> Optional[Event]:
+        """Count a statement done; an event to wait for before the
+        reply (a semi-sync master's replica ack), or None."""
+        self.queries_served += 1
+        if statement.is_write:
+            self.writes_served += 1
+        return None
 
     # -- administrative path (no CPU accounting) -----------------------------
     def admin(self, statement: Union[str, Statement],

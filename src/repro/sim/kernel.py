@@ -144,20 +144,11 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed delay.
-
-    :meth:`Simulator.timeout` builds and schedules it in one call (the
-    hottest constructor of the kernel); ``Timeout(sim, delay)`` is that
-    same call.
-    """
+    """An event that fires after a fixed delay; only
+    :meth:`Simulator.timeout` builds one (the hottest constructor of the
+    kernel, so it builds and schedules the event in one call)."""
 
     __slots__ = ()
-
-    def __new__(cls, sim: "Simulator", delay: float, value: Any = None):
-        return sim.timeout(delay, value)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        pass  # built by Simulator.timeout
 
 
 class AnyOf(Event):

@@ -197,9 +197,10 @@ class ClonedIndexes(RuleBasedStateMachine):
         expected = [pk for (value,) in sorted(key for key in model
                                               if key != (None,))
                     if inside(value) for pk in sorted(model[(value,)])]
-        got = self.tables[side].indexes["idx_a"].range_scan(
+        index = self.tables[side].indexes["idx_a"]
+        got = index.pks_under(index.range_keys(
             None if low is None else (low,),
-            None if high is None else (high,), include_low, include_high)
+            None if high is None else (high,), include_low, include_high))
         assert list(got) == expected
 
     @invariant()
@@ -219,7 +220,7 @@ class ClonedIndexes(RuleBasedStateMachine):
                            for bucket in index._buckets.values())
                 ordered = sorted(key for key in model if None not in key)
                 assert index.keys_in_order() == ordered
-                assert list(index.range_scan()) == [
+                assert list(index.pks_under(index.range_keys())) == [
                     pk for key in ordered for pk in sorted(model[key])]
                 for key, pks in model.items():
                     assert index.lookup(key) == tuple(sorted(pks))

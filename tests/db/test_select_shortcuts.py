@@ -16,7 +16,7 @@ compares strictly: a column with no type has no affinity, so the text
 import sqlite3
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.db import StorageEngine
 
@@ -96,6 +96,9 @@ def test_ordered_range_pages_agree_with_sqlite(rows, low, high, limit,
 @settings(max_examples=150, deadline=None)
 @given(rows=TABLES, low=BOUNDS, floor=BOUNDS, limit=st.integers(0, 6),
        descending=st.booleans())
+# The page's first candidate fails ``w > ?``: the walk must go past it.
+@example(rows=[(1, 0), (2, 5)], low=0, floor=1, limit=1, descending=False)
+@example(rows=[(2, 0), (1, 5)], low=0, floor=1, limit=1, descending=True)
 def test_a_page_with_a_residual_where_agrees_with_sqlite(rows, low, floor,
                                                           limit,
                                                           descending):
@@ -125,31 +128,6 @@ def test_count_over_a_range_agrees_with_sqlite(rows, low, high):
         assert profile.rows_returned == 1
         assert profile.rows_examined == (
             0 if None in (low, high) else _in_range(rows, low, high))
-    finally:
-        reference.close()
-
-
-@settings(max_examples=150, deadline=None)
-@given(rows=TABLES, writes=st.lists(
-    st.tuples(st.integers(1, 24), st.one_of(st.none(), VALUES)),
-    max_size=12), low=st.integers(-7, 7), high=st.integers(-7, 7))
-def test_range_counts_follow_updates_and_deletes(rows, writes, low, high):
-    # A range is counted without a walk only while every key holds one
-    # pk; updates and deletes move keys in and out of that state.
-    engine, reference = _load(rows)
-    try:
-        for pk, v in writes:
-            sql, params = ("DELETE FROM t WHERE id = ?", (pk,)) \
-                if v is None else ("UPDATE t SET v = ? WHERE id = ?", (v, pk))
-            engine.execute(sql, params)
-            reference.execute(sql, params)
-        profile = _agree(engine, reference,
-                         "SELECT COUNT(*) FROM t WHERE v BETWEEN ? AND ?",
-                         (low, high))
-        (expected,), = reference.execute(
-            "SELECT COUNT(*) FROM t WHERE v BETWEEN ? AND ?",
-            (low, high)).fetchall()
-        assert profile.rows_examined == expected
     finally:
         reference.close()
 
@@ -254,16 +232,3 @@ def test_shortcut_costs_are_pinned(sql, params, rows, examined, returned):
     assert (out.profile.rows_examined, out.profile.rows_returned) \
         == (examined, returned)
 
-
-def test_a_late_index_counts_its_duplicate_keys():
-    # CREATE INDEX over rows already there builds the index in one go;
-    # its count must still see the keys that hold several pks.
-    engine = StorageEngine(default_database="app")
-    engine.execute(SCHEMA[0])
-    engine.execute("INSERT INTO t (id, v, w) VALUES (1, 1, 0), (2, 1, 0), "
-                   "(3, 2, 0), (4, NULL, 0)")
-    engine.execute("CREATE INDEX idx_v ON t (v)")
-    out = engine.execute("SELECT COUNT(*) FROM t WHERE v BETWEEN ? AND ?",
-                         (0, 5))
-    assert out.result.rows == [(3,)]
-    assert (out.profile.rows_examined, out.profile.used_index) == (3, True)
